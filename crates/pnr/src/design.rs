@@ -103,24 +103,34 @@ impl PlacedDesign {
 
     /// Half-perimeter wirelength of one net in grid units.
     pub fn net_hpwl(&self, nl: &Netlist, lib: &Library, net: NetId) -> i64 {
-        let pins = self.net_pins(nl, lib, net);
-        if pins.len() < 2 {
-            return 0;
-        }
-        let (mut x0, mut x1, mut y0, mut y1) = (i32::MAX, i32::MIN, i32::MAX, i32::MIN);
-        for (x, y) in pins {
-            x0 = x0.min(x);
-            x1 = x1.max(x);
-            y0 = y0.min(y);
-            y1 = y1.max(y);
-        }
-        i64::from(x1 - x0) + i64::from(y1 - y0)
+        points_hpwl(&self.net_pins(nl, lib, net))
     }
 
     /// Total half-perimeter wirelength over all nets, in grid units.
     pub fn total_hpwl(&self, nl: &Netlist, lib: &Library) -> i64 {
         nl.net_ids().map(|n| self.net_hpwl(nl, lib, n)).sum()
     }
+}
+
+/// Half-perimeter wirelength of a point set in grid units.
+pub(crate) fn points_hpwl(points: &[(i32, i32)]) -> i64 {
+    let (mut x0, mut x1, mut y0, mut y1) = (i32::MAX, i32::MIN, i32::MAX, i32::MIN);
+    for &(x, y) in points {
+        x0 = x0.min(x);
+        x1 = x1.max(x);
+        y0 = y0.min(y);
+        y1 = y1.max(y);
+    }
+    box_hpwl(x0, x1, y0, y1)
+}
+
+/// Half-perimeter of the box `[x0, x1] × [y0, y1]` grown from
+/// `(MAX, MIN, MAX, MIN)`: 0 while it holds fewer than two points.
+pub(crate) fn box_hpwl(x0: i32, x1: i32, y0: i32, y1: i32) -> i64 {
+    if x0 > x1 {
+        return 0;
+    }
+    i64::from(x1 - x0) + i64::from(y1 - y0)
 }
 
 /// One routed net: a list of wire segments and vias forming a

@@ -145,7 +145,9 @@ impl RoutingGrid {
         self.height
     }
 
-    /// Linear index of a point.
+    /// Linear index of a point. Indices run layer-major, then x, then
+    /// y, the field order of [`Point`]'s `Ord`: comparing the indices
+    /// of two points compares the points.
     #[inline]
     pub fn index(&self, p: Point) -> usize {
         debug_assert!(
@@ -154,7 +156,15 @@ impl RoutingGrid {
             self.width,
             self.height
         );
-        ((p.layer as i32 * self.height + p.y) * self.width + p.x) as usize
+        ((p.layer as i32 * self.width + p.x) * self.height + p.y) as usize
+    }
+
+    /// The point at linear index `i`; the inverse of
+    /// [`RoutingGrid::index`].
+    #[inline]
+    pub(crate) fn point(&self, i: usize) -> Point {
+        let (w, h) = (self.width as usize, self.height as usize);
+        Point::new((i / (w * h)) as u8, ((i / h) % w) as i32, (i % h) as i32)
     }
 
     /// True if the point lies inside the grid.
@@ -173,10 +183,14 @@ impl RoutingGrid {
         self.history[self.index(p)]
     }
 
+    /// Per-node usage and history, indexed by [`RoutingGrid::index`].
+    pub(crate) fn costs(&self) -> (&[u16], &[f32]) {
+        (&self.usage, &self.history)
+    }
+
     /// Marks `p` as used by one more net.
     pub fn occupy(&mut self, p: Point) {
-        let i = self.index(p);
-        self.usage[i] += 1;
+        self.occupy_at(self.index(p));
     }
 
     /// Releases one use of `p`.
@@ -185,8 +199,21 @@ impl RoutingGrid {
     ///
     /// Panics if `p` is not currently used.
     pub fn release(&mut self, p: Point) {
-        let i = self.index(p);
-        assert!(self.usage[i] > 0, "release of unused node {p}");
+        self.release_at(self.index(p));
+    }
+
+    /// [`RoutingGrid::occupy`] by linear index.
+    pub(crate) fn occupy_at(&mut self, i: usize) {
+        self.usage[i] += 1;
+    }
+
+    /// [`RoutingGrid::release`] by linear index.
+    pub(crate) fn release_at(&mut self, i: usize) {
+        assert!(
+            self.usage[i] > 0,
+            "release of unused node {}",
+            self.point(i)
+        );
         self.usage[i] -= 1;
     }
 
@@ -252,6 +279,20 @@ mod tests {
         g.occupy(p);
         assert_eq!(g.accrue_history(1.0), 1);
         assert!((g.history(p) - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn index_order_is_point_order() {
+        let g = RoutingGrid::new_with_layers(5, 3, 3);
+        // Generated row by row, then put in `Point` order.
+        let mut points: Vec<Point> = (0..3u8)
+            .flat_map(|l| (0..3).flat_map(move |y| (0..5).map(move |x| Point::new(l, x, y))))
+            .collect();
+        points.sort();
+        for (i, &p) in points.iter().enumerate() {
+            assert_eq!(g.index(p), i);
+            assert_eq!(g.point(i), p);
+        }
     }
 
     #[test]

@@ -5,10 +5,10 @@ use std::fmt;
 
 use secflow_rand::{RngExt, SeedableRng, StdRng};
 
-use secflow_cells::{Library, ROW_TRACKS};
+use secflow_cells::{LefMacro, Library, ROW_TRACKS};
 use secflow_netlist::{GateId, NetId, Netlist};
 
-use crate::design::{PlacedCell, PlacedDesign};
+use crate::design::{box_hpwl, PlacedCell, PlacedDesign};
 use crate::floorplan::Floorplan;
 use crate::grid::GridPitch;
 
@@ -74,12 +74,12 @@ impl Default for PlaceOptions {
 }
 
 /// Resolves every gate's cell against `lib` once, returning the cell
-/// width per gate (indexed by [`GateId`]).
-fn gate_widths(nl: &Netlist, lib: &Library) -> Result<Vec<u32>, PlaceError> {
+/// macro per gate (indexed by [`GateId`]).
+fn gate_macros<'l>(nl: &Netlist, lib: &'l Library) -> Result<Vec<&'l LefMacro>, PlaceError> {
     nl.gates()
         .iter()
         .map(|g| match lib.by_name(&g.cell) {
-            Some(cell) => Ok(cell.physical().width_tracks),
+            Some(cell) => Ok(cell.physical()),
             None => Err(PlaceError::UnknownCell {
                 gate: g.name.clone(),
                 cell: g.cell.clone(),
@@ -147,7 +147,8 @@ impl RowState {
 /// fill factor / aspect ratio.
 pub fn place(nl: &Netlist, lib: &Library, opts: &PlaceOptions) -> Result<PlacedDesign, PlaceError> {
     check_options(opts)?;
-    let gw = gate_widths(nl, lib)?;
+    let macros = gate_macros(nl, lib)?;
+    let gw: Vec<u32> = macros.iter().map(|m| m.width_tracks).collect();
     let total_width: u64 = gw.iter().map(|&w| u64::from(w)).sum();
     let mut fp = Floorplan::size_for_width(total_width, opts.fill_factor, opts.aspect_ratio);
     // Each die edge offers one pad slot per track except row centers;
@@ -190,7 +191,7 @@ pub fn place(nl: &Netlist, lib: &Library, opts: &PlaceOptions) -> Result<PlacedD
     let pad_slots: Vec<i32> = (0..height)
         .filter(|y| y % ROW_TRACKS as i32 != ROW_TRACKS as i32 / 2)
         .collect();
-    let spread = |nets: &[secflow_netlist::NetId]| -> Vec<(secflow_netlist::NetId, i32)> {
+    let spread = |nets: &[NetId]| -> Vec<(NetId, i32)> {
         nets.iter()
             .enumerate()
             .map(|(i, &n)| (n, pad_slots[i * pad_slots.len() / nets.len().max(1)]))
@@ -210,24 +211,125 @@ pub fn place(nl: &Netlist, lib: &Library, opts: &PlaceOptions) -> Result<PlacedD
     state.repack(&gw, &mut design.cells);
 
     if opts.anneal_moves_per_gate > 0 && nl.gate_count() > 1 {
-        anneal(nl, lib, &gw, &mut state, &mut design, opts);
+        let pins = PinArrays::new(nl, &macros, &design);
+        anneal(nl, lib, &pins, &gw, &mut state, &mut design, opts);
     }
     Ok(design)
 }
 
-/// Nets incident to a gate (inputs + outputs).
-fn gate_nets(nl: &Netlist, g: GateId) -> Vec<NetId> {
-    let gate = nl.gate(g);
-    gate.inputs
-        .iter()
-        .chain(gate.outputs.iter())
-        .copied()
-        .collect()
+/// The netlist's connectivity as flat arrays, resolved once per
+/// [`place`] so that an annealing move reads no cell library, hash map
+/// or pad list.
+struct PinArrays {
+    /// `net_pins[net_start[n]..net_start[n + 1]]` are net `n`'s gate
+    /// pins as `(gate index, x offset within the cell)`.
+    net_start: Vec<u32>,
+    net_pins: Vec<(u32, i32)>,
+    /// Bounding box `[x0, x1, y0, y1]` of net `n`'s pad points, empty
+    /// (`[MAX, MIN, MAX, MIN]`) for nets without pads.
+    pad_box: Vec<[i32; 4]>,
+    /// `gate_nets[gate_start[g]..gate_start[g + 1]]` are the nets on
+    /// gate `g`'s inputs then outputs.
+    gate_start: Vec<u32>,
+    gate_nets: Vec<u32>,
+    row_height: i32,
 }
 
+impl PinArrays {
+    /// Mirrors [`PlacedDesign::net_pins`]: the driver pin or else the
+    /// input pad, then the sinks, then the output pad.
+    fn new(nl: &Netlist, macros: &[&LefMacro], design: &PlacedDesign) -> Self {
+        let first_pad_y = |pads: &[(NetId, i32)]| {
+            let mut y: Vec<Option<i32>> = vec![None; nl.net_count()];
+            for &(n, py) in pads.iter().rev() {
+                y[n.index()] = Some(py);
+            }
+            y
+        };
+        let in_pad = first_pad_y(&design.input_pads);
+        let out_pad = first_pad_y(&design.output_pads);
+
+        let mut arrays = PinArrays {
+            net_start: Vec::with_capacity(nl.net_count() + 1),
+            net_pins: Vec::new(),
+            pad_box: Vec::with_capacity(nl.net_count()),
+            gate_start: Vec::with_capacity(nl.gate_count() + 1),
+            gate_nets: Vec::new(),
+            row_height: design.row_height,
+        };
+        arrays.net_start.push(0);
+        for (i, net) in nl.nets().iter().enumerate() {
+            let driver = net.driver.map(|d| {
+                let mac = macros[d.gate.index()];
+                (d.gate.0, mac.output_pin_tracks[d.pin as usize] as i32)
+            });
+            let sinks = net.sinks.iter().map(|s| {
+                let mac = macros[s.gate.index()];
+                (s.gate.0, mac.input_pin_tracks[s.pin as usize] as i32)
+            });
+            arrays.net_pins.extend(driver.into_iter().chain(sinks));
+            // A primary input without a driver enters at its pad.
+            let in_pt = in_pad[i].filter(|_| net.driver.is_none()).map(|y| (0, y));
+            let out_pt = out_pad[i].map(|y| (design.width - 1, y));
+            let mut bbox = [i32::MAX, i32::MIN, i32::MAX, i32::MIN];
+            for (x, y) in in_pt.into_iter().chain(out_pt) {
+                bbox = [
+                    bbox[0].min(x),
+                    bbox[1].max(x),
+                    bbox[2].min(y),
+                    bbox[3].max(y),
+                ];
+            }
+            arrays.pad_box.push(bbox);
+            arrays.net_start.push(arrays.net_pins.len() as u32);
+        }
+        arrays.gate_start.push(0);
+        for g in nl.gates() {
+            arrays
+                .gate_nets
+                .extend(g.inputs.iter().chain(&g.outputs).map(|n| n.0));
+            arrays.gate_start.push(arrays.gate_nets.len() as u32);
+        }
+        arrays
+    }
+
+    fn gate_nets(&self, g: GateId) -> &[u32] {
+        let i = g.index();
+        &self.gate_nets[self.gate_start[i] as usize..self.gate_start[i + 1] as usize]
+    }
+
+    /// Half-perimeter wirelength of net `n` under `cells`; equal to
+    /// [`PlacedDesign::net_hpwl`].
+    fn hpwl(&self, n: usize, cells: &[PlacedCell]) -> i64 {
+        let [mut x0, mut x1, mut y0, mut y1] = self.pad_box[n];
+        let pins = &self.net_pins[self.net_start[n] as usize..self.net_start[n + 1] as usize];
+        for &(g, off) in pins {
+            let c = cells[g as usize];
+            let x = c.x + off;
+            let y = c.row as i32 * self.row_height + self.row_height / 2;
+            x0 = x0.min(x);
+            x1 = x1.max(x);
+            y0 = y0.min(y);
+            y1 = y1.max(y);
+        }
+        box_hpwl(x0, x1, y0, y1)
+    }
+}
+
+/// Simulated annealing over row swaps and relocations.
+///
+/// Every net's HPWL is cached. A move touches rows `r1` and `r2`, and
+/// repacking redistributes the whitespace of both, so the nets of
+/// every cell in the two rows are collected (deduplicated by a
+/// per-move stamp), recomputed after the move and committed to the
+/// cache only if the move is accepted. The cache always equals
+/// [`PlacedDesign::net_hpwl`] of the current cells, so `delta` is the
+/// exact integer a full recomputation would give and the RNG draws,
+/// and with them every accept decision, depend on nothing else.
 fn anneal(
     nl: &Netlist,
     lib: &Library,
+    pins: &PinArrays,
     gw: &[u32],
     state: &mut RowState,
     design: &mut PlacedDesign,
@@ -237,9 +339,17 @@ fn anneal(
     let moves = opts.anneal_moves_per_gate * nl.gate_count();
     let mut accepted = 0u64;
     let n_rows = state.rows.len();
-    let mut total = design.total_hpwl(nl, lib);
+    let mut cache: Vec<i64> = (0..nl.net_count())
+        .map(|n| pins.hpwl(n, &design.cells))
+        .collect();
+    let mut total: i64 = cache.iter().sum();
     let mut best = total;
     let mut best_cells = design.cells.clone();
+    // Per-move scratch: the touched nets and their recomputed HPWL.
+    let mut stamp = vec![0u32; nl.net_count()];
+    let mut epoch = 0u32;
+    let mut touched: Vec<u32> = Vec::new();
+    let mut fresh: Vec<i64> = Vec::new();
     // Initial temperature scaled to typical net span.
     let mut temp = (design.width + design.height) as f64 / 4.0;
     let cooling = if moves > 0 {
@@ -289,20 +399,33 @@ fn anneal(
         // Affected nets: repacking redistributes whitespace across the
         // whole touched rows, so every net incident to rows r1/r2 may
         // change.
-        let mut nets: Vec<NetId> = state.rows[r1]
-            .iter()
-            .chain(state.rows[r2].iter())
-            .flat_map(|&g| gate_nets(nl, g))
-            .collect();
-        nets.sort_unstable();
-        nets.dedup();
-        let before: i64 = nets.iter().map(|&n| design.net_hpwl(nl, lib, n)).sum();
+        if epoch == u32::MAX {
+            stamp.fill(0);
+            epoch = 0;
+        }
+        epoch += 1;
+        touched.clear();
+        for &g in state.rows[r1].iter().chain(&state.rows[r2]) {
+            for &n in pins.gate_nets(g) {
+                if stamp[n as usize] != epoch {
+                    stamp[n as usize] = epoch;
+                    touched.push(n);
+                }
+            }
+        }
+        let before: i64 = touched.iter().map(|&n| cache[n as usize]).sum();
 
         // Apply the move.
         let undo = apply_move(state, r1, i1, r2, swap_target.map(|(i2, _)| i2));
         state.repack_row(gw, r1, &mut design.cells);
         state.repack_row(gw, r2, &mut design.cells);
-        let after: i64 = nets.iter().map(|&n| design.net_hpwl(nl, lib, n)).sum();
+        fresh.clear();
+        fresh.extend(
+            touched
+                .iter()
+                .map(|&n| pins.hpwl(n as usize, &design.cells)),
+        );
+        let after: i64 = fresh.iter().sum();
 
         let delta = (after - before) as f64;
         let accept = delta <= 0.0 || rng.random_bool((-delta / temp.max(1e-9)).exp().min(1.0));
@@ -312,8 +435,12 @@ fn anneal(
             state.repack_row(gw, r2, &mut design.cells);
         } else {
             accepted += 1;
-            // Keep width bookkeeping in sync.
-            recompute_widths(gw, state);
+            for (&n, &h) in touched.iter().zip(&fresh) {
+                cache[n as usize] = h;
+            }
+            for r in [r1, r2] {
+                state.widths[r] = state.rows[r].iter().map(|&g| gw[g.index()]).sum();
+            }
             total += after - before;
             if total < best {
                 best = total;
@@ -321,6 +448,16 @@ fn anneal(
             }
         }
         temp *= cooling;
+    }
+    if cfg!(debug_assertions) {
+        for n in nl.net_ids() {
+            assert_eq!(
+                cache[n.index()],
+                design.net_hpwl(nl, lib, n),
+                "stale HPWL cache for net {n}"
+            );
+        }
+        assert_eq!(total, design.total_hpwl(nl, lib), "stale HPWL total");
     }
     // Annealing may end uphill; keep the best placement seen.
     if best < total {
@@ -391,12 +528,6 @@ fn undo_move(state: &mut RowState, undo: Undo) {
             let g = state.rows[to].remove(to_idx);
             state.rows[from].insert(orig_idx, g);
         }
-    }
-}
-
-fn recompute_widths(gw: &[u32], state: &mut RowState) {
-    for (w, row) in state.widths.iter_mut().zip(&state.rows) {
-        *w = row.iter().map(|&g| gw[g.index()]).sum();
     }
 }
 
@@ -595,6 +726,64 @@ mod tests {
         );
         let err = place_best_of(&nl, &lib, &PlaceOptions::default(), 3).unwrap_err();
         assert!(matches!(err, PlaceError::UnknownCell { .. }));
+    }
+
+    /// A random netlist of up to 40 gates: each gate reads earlier
+    /// nets, and about one gate output in five is a primary output.
+    fn random_netlist(g: &mut secflow_testkit::Gen) -> Netlist {
+        const CELLS: [(&str, usize); 5] = [
+            ("INV", 1),
+            ("BUF", 1),
+            ("AND2", 2),
+            ("NOR3", 3),
+            ("AOI22", 4),
+        ];
+        let mut nl = Netlist::new("random");
+        let mut nets: Vec<NetId> = (0..g.len_in(1..6))
+            .map(|i| nl.add_input(format!("i{i}")))
+            .collect();
+        for k in 0..g.len_in(1..40) {
+            let &(cell, n_in) = g.choose(&CELLS);
+            let inputs = (0..n_in).map(|_| *g.choose(&nets)).collect();
+            let y = nl.add_net(format!("n{k}"));
+            nl.add_gate(format!("g{k}"), cell, GateKind::Comb, inputs, vec![y]);
+            nets.push(y);
+            if g.random_bool(0.2) {
+                nl.mark_output(y);
+            }
+        }
+        nl
+    }
+
+    /// `anneal` asserts on exit, in debug builds, that its cached net
+    /// HPWLs and running total equal a full recomputation. Random fill
+    /// factors, pad counts and move budgets drive it through empty
+    /// rows, one-gate rows and same-row relocations.
+    #[test]
+    fn prop_hpwl_cache_matches_full_recomputation() {
+        let lib = Library::lib180();
+        let (mut empty_rows, mut single_rows) = (0, 0);
+        secflow_testkit::prop_check!(cases: 64, seed: 0x9A1D_0001, |g| {
+            let nl = random_netlist(g);
+            let opts = PlaceOptions {
+                fill_factor: *g.choose(&[0.05, 0.3, 0.8, 1.0]),
+                anneal_moves_per_gate: g.random_range(1..80usize),
+                seed: g.random(),
+                ..Default::default()
+            };
+            let d = place(&nl, &lib, &opts).unwrap();
+            let rows = (d.height / d.row_height) as usize;
+            let mut per_row = vec![0; rows];
+            for c in &d.cells {
+                per_row[c.row as usize] += 1;
+            }
+            empty_rows += per_row.iter().filter(|&&n| n == 0).count();
+            single_rows += per_row.iter().filter(|&&n| n == 1).count();
+        });
+        assert!(
+            empty_rows > 0 && single_rows > 0,
+            "cases missed empty or one-gate rows"
+        );
     }
 
     #[test]

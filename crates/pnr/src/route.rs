@@ -7,13 +7,13 @@
 //! penalties until no grid node is shared.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use secflow_cells::Library;
 use secflow_netlist::{NetId, Netlist};
 
-use crate::design::{PlacedDesign, RoutedDesign, RoutedNet};
+use crate::design::{points_hpwl, PlacedDesign, RoutedDesign, RoutedNet};
 use crate::grid::{is_horizontal, Point, RoutingGrid, Segment, LAYER_H, LAYER_V};
 
 /// Router configuration.
@@ -78,6 +78,12 @@ pub enum RouteError {
         /// Name of the failing net.
         net: String,
     },
+    /// Router options are degenerate (fewer than two layers: pins
+    /// need a horizontal and a vertical layer).
+    InvalidOptions {
+        /// Human-readable description of the bad option.
+        detail: String,
+    },
     /// Congestion never resolved within the iteration budget.
     Congested {
         /// Number of still-congested grid nodes.
@@ -102,6 +108,7 @@ impl fmt::Display for RouteError {
                 write!(f, "pins of nets `{net_a}` and `{net_b}` collide at ({x},{y})")
             }
             RouteError::Unreachable { net } => write!(f, "net `{net}` has an unreachable pin"),
+            RouteError::InvalidOptions { detail } => write!(f, "invalid routing options: {detail}"),
             RouteError::Congested {
                 congested_nodes,
                 iterations,
@@ -116,70 +123,258 @@ impl fmt::Display for RouteError {
 
 impl std::error::Error for RouteError {}
 
-#[derive(PartialEq)]
-struct HeapEntry {
-    /// Priority: g + heuristic.
-    cost: f64,
+/// Marks a grid node that is no pin's access point.
+const NO_NET: u32 = u32::MAX;
+
+/// One grid node's search record; valid only while `stamp` equals the
+/// current search number.
+#[derive(Clone, Copy)]
+struct Node {
     /// Path cost from the tree.
-    g: f64,
-    point: Point,
+    dist: f64,
+    /// Predecessor's grid index (the node itself for tree nodes).
+    parent: u32,
+    stamp: u32,
 }
 
-impl Eq for HeapEntry {}
+/// An entry of the A* open list.
+#[derive(PartialEq)]
+struct Open {
+    /// Priority: g + heuristic.
+    f: f64,
+    /// Path cost from the tree.
+    g: f64,
+    /// Grid index.
+    node: u32,
+}
 
-impl Ord for HeapEntry {
+impl Eq for Open {}
+
+impl Ord for Open {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on cost.
+        // Min-heap on f; ties pop the highest point first. Grid indices
+        // follow `Point` order, so the index stands in for the point.
         other
-            .cost
-            .partial_cmp(&self.cost)
+            .f
+            .partial_cmp(&self.f)
             .unwrap_or(Ordering::Equal)
-            .then_with(|| self.point.cmp(&other.point))
+            .then_with(|| self.node.cmp(&other.node))
     }
 }
 
-impl PartialOrd for HeapEntry {
+impl PartialOrd for Open {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// Scratch arrays reused across searches.
-struct Search {
-    dist: Vec<f64>,
-    parent: Vec<Point>,
-    stamp: Vec<u32>,
-    generation: u32,
+/// A net's current route as grid indices: its nodes in the order they
+/// joined the tree, and its unit edges as `(from, to)`.
+#[derive(Clone, Default)]
+struct NetTree {
+    nodes: Vec<u32>,
+    edges: Vec<(u32, u32)>,
 }
 
-impl Search {
-    fn new(n: usize) -> Self {
-        Search {
-            dist: vec![f64::INFINITY; n],
-            parent: vec![Point::new(0, 0, 0); n],
-            stamp: vec![0; n],
-            generation: 0,
-        }
-    }
+/// Dense router state, indexed by [`RoutingGrid::index`] and reused by
+/// every search of one [`route`] call.
+struct Router {
+    /// Owning net of each node on layers 0 and 1 that is a pin access
+    /// point, [`NO_NET`] for the others; foreign pins are obstacles.
+    pin_owner: Vec<u32>,
+    nodes: Vec<Node>,
+    search: u32,
+    /// `in_tree[i] == tree` marks the nodes of the net being routed.
+    in_tree: Vec<u32>,
+    tree: u32,
+    open: BinaryHeap<Open>,
+}
 
-    fn begin(&mut self) {
-        self.generation += 1;
+impl Router {
+    fn new(grid: &RoutingGrid) -> Self {
+        let n = grid.width() as usize * grid.height() as usize * usize::from(grid.layers());
+        let pin_plane = grid.width() as usize * grid.height() as usize * 2;
+        Router {
+            pin_owner: vec![NO_NET; pin_plane],
+            nodes: vec![
+                Node {
+                    dist: f64::INFINITY,
+                    parent: 0,
+                    stamp: 0,
+                };
+                n
+            ],
+            search: 0,
+            in_tree: vec![0; n],
+            tree: 0,
+            open: BinaryHeap::new(),
+        }
     }
 
     #[inline]
     fn dist(&self, i: usize) -> f64 {
-        if self.stamp[i] == self.generation {
-            self.dist[i]
+        let n = &self.nodes[i];
+        if n.stamp == self.search {
+            n.dist
         } else {
             f64::INFINITY
         }
     }
 
     #[inline]
-    fn set(&mut self, i: usize, d: f64, parent: Point) {
-        self.stamp[i] = self.generation;
-        self.dist[i] = d;
-        self.parent[i] = parent;
+    fn set(&mut self, i: usize, dist: f64, parent: u32) {
+        self.nodes[i] = Node {
+            dist,
+            parent,
+            stamp: self.search,
+        };
+    }
+
+    /// Adds node `i` to the current tree unless it is already on it.
+    #[inline]
+    fn add_to_tree(&mut self, i: u32, tree: &mut Vec<u32>) {
+        if self.in_tree[i as usize] != self.tree {
+            self.in_tree[i as usize] = self.tree;
+            tree.push(i);
+        }
+    }
+
+    /// Advances a stamp counter, clearing its array when it wraps.
+    fn next_stamp(counter: &mut u32, reset: impl FnOnce()) {
+        if *counter == u32::MAX {
+            reset();
+            *counter = 0;
+        }
+        *counter += 1;
+    }
+
+    /// Routes one net over the current grid state into the empty
+    /// `out`. Returns `None` if a pin is unreachable.
+    ///
+    /// Every search is multi-source A* from the partial tree to the
+    /// next pin. The open list pops the lowest f first and, on equal
+    /// f, the highest point; node costs are `g + step + congestion +
+    /// history` and priorities that plus `h`, evaluated in that order.
+    /// The layout depends on both, so they must not change.
+    fn route_net(
+        &mut self,
+        grid: &RoutingGrid,
+        pins: &[(i32, i32)],
+        opts: &RouteOptions,
+        present_factor: f64,
+        net: NetId,
+        out: &mut NetTree,
+    ) -> Option<()> {
+        let NetTree { nodes: tree, edges } = out;
+        let (w, h, layers) = (grid.width(), grid.height(), u32::from(grid.layers()));
+        let plane = (w * h) as u32;
+        let pin_plane = 2 * plane;
+        let node_at = |layer: u8, x: i32, y: i32| grid.index(Point::new(layer, x, y)) as u32;
+        let (usage, history) = grid.costs();
+        Self::next_stamp(&mut self.tree, || self.in_tree.fill(0));
+
+        // Seed the tree with the first pin (both layers).
+        let (x0, y0) = pins[0];
+        let (s_h, s_v) = (node_at(LAYER_H, x0, y0), node_at(LAYER_V, x0, y0));
+        self.add_to_tree(s_h, tree);
+        self.add_to_tree(s_v, tree);
+        edges.push((s_h, s_v));
+
+        for &(px, py) in &pins[1..] {
+            let t_h = node_at(LAYER_H, px, py);
+            let t_v = node_at(LAYER_V, px, py);
+            if self.in_tree[t_h as usize] == self.tree || self.in_tree[t_v as usize] == self.tree {
+                // The pin is already on the tree.
+                continue;
+            }
+            Self::next_stamp(&mut self.search, || {
+                self.nodes.iter_mut().for_each(|n| n.stamp = 0)
+            });
+            // A*: an admissible heuristic (Manhattan distance to the
+            // sink; every wire step costs at least 1, vias cost extra
+            // but do not change x/y) keeps the search focused without
+            // affecting optimality.
+            let heuristic = |x: i32, y: i32| f64::from((x - px).abs() + (y - py).abs());
+            self.open.clear();
+            for &i in tree.iter() {
+                self.set(i as usize, 0.0, i);
+                let p = grid.point(i as usize);
+                self.open.push(Open {
+                    f: heuristic(p.x, p.y),
+                    g: 0.0,
+                    node: i,
+                });
+            }
+            let mut found = None;
+            while let Some(Open { f: _, g, node }) = self.open.pop() {
+                if g > self.dist(node as usize) {
+                    continue; // stale entry
+                }
+                if node == t_h || node == t_v {
+                    found = Some(node);
+                    break;
+                }
+                let p = grid.point(node as usize);
+                let (layer, x, y) = (u32::from(p.layer), p.x, p.y);
+                // Neighbours: along the layer direction, then the vias
+                // down and up.
+                let mut relax = |ni: u32, nx: i32, ny: i32, step: f64| {
+                    let i = ni as usize;
+                    // Foreign pin points are hard obstacles.
+                    if ni < pin_plane && self.pin_owner[i] != NO_NET && self.pin_owner[i] != net.0 {
+                        return;
+                    }
+                    let used = f64::from(usage[i]);
+                    let congestion = if used > 0.0 {
+                        present_factor * used
+                    } else {
+                        0.0
+                    };
+                    let nc = g + step + congestion + f64::from(history[i]);
+                    if nc < self.dist(i) {
+                        self.set(i, nc, node);
+                        self.open.push(Open {
+                            f: nc + heuristic(nx, ny),
+                            g: nc,
+                            node: ni,
+                        });
+                    }
+                };
+                if is_horizontal(layer as u8) {
+                    if x > 0 {
+                        relax(node - h as u32, x - 1, y, 1.0);
+                    }
+                    if x + 1 < w {
+                        relax(node + h as u32, x + 1, y, 1.0);
+                    }
+                } else {
+                    if y > 0 {
+                        relax(node - 1, x, y - 1, 1.0);
+                    }
+                    if y + 1 < h {
+                        relax(node + 1, x, y + 1, 1.0);
+                    }
+                }
+                if layer > 0 {
+                    relax(node - plane, x, y, opts.via_cost);
+                }
+                if layer + 1 < layers {
+                    relax(node + plane, x, y, opts.via_cost);
+                }
+            }
+            // Backtrace to the tree.
+            let mut i = found?;
+            loop {
+                let parent = self.nodes[i as usize].parent;
+                self.add_to_tree(i, tree);
+                if parent == i {
+                    break;
+                }
+                edges.push((parent, i));
+                i = parent;
+            }
+        }
+        Some(())
     }
 }
 
@@ -187,9 +382,10 @@ impl Search {
 ///
 /// # Errors
 ///
-/// Returns [`RouteError`] if a gate's cell is missing from `lib`, the
-/// placement is degenerate (off-die or colliding pins), some pin is
-/// unreachable, or congestion cannot be negotiated away within
+/// Returns [`RouteError`] if the options are degenerate (fewer than
+/// two layers), a gate's cell is missing from `lib`, the placement is
+/// degenerate (off-die or colliding pins), some pin is unreachable, or
+/// congestion cannot be negotiated away within
 /// [`RouteOptions::max_iterations`].
 pub fn route(
     nl: &Netlist,
@@ -197,6 +393,14 @@ pub fn route(
     placed: &PlacedDesign,
     opts: &RouteOptions,
 ) -> Result<RoutedDesign, RouteError> {
+    if opts.layers < 2 {
+        return Err(RouteError::InvalidOptions {
+            detail: format!(
+                "need at least 2 routing layers (pins use a horizontal and a vertical one), got {}",
+                opts.layers
+            ),
+        });
+    }
     // Resolve every cell upfront so pin lookups below cannot fail.
     for g in nl.gates() {
         if lib.by_name(&g.cell).is_none() {
@@ -208,16 +412,16 @@ pub fn route(
     }
 
     let mut grid = RoutingGrid::new_with_layers(placed.width, placed.height, opts.layers);
-    let mut search =
-        Search::new(placed.width as usize * placed.height as usize * opts.layers as usize);
+    let mut router = Router::new(&grid);
 
     // Reserve every pin's access points (layers 0 and 1) for its own
     // net: a foreign wire through a pin would make the pin
     // permanently unreachable for its owner. Off-die or colliding pins
     // mean the placement is degenerate and routing cannot start.
-    let mut pin_owner: HashMap<Point, NetId> = HashMap::new();
+    let mut net_pins: Vec<Vec<(i32, i32)>> = Vec::with_capacity(nl.net_count());
     for net in nl.net_ids() {
-        for (x, y) in placed.net_pins(nl, lib, net) {
+        let pins = placed.net_pins(nl, lib, net);
+        for &(x, y) in &pins {
             if x < 0 || x >= placed.width || y < 0 || y >= placed.height {
                 return Err(RouteError::PinOutOfBounds {
                     net: nl.net(net).name.clone(),
@@ -226,39 +430,33 @@ pub fn route(
                 });
             }
             for layer in [LAYER_H, LAYER_V] {
-                let p = Point::new(layer, x, y);
-                if let Some(&other) = pin_owner.get(&p) {
-                    if other != net {
-                        return Err(RouteError::PinCollision {
-                            net_a: nl.net(other).name.clone(),
-                            net_b: nl.net(net).name.clone(),
-                            x,
-                            y,
-                        });
-                    }
+                let i = grid.index(Point::new(layer, x, y));
+                let other = router.pin_owner[i];
+                if other != NO_NET && other != net.0 {
+                    return Err(RouteError::PinCollision {
+                        net_a: nl.net(NetId(other)).name.clone(),
+                        net_b: nl.net(net).name.clone(),
+                        x,
+                        y,
+                    });
                 }
-                pin_owner.insert(p, net);
+                router.pin_owner[i] = net.0;
             }
         }
+        net_pins.push(pins);
     }
 
-    // Nets to route, shortest HPWL first.
-    let mut work: Vec<(NetId, Vec<(i32, i32)>)> = nl
-        .net_ids()
-        .filter_map(|n| {
-            let pins = placed.net_pins(nl, lib, n);
-            if pins.len() >= 2 {
-                Some((n, pins))
-            } else {
-                None
-            }
-        })
+    // Nets to route, shortest HPWL first (net id breaks ties).
+    let mut work: Vec<(NetId, Vec<(i32, i32)>)> = net_pins
+        .into_iter()
+        .enumerate()
+        .filter(|(_, pins)| pins.len() >= 2)
+        .map(|(n, pins)| (NetId(n as u32), pins))
         .collect();
-    work.sort_by_key(|(n, pins)| (placed.net_hpwl(nl, lib, *n), n.0, pins.len()));
+    work.sort_by_cached_key(|(n, pins)| (points_hpwl(pins), n.0));
 
-    // Current tree points per net (for rip-up).
-    let mut trees: Vec<Vec<Point>> = vec![Vec::new(); work.len()];
-    let mut edges: Vec<Vec<(Point, Point)>> = vec![Vec::new(); work.len()];
+    // Current route per net (for rip-up).
+    let mut trees: Vec<NetTree> = vec![NetTree::default(); work.len()];
 
     let mut present_factor = 0.5f64;
     let mut iterations = 0usize;
@@ -272,41 +470,34 @@ pub fn route(
             if !reroute[i] {
                 continue;
             }
-            if !trees[i].is_empty() {
+            let tree = &mut trees[i];
+            if !tree.nodes.is_empty() {
                 ripups += 1;
             }
             // Rip up the previous route of this net.
-            for &p in &trees[i] {
-                grid.release(p);
+            for &p in &tree.nodes {
+                grid.release_at(p as usize);
             }
-            trees[i].clear();
-            edges[i].clear();
+            tree.nodes.clear();
+            tree.edges.clear();
 
-            let (tree, tree_edges) = route_net(
-                &grid,
-                &mut search,
-                pins,
-                opts,
-                present_factor,
-                *net,
-                &pin_owner,
-            )
-            .ok_or_else(|| RouteError::Unreachable {
-                net: nl.net(*net).name.clone(),
-            })?;
-            for &p in &tree {
-                grid.occupy(p);
+            router
+                .route_net(&grid, pins, opts, present_factor, *net, tree)
+                .ok_or_else(|| RouteError::Unreachable {
+                    net: nl.net(*net).name.clone(),
+                })?;
+            for &p in &tree.nodes {
+                grid.occupy_at(p as usize);
             }
-            trees[i] = tree;
-            edges[i] = tree_edges;
         }
 
         let congested = grid.accrue_history(opts.history_increment);
         if congested == 0 {
             break;
         }
-        for (i, flag) in reroute.iter_mut().enumerate() {
-            *flag = trees[i].iter().any(|&p| grid.usage(p) > 1);
+        let (usage, _) = grid.costs();
+        for (flag, tree) in reroute.iter_mut().zip(&trees) {
+            *flag = tree.nodes.iter().any(|&p| usage[p as usize] > 1);
         }
         if iterations >= opts.max_iterations {
             let examples = grid
@@ -314,11 +505,12 @@ pub fn route(
                 .into_iter()
                 .take(4)
                 .map(|p| {
+                    let node = grid.index(p) as u32;
                     let owners: Vec<&str> = work
                         .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| trees[i].contains(&p))
-                        .map(|(_, (n, _))| nl.net(*n).name.as_str())
+                        .zip(&trees)
+                        .filter(|(_, tree)| tree.nodes.contains(&node))
+                        .map(|((n, _), _)| nl.net(*n).name.as_str())
                         .collect();
                     format!("{p} used by {owners:?}")
                 })
@@ -338,10 +530,17 @@ pub fn route(
 
     let nets = work
         .iter()
-        .enumerate()
-        .map(|(i, (net, _))| RoutedNet {
-            net: *net,
-            segments: merge_edges(&edges[i]),
+        .zip(&trees)
+        .map(|((net, _), tree)| {
+            let unit: Vec<(Point, Point)> = tree
+                .edges
+                .iter()
+                .map(|&(a, b)| (grid.point(a as usize), grid.point(b as usize)))
+                .collect();
+            RoutedNet {
+                net: *net,
+                segments: merge_edges(&unit),
+            }
         })
         .collect();
 
@@ -349,129 +548,6 @@ pub fn route(
         placed: placed.clone(),
         nets,
     })
-}
-
-/// Routes one net over the current grid state. Returns the set of tree
-/// points and unit edges, or `None` if a pin is unreachable.
-/// A routed net tree: its occupied points plus the unit edges.
-type NetTree = (Vec<Point>, Vec<(Point, Point)>);
-
-#[allow(clippy::too_many_arguments)]
-fn route_net(
-    grid: &RoutingGrid,
-    search: &mut Search,
-    pins: &[(i32, i32)],
-    opts: &RouteOptions,
-    present_factor: f64,
-    net: NetId,
-    pin_owner: &HashMap<Point, NetId>,
-) -> Option<NetTree> {
-    let mut tree: Vec<Point> = Vec::new();
-    let mut tree_set: std::collections::HashSet<Point> = std::collections::HashSet::new();
-    let mut tree_edges: Vec<(Point, Point)> = Vec::new();
-    let push_tree =
-        |p: Point, tree: &mut Vec<Point>, set: &mut std::collections::HashSet<Point>| {
-            if set.insert(p) {
-                tree.push(p);
-            }
-        };
-
-    // Seed the tree with the first pin (both layers).
-    let (x0, y0) = pins[0];
-    push_tree(Point::new(LAYER_H, x0, y0), &mut tree, &mut tree_set);
-    push_tree(Point::new(LAYER_V, x0, y0), &mut tree, &mut tree_set);
-    tree_edges.push((Point::new(LAYER_H, x0, y0), Point::new(LAYER_V, x0, y0)));
-
-    for &(px, py) in &pins[1..] {
-        let t_h = Point::new(LAYER_H, px, py);
-        let t_v = Point::new(LAYER_V, px, py);
-        if tree_set.contains(&t_h) || tree_set.contains(&t_v) {
-            // Pin already on the tree; still make sure both layers of
-            // the pin point are attached.
-            continue;
-        }
-        search.begin();
-        // A*: an admissible heuristic (Manhattan distance to the sink;
-        // every wire step costs at least 1, vias cost extra but do not
-        // change x/y) keeps the search focused without affecting
-        // optimality.
-        let h = |p: Point| -> f64 { f64::from((p.x - px).abs() + (p.y - py).abs()) };
-        let mut heap = BinaryHeap::new();
-        for &p in &tree {
-            let i = grid.index(p);
-            search.set(i, 0.0, p);
-            heap.push(HeapEntry {
-                cost: h(p),
-                g: 0.0,
-                point: p,
-            });
-        }
-        let mut found: Option<Point> = None;
-        while let Some(HeapEntry { cost: _, g, point }) = heap.pop() {
-            let pi = grid.index(point);
-            if g > search.dist(pi) {
-                continue; // stale entry
-            }
-            let cost = g;
-            if point == t_h || point == t_v {
-                found = Some(point);
-                break;
-            }
-            // Neighbours: along the layer direction, plus a via.
-            let mut push = |np: Point, step_cost: f64| {
-                if !grid.contains(np) {
-                    return;
-                }
-                // Foreign pin points are hard obstacles.
-                if pin_owner.get(&np).is_some_and(|&o| o != net) {
-                    return;
-                }
-                let ni = grid.index(np);
-                let usage = f64::from(grid.usage(np));
-                let congestion = if usage > 0.0 {
-                    present_factor * usage
-                } else {
-                    0.0
-                };
-                let nc = cost + step_cost + congestion + f64::from(grid.history(np));
-                if nc < search.dist(ni) {
-                    search.set(ni, nc, point);
-                    heap.push(HeapEntry {
-                        cost: nc + h(np),
-                        g: nc,
-                        point: np,
-                    });
-                }
-            };
-            if is_horizontal(point.layer) {
-                push(Point::new(point.layer, point.x - 1, point.y), 1.0);
-                push(Point::new(point.layer, point.x + 1, point.y), 1.0);
-            } else {
-                push(Point::new(point.layer, point.x, point.y - 1), 1.0);
-                push(Point::new(point.layer, point.x, point.y + 1), 1.0);
-            }
-            if point.layer > 0 {
-                push(Point::new(point.layer - 1, point.x, point.y), opts.via_cost);
-            }
-            push(Point::new(point.layer + 1, point.x, point.y), opts.via_cost);
-        }
-        let target = found?;
-        // Backtrace to the tree.
-        let mut p = target;
-        loop {
-            let i = grid.index(p);
-            let par = search.parent[i];
-            if tree_set.insert(p) {
-                tree.push(p);
-            }
-            if par == p {
-                break;
-            }
-            tree_edges.push((par, p));
-            p = par;
-        }
-    }
-    Some((tree, tree_edges))
 }
 
 /// Merges unit edges into maximal straight segments plus vias.

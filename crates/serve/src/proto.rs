@@ -279,8 +279,11 @@ fn parse_flow_options(obj: &Value) -> Result<FlowOptions, RequestError> {
         opts.route.max_iterations = v as usize;
     }
     if let Some(v) = get_u64(o, "route_layers")? {
-        opts.route.layers =
-            u8::try_from(v).map_err(|_| bad("`route_layers` out of range"))?;
+        // Pins need a horizontal and a vertical layer.
+        opts.route.layers = u8::try_from(v)
+            .ok()
+            .filter(|&layers| layers >= 2)
+            .ok_or_else(|| bad("`route_layers` must be in 2..=255"))?;
     }
     if let Some(v) = get_str(o, "decompose_style")? {
         opts.decompose_style = match v {

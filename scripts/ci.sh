@@ -77,4 +77,7 @@ cargo run --release --offline -p secflow -- submit --socket "$tmp/serve.sock" --
     > /dev/null
 wait "$serve_pid"
 
+echo "== tier-1: benchmark build and smoke (secbench: every workload, untraced and traced) =="
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "tier-1 gate: OK"

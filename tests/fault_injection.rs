@@ -152,6 +152,22 @@ fn run_battery() {
         "{e:?}"
     );
     assert_flow_error(e, Stage::Route);
+    // Route: pins need a horizontal and a vertical layer, so fewer
+    // than two layers is refused before the grid is built.
+    for layers in [0, 1] {
+        let e = route(
+            &nl,
+            &lib,
+            &placed,
+            &RouteOptions {
+                layers,
+                ..Default::default()
+            },
+        )
+        .expect_err("fewer than two layers must not route");
+        assert!(matches!(e, RouteError::InvalidOptions { .. }), "{e:?}");
+        assert_flow_error(e, Stage::Route);
+    }
 
     // Decompose: a normal-pitch routed design is not a fat design,
     // and a fat design that lost a placed cell cannot decompose.

@@ -112,3 +112,57 @@ fn unix_socket_round_trip_serves_cached_second_response() {
         .expect("server exited cleanly");
     assert!(!sock.exists(), "socket file must be unlinked on shutdown");
 }
+
+/// A job the router cannot run is refused at request parse, and the
+/// single job worker stays up to answer the next request.
+#[test]
+fn invalid_route_layers_are_refused_and_the_server_keeps_answering() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let sock = PathBuf::from(format!(
+        "{}/secflow-serve-layers-{}.sock",
+        std::env::temp_dir().display(),
+        std::process::id()
+    ));
+    let opts = ServerOptions {
+        bind: Bind::Unix(sock.clone()),
+        cache_bytes: 16 << 20,
+        cache_dir: None,
+        job_workers: 1,
+    };
+    let server = std::thread::spawn(move || serve(&opts));
+    let bind = Bind::Unix(sock.clone());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let stats = br#"{"job":"stats"}"#;
+    loop {
+        match submit(&bind, stats) {
+            Ok(_) => break,
+            Err(e) => {
+                assert!(Instant::now() < deadline, "server never came up: {e}");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+    }
+
+    for layers in [0, 1] {
+        let req = format!(
+            r#"{{"job":"campaign","n":6,"options":{{"route_layers":{layers},"verify":false}}}}"#
+        );
+        let bad = submit(&bind, req.as_bytes()).expect("bad job gets a reply");
+        assert!(bad.envelope.contains("\"ok\":false"), "{}", bad.envelope);
+        assert!(
+            bad.envelope.contains("\"kind\":\"BadRequest\""),
+            "{}",
+            bad.envelope
+        );
+        assert!(bad.envelope.contains("route_layers"), "{}", bad.envelope);
+    }
+    let after = submit(&bind, stats).expect("stats after the refused jobs");
+    assert!(after.envelope.contains("\"ok\":true"), "{}", after.envelope);
+
+    let down = submit(&bind, b"{\"job\":\"shutdown\"}").expect("shutdown ack");
+    assert!(down.envelope.contains("\"ok\":true"), "{}", down.envelope);
+    server
+        .join()
+        .expect("server thread")
+        .expect("server exited cleanly");
+}
