@@ -202,9 +202,11 @@ fn bench_exec_speedup(filter: &str) {
 /// Compiled kernel vs the original per-window-setup engine, on the
 /// same windowed WDDL trace campaign the DPA harness runs. The
 /// baseline is the frozen pre-compiled engine
-/// ([`secflow_bench::seed_engine`]); both are timed serially (thread
-/// count pinned to 1) so the measured ratio is pure kernel speedup,
-/// not parallelism. Results go to `results/BENCH_sim_kernel.json`;
+/// ([`secflow_bench::seed_engine`]), which accounts charge for every
+/// window cycle; the compiled arm measures only the leak cycle, as
+/// campaigns do. Both are timed serially (thread count pinned to 1)
+/// so the measured ratio is pure kernel speedup, not parallelism.
+/// Results go to `results/BENCH_sim_kernel.json`;
 /// `--smoke` shrinks the campaign and skips the JSON (a CI
 /// compile-and-run check, not a measurement).
 fn bench_sim_kernel(filter: &str, smoke: bool) {
@@ -286,8 +288,8 @@ fn bench_sim_kernel(filter: &str, smoke: bool) {
         windows
             .iter()
             .map(|vectors| {
-                comp.run_wddl(&mut scratch, pairs, vectors);
                 let leak = vectors.len() - 2 - 1;
+                comp.run_wddl(&mut scratch, pairs, vectors, leak..=leak);
                 (
                     scratch.cycle_trace(leak).to_vec(),
                     scratch.cycle_energy_fj()[leak],

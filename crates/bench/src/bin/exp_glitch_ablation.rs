@@ -11,7 +11,6 @@
 //! Usage: `exp_glitch_ablation [n_traces] [seed]` (defaults 2000, 1).
 
 use secflow_bench::{build_des_implementations, header_cols, paper_sim_config, row};
-use secflow_sim::SimBackend;
 use secflow_crypto::dpa_module::PAPER_KEY;
 use secflow_dpa::attack::mtd_scan;
 use secflow_dpa::harness::{collect_des_traces, DesTarget};
@@ -32,7 +31,6 @@ fn main() {
     let glitchy = imps.regular_target().with_backend(backend);
     let glitch_free = DesTarget {
         glitch_free: true,
-        backend: SimBackend::Event,
         ..glitchy
     };
 

@@ -59,7 +59,7 @@ pub fn glitch_sweep(
             ..base_cfg.clone()
         };
         let comp = CompiledSim::build(nl, lib, &load, &cfg)?;
-        comp.run_wddl(&mut scratch, input_pairs, vectors);
+        comp.run_wddl(&mut scratch, input_pairs, vectors, ..);
         points.push(summarize(&nominal, &scratch.take_sim_result(), frac));
     }
     Ok(points)

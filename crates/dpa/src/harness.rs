@@ -14,7 +14,15 @@
 //! simulating a short **window** — the two preceding plaintext cycles
 //! (the datapath's full state history), the leakage cycle itself, and
 //! two flush cycles — so traces are independent work items yet
-//! byte-identical at any thread count.
+//! byte-identical at any thread count. Only the leakage cycle is
+//! measured: the kernels account charge for it alone.
+//!
+//! The windowed campaign is the specification. It equals slicing one
+//! continuous n-encryption run on netlists without coupling, and with
+//! extracted parasitics only while the crosstalk window is closed: in
+//! the leakage cycle a window drives the flush plaintext where a
+//! continuous run drives the next one, and the input wires couple to
+//! switching nets (`tests/window_vs_full.rs`, DESIGN.md §7).
 //!
 //! Two consumption paths share the window simulators:
 //!
@@ -282,15 +290,19 @@ fn finish_campaign(
     }
 }
 
-/// Simulates the window of encryption `i` on the event kernel.
+/// Simulates the window of encryption `i` on the event kernel,
+/// measuring its leakage cycle only.
 ///
 /// The datapath state feeding the leakage cycle of encryption i is
 /// fully determined by the two preceding plaintexts (PL/PR capture
 /// p(i) while CL/CR hold the result of p(i-1), computed from state set
 /// by p(i-2)), so a window of h = min(i, 2) history cycles, the
-/// leakage cycle, and two flush cycles reproduces the full campaign's
-/// leakage cycle exactly — including the reset-state boundary for
-/// i < 2, where the window is the campaign prefix itself.
+/// leakage cycle, and two flush cycles holds the full campaign's
+/// datapath activity — including the reset-state boundary for i < 2,
+/// where the window is the campaign prefix itself. Its charge equals
+/// the continuous campaign's bit for bit unless crosstalk couples the
+/// (flush, not next) plaintext inputs into it; the window defines the
+/// trace either way.
 fn run_event_window(
     comp: &CompiledSim,
     scratch: &mut EngineScratch,
@@ -334,17 +346,18 @@ fn run_event_window(
     vectors.push(vector(0, 0));
     vectors.push(vector(0, 0));
 
-    match (target.wddl_inputs, target.glitch_free) {
-        (Some(pairs), _) => comp.run_wddl(scratch, pairs, &vectors),
-        (None, false) => comp.run_single_ended(scratch, &vectors),
-        (None, true) => comp.run_single_ended_glitch_free(scratch, &vectors),
-    }
-
     // Plaintext i is captured by PL/PR at the end of window cycle
     // h; the S-box evaluates and the ciphertext registers capture
-    // during cycle h+1 (the leakage cycle); the new CL/CR values
-    // drive the outputs during cycle h+2.
+    // during cycle h+1 (the leakage cycle, the only one measured);
+    // the new CL/CR values drive the outputs during cycle h+2.
     let leak_cycle = h + 1;
+    let measured = leak_cycle..=leak_cycle;
+    match (target.wddl_inputs, target.glitch_free) {
+        (Some(pairs), _) => comp.run_wddl(scratch, pairs, &vectors, measured),
+        (None, false) => comp.run_single_ended(scratch, &vectors, measured),
+        (None, true) => comp.run_single_ended_glitch_free(scratch, &vectors, measured),
+    }
+
     let mut trace = scratch.cycle_trace(leak_cycle).to_vec();
     if cfg.noise_sigma > 0.0 {
         add_gaussian_noise(
@@ -441,10 +454,12 @@ fn run_bitslice_batch(
         vectors.push(words);
     }
 
+    let leak_cycle = h + 1;
+    let measured = leak_cycle..=leak_cycle;
     match (target.wddl_inputs, target.glitch_free) {
-        (Some(pairs), _) => sim.run_wddl(scratch, pairs, &vectors, active),
-        (None, false) => sim.run_single_ended(scratch, &vectors, active),
-        (None, true) => sim.run_single_ended_glitch_free(scratch, &vectors, active),
+        (Some(pairs), _) => sim.run_wddl(scratch, pairs, &vectors, active, measured),
+        (None, false) => sim.run_single_ended(scratch, &vectors, active, measured),
+        (None, true) => sim.run_single_ended_glitch_free(scratch, &vectors, active, measured),
     }
 
     // Batch-level kernel counters: pure functions of the compiled
@@ -459,7 +474,6 @@ fn run_bitslice_batch(
         obs::gauge_max(obs::Gauge::SimBitsliceWheelPeak, scratch.wheel_peak());
     }
 
-    let leak_cycle = h + 1;
     let mut out = Vec::with_capacity(count);
     for l in 0..count {
         let i = start + l;

@@ -40,11 +40,22 @@
 //! produce the scalar bits. Lanes outside every injection mask (dead
 //! lanes of a ragged batch) never flip a net and contribute nothing.
 //! `tests/bitslice_cross_check.rs` pins this contract.
+//!
+//! # Measured cycles
+//!
+//! As in [`CompiledSim`], each `run_*` takes the cycles the caller
+//! measures. Rises outside them that deposit nothing there are only
+//! counted (a popcount per event), and per-lane last-transition times
+//! — needed only to adjust the charge of measured rises — are kept
+//! from `lookback_ps` before the first measured cycle to the end of
+//! the last one (DESIGN.md §15).
+
+use std::ops::{Range, RangeBounds};
 
 use secflow_cells::{isop, Library};
 use secflow_netlist::{GateId, NetId, Netlist};
 
-use crate::compiled::{CellKind, CompiledSim};
+use crate::compiled::{measured_cycles, CellKind, CompiledSim};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::load::LoadModel;
@@ -106,8 +117,7 @@ struct BitEvent {
 const INJECT: u32 = u32::MAX;
 
 /// A build-once bit-sliced compilation: the shared [`CompiledSim`]
-/// tables plus the per-gate sum-of-products word programs and the
-/// per-net deposit geometry the masked engine needs.
+/// tables plus the per-gate sum-of-products word programs.
 #[derive(Debug, Clone)]
 pub struct BitSim {
     comp: CompiledSim,
@@ -116,15 +126,15 @@ pub struct BitSim {
     /// `(positive literal mask, negative literal mask)` over the
     /// gate's input pins; `out = OR over cubes of AND over literals`.
     cubes: Vec<(u8, u8)>,
-    /// Per-net rising charge before crosstalk: `c_eff · Vdd` (fC).
-    q_base: Vec<f64>,
-    /// Per-net deposit bin count (`ceil(max(2RC, sample) / sample)`).
-    nbins: Vec<u32>,
-    /// `nbins as f64`, the exact divisor the scalar engine uses.
-    nbins_f: Vec<f64>,
     /// Any coupling exists: per-lane last-transition tracking is
     /// required for exact crosstalk.
     track_lt: bool,
+    /// How long before the first measured cycle last-transition
+    /// tracking starts, in ps: the longest deposit span (a rise that
+    /// starts earlier deposits nothing in the cycle) plus the
+    /// crosstalk window (a transition that much before such a rise
+    /// does not couple into it).
+    lookback_ps: u64,
 }
 
 impl BitSim {
@@ -171,28 +181,17 @@ impl BitSim {
             cube_offsets.push(cubes.len() as u32);
         }
 
-        let vdd = comp.cfg.vdd;
-        let sample_ps = comp.sample_ps;
-        let mut q_base = Vec::with_capacity(comp.n_nets);
-        let mut nbins = Vec::with_capacity(comp.n_nets);
-        let mut nbins_f = Vec::with_capacity(comp.n_nets);
-        for i in 0..comp.n_nets {
-            q_base.push(comp.c_eff_ff[i] * vdd);
-            let tau_ps = (2.0 * comp.drive_kohm[i] * comp.c_eff_ff[i]).max(sample_ps);
-            let n = (tau_ps / sample_ps).ceil().max(1.0) as usize;
-            nbins.push(n as u32);
-            nbins_f.push(n as f64);
-        }
         let track_lt = !comp.coup.is_empty();
+        let max_nbins = comp.nbins.iter().copied().max().unwrap_or(1);
+        let span_ps = (f64::from(max_nbins) * comp.sample_ps).ceil() as u64;
+        let lookback_ps = span_ps + comp.cfg.crosstalk_window_ps;
 
         Ok(BitSim {
             comp,
             cube_offsets,
             cubes,
-            q_base,
-            nbins,
-            nbins_f,
             track_lt,
+            lookback_ps,
         })
     }
 
@@ -206,22 +205,30 @@ impl BitSim {
         self.comp.inputs.len()
     }
 
-    /// Simulates up to 64 single-ended windows at once. `vectors` is
-    /// one packed word per primary input per cycle (bit `l` of word
-    /// `k` is lane `l`'s value of input `k`); `active` masks the live
-    /// lanes — dead lanes receive no injections and contribute
-    /// nothing.
+    /// Simulates up to 64 single-ended windows at once, accounting
+    /// charge for the `measured` cycles. `vectors` is one packed word
+    /// per primary input per cycle (bit `l` of word `k` is lane `l`'s
+    /// value of input `k`); `active` masks the live lanes — dead lanes
+    /// receive no injections and contribute nothing.
     ///
     /// # Panics
     ///
     /// Panics if any cycle's word count differs from the input count.
-    pub fn run_single_ended(&self, scratch: &mut BitScratch, vectors: &[Vec<u64>], active: u64) {
-        let mut e = MaskedEngine::new(self, scratch, vectors.len());
+    pub fn run_single_ended(
+        &self,
+        scratch: &mut BitScratch,
+        vectors: &[Vec<u64>],
+        active: u64,
+        measured: impl RangeBounds<usize>,
+    ) {
+        let cycles = measured_cycles(&measured, vectors.len());
+        let mut e = MaskedEngine::new(self, scratch, vectors.len(), cycles);
         e.drive_single_ended(vectors, active);
     }
 
-    /// Simulates up to 64 WDDL two-phase windows at once; `vectors` is
-    /// one packed word per input *pair* per cycle.
+    /// Simulates up to 64 WDDL two-phase windows at once, accounting
+    /// charge for the `measured` cycles; `vectors` is one packed word
+    /// per input *pair* per cycle.
     ///
     /// # Panics
     ///
@@ -232,14 +239,18 @@ impl BitSim {
         input_pairs: &[(NetId, NetId)],
         vectors: &[Vec<u64>],
         active: u64,
+        measured: impl RangeBounds<usize>,
     ) {
-        let mut e = MaskedEngine::new(self, scratch, vectors.len());
+        let cycles = measured_cycles(&measured, vectors.len());
+        let mut e = MaskedEngine::new(self, scratch, vectors.len(), cycles);
         e.drive_wddl(input_pairs, vectors, active);
     }
 
     /// Simulates up to 64 windows under the idealized glitch-free
     /// power model (pure zero-delay topological sweep — here the
-    /// bitslice is trivial because the model is already oblivious).
+    /// bitslice is trivial because the model is already oblivious),
+    /// accounting charge for the `measured` cycles of the `active`
+    /// lanes.
     ///
     /// # Panics
     ///
@@ -248,10 +259,12 @@ impl BitSim {
         &self,
         scratch: &mut BitScratch,
         vectors: &[Vec<u64>],
-        _active: u64,
+        active: u64,
+        measured: impl RangeBounds<usize>,
     ) {
         let comp = &self.comp;
-        scratch.reset(comp, vectors.len());
+        let cycles = measured_cycles(&measured, vectors.len());
+        scratch.reset(comp, vectors.len(), cycles.clone());
         let spc = comp.cfg.samples_per_cycle;
         let vdd = comp.cfg.vdd;
         let bins = (spc / 4).max(1);
@@ -273,15 +286,21 @@ impl BitSim {
             self.eval_comb_words(&mut scratch.vals);
 
             // Ascending net order per lane — the scalar model's exact
-            // f64 accumulation order.
+            // f64 accumulation order. A cycle's charge stays inside
+            // the cycle, so unmeasured cycles' rises are only counted.
+            let measuring = cycles.contains(&c);
             let mut energy = [0.0f64; 64];
             let mut rises = [0u64; 64];
             for i in 0..comp.n_nets {
                 if comp.exempt[i] {
                     continue;
                 }
-                let mut m = scratch.vals[i] & !scratch.prev_vals[i];
+                let mut m = scratch.vals[i] & !scratch.prev_vals[i] & active;
                 if m == 0 {
+                    continue;
+                }
+                if !measuring {
+                    scratch.unmeasured_rises += u64::from(m.count_ones());
                     continue;
                 }
                 let e_net = comp.c_eff_ff[i] * vdd * vdd;
@@ -292,15 +311,18 @@ impl BitSim {
                     m &= m - 1;
                 }
             }
-            for (l, &e) in energy.iter().enumerate() {
-                if e != 0.0 {
-                    let d = e / vdd / bins_f;
-                    for b in 0..bins {
-                        scratch.trace[(c * spc + b) * 64 + l] += d;
+            if measuring {
+                let base = (c - cycles.start) * spc;
+                for (l, &e) in energy.iter().enumerate() {
+                    if e != 0.0 {
+                        let d = e / vdd / bins_f;
+                        for b in 0..bins {
+                            scratch.trace[(base + b) * 64 + l] += d;
+                        }
                     }
+                    scratch.cycle_energy[c * 64 + l] = e;
+                    scratch.cycle_rises[c * 64 + l] = rises[l];
                 }
-                scratch.cycle_energy[c * 64 + l] = e;
-                scratch.cycle_rises[c * 64 + l] = rises[l];
             }
             for (i, &(d, _)) in comp.se_regs.iter().enumerate() {
                 scratch.reg_state[i] = scratch.vals[d.index()];
@@ -381,24 +403,36 @@ pub struct BitScratch {
     wheel_mask: u64,
     cursor: u64,
     horizon: u64,
-    // --- per-lane last transitions (allocated only under crosstalk) ---
+    // --- per-lane last transitions (allocated only under crosstalk),
+    // kept for events in `lt_from..lt_to` ---
+    lt_from: u64,
+    lt_to: u64,
     /// `n_nets × 64` transition times.
     lt_time: Vec<u64>,
     /// Per net: lanes with a recorded transition.
     lt_present: Vec<u64>,
     /// Per net: last transition value per lane.
     lt_val: Vec<u64>,
+    // --- measured cycles ---
+    measured: Range<usize>,
+    /// Their sample bins, `measured × samples_per_cycle`.
+    bins: Range<usize>,
+    /// The cycle being simulated is measured.
+    measuring: bool,
     // --- per-lane accumulators ---
     /// Running cycle energy (fJ) per lane.
     energy_fj: Vec<f64>,
     /// Running cycle rise count per lane.
     rises: Vec<u64>,
-    /// Supply trace, transposed: `[(cycle·spc + bin)·64 + lane]`.
+    /// Supply trace of the measured cycles, transposed:
+    /// `[(bin − bins.start)·64 + lane]`.
     trace: Vec<f64>,
-    /// `[cycle·64 + lane]` energies.
+    /// `[cycle·64 + lane]` energies (0 outside the measured cycles).
     cycle_energy: Vec<f64>,
-    /// `[cycle·64 + lane]` rise counts.
+    /// `[cycle·64 + lane]` rise counts (0 outside the measured cycles).
     cycle_rises: Vec<u64>,
+    /// Rises of unmeasured cycles, over all lanes.
+    unmeasured_rises: u64,
     /// Primary-output lane words, `n_cycles × n_outputs`, flattened.
     outputs: Vec<u64>,
     /// `[cycle·64 + lane]` WDDL DFA alarm counts.
@@ -412,7 +446,6 @@ pub struct BitScratch {
     // --- geometry of the last run ---
     samples_per_cycle: usize,
     n_outputs: usize,
-    n_cycles: usize,
     // --- batch work counters (plain u64, read once per batch) ---
     events_processed: u64,
     gate_evals: u64,
@@ -426,7 +459,7 @@ impl BitScratch {
         Self::default()
     }
 
-    fn reset(&mut self, comp: &CompiledSim, n_cycles: usize) {
+    fn reset(&mut self, comp: &CompiledSim, n_cycles: usize, measured: Range<usize>) {
         let spc = comp.cfg.samples_per_cycle;
         self.vals.clear();
         self.vals.resize(comp.n_nets, 0);
@@ -463,7 +496,8 @@ impl BitScratch {
         self.cursor = 0;
         self.horizon = n_cycles as u64 * comp.cfg.period_ps;
         let lt = if comp.coup.is_empty() { 0 } else { comp.n_nets };
-        self.lt_time.clear();
+        // `lt_present` gates every read of `lt_time`, so stale times
+        // from the last batch need no clearing.
         self.lt_time.resize(lt * 64, 0);
         self.lt_present.clear();
         self.lt_present.resize(lt, 0);
@@ -473,12 +507,16 @@ impl BitScratch {
         self.energy_fj.resize(64, 0.0);
         self.rises.clear();
         self.rises.resize(64, 0);
+        self.bins = measured.start * spc..measured.end * spc;
+        self.measuring = measured.contains(&0);
+        self.measured = measured;
         self.trace.clear();
-        self.trace.resize(n_cycles * spc * 64, 0.0);
+        self.trace.resize(self.bins.len() * 64, 0.0);
         self.cycle_energy.clear();
         self.cycle_energy.resize(n_cycles * 64, 0.0);
         self.cycle_rises.clear();
         self.cycle_rises.resize(n_cycles * 64, 0);
+        self.unmeasured_rises = 0;
         self.outputs.clear();
         self.wddl_alarms.clear();
         self.wddl_alarms.resize(n_cycles * 64, 0);
@@ -493,42 +531,54 @@ impl BitScratch {
         self.prev_vals.resize(comp.n_nets, 0);
         self.samples_per_cycle = spc;
         self.n_outputs = comp.outputs.len();
-        self.n_cycles = n_cycles;
         self.events_processed = 0;
         self.gate_evals = 0;
         self.wheel_pending = 0;
         self.wheel_peak = 0;
     }
 
-    /// One lane's samples of one cycle of the last batch.
+    /// One lane's samples of one measured cycle of the last batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle` was not measured.
     pub fn cycle_trace(&self, cycle: usize, lane: usize) -> Vec<f64> {
-        let spc = self.samples_per_cycle;
-        (0..spc)
-            .map(|b| self.trace[(cycle * spc + b) * 64 + lane])
+        let len = self.samples_per_cycle * 64;
+        let at = (cycle - self.measured.start) * len;
+        self.trace[at..at + len]
+            .iter()
+            .skip(lane)
+            .step_by(64)
+            .copied()
             .collect()
     }
 
-    /// One lane's full trace over the last batch's window.
+    /// One lane's trace over the last batch's measured cycles (the
+    /// whole window when every cycle was measured).
     pub fn lane_trace(&self, lane: usize) -> Vec<f64> {
-        (0..self.n_cycles * self.samples_per_cycle)
+        (0..self.bins.len())
             .map(|b| self.trace[b * 64 + lane])
             .collect()
     }
 
-    /// One lane's supply energy of one cycle, in fJ.
+    /// One lane's supply energy of one cycle, in fJ; 0 for cycles
+    /// that were not measured.
     pub fn cycle_energy_fj(&self, cycle: usize, lane: usize) -> f64 {
         self.cycle_energy[cycle * 64 + lane]
     }
 
-    /// One lane's rising-transition count of one cycle.
+    /// One lane's rising-transition count of one cycle; 0 for cycles
+    /// that were not measured (their rises are in [`Self::total_rises`]
+    /// only).
     pub fn cycle_rises(&self, cycle: usize, lane: usize) -> u64 {
         self.cycle_rises[cycle * 64 + lane]
     }
 
-    /// Rising transitions summed over every cycle and lane of the last
-    /// batch — a deterministic function of (design, batch stimuli).
+    /// Rising transitions summed over every cycle and live lane of the
+    /// last batch, measured or not — a deterministic function of
+    /// (design, batch stimuli).
     pub fn total_rises(&self) -> u64 {
-        self.cycle_rises.iter().sum()
+        self.cycle_rises.iter().sum::<u64>() + self.unmeasured_rises
     }
 
     /// Primary-output value `j` of `lane` at the end of `cycle`.
@@ -565,9 +615,28 @@ struct MaskedEngine<'a> {
 }
 
 impl<'a> MaskedEngine<'a> {
-    fn new(sim: &'a BitSim, scratch: &'a mut BitScratch, n_cycles: usize) -> Self {
-        scratch.reset(&sim.comp, n_cycles);
+    fn new(
+        sim: &'a BitSim,
+        scratch: &'a mut BitScratch,
+        n_cycles: usize,
+        measured: Range<usize>,
+    ) -> Self {
+        let period = sim.comp.cfg.period_ps;
+        let t_lo = measured.start as u64 * period;
+        let t_hi = measured.end as u64 * period;
+        scratch.reset(&sim.comp, n_cycles, measured);
+        scratch.lt_from = t_lo.saturating_sub(sim.lookback_ps);
+        // Up to and including `t_hi`: `t / sample_ps` is inexact, so
+        // a rise at exactly the cycle's end can round into its last
+        // bin. A rise 1 ps later cannot.
+        scratch.lt_to = t_hi + 1;
         MaskedEngine { sim, s: scratch }
+    }
+
+    /// Marks the start of window cycle `c`: its rises are measured
+    /// iff `c` is.
+    fn begin_cycle(&mut self, c: usize) {
+        self.s.measuring = self.s.measured.contains(&c);
     }
 
     /// Establishes a consistent initial state in every lane by
@@ -676,9 +745,10 @@ impl<'a> MaskedEngine<'a> {
             return; // fully cancelled
         }
         let net = ev.net as usize;
-        if self.sim.track_lt {
+        if self.sim.track_lt && t >= self.s.lt_from && t < self.s.lt_to {
             // Every fired lane records a last transition, flip or not
             // (the scalar engine updates it on the no-change path too).
+            // Outside `lt_from..lt_to` no measured charge reads it.
             let base = net * 64;
             let mut m = ev.mask;
             while m != 0 {
@@ -754,28 +824,42 @@ impl<'a> MaskedEngine<'a> {
         }
     }
 
-    /// Records the supply charge of rising transitions on `net` in
-    /// every lane of `rises`, in ascending lane order (each lane's
-    /// accumulators are private, so any order gives its scalar bits).
+    /// Records rising transitions on `net` in every lane of `rises`, in
+    /// ascending lane order (each lane's accumulators are private, so
+    /// any order gives its scalar bits). As in the scalar engine, only
+    /// rises in a measured cycle or depositing into one get charge
+    /// work; the rest are counted with one popcount.
     fn record_rise(&mut self, net: usize, t: u64, rises: u64) {
         let sim = self.sim;
         let comp = &sim.comp;
         let vdd = comp.cfg.vdd;
+        let nbins = comp.nbins[net] as usize;
         let first = (t as f64 / comp.sample_ps) as usize;
-        let total_bins = self.s.n_cycles * self.s.samples_per_cycle;
-        let last = (first + sim.nbins[net] as usize).min(total_bins);
+        let lo = first.max(self.s.bins.start);
+        let hi = (first + nbins).min(self.s.bins.end);
+        let measuring = self.s.measuring;
+        if !measuring {
+            self.s.unmeasured_rises += u64::from(rises.count_ones());
+            if lo >= hi {
+                return;
+            }
+        }
+        let base = self.s.bins.start;
+        let nbins_f = nbins as f64;
         let coups = comp.couplings(ev_net(net));
-        if coups.is_empty() || !sim.track_lt {
-            let q = sim.q_base[net].max(0.0);
+        if coups.is_empty() {
+            let q = comp.q_base[net].max(0.0);
             let e = q * vdd;
-            let per_bin = q / sim.nbins_f[net];
+            let per_bin = q / nbins_f;
             let mut m = rises;
             while m != 0 {
                 let l = m.trailing_zeros() as usize;
-                self.s.energy_fj[l] += e;
-                self.s.rises[l] += 1;
-                for b in first..last {
-                    self.s.trace[b * 64 + l] += per_bin;
+                if measuring {
+                    self.s.energy_fj[l] += e;
+                    self.s.rises[l] += 1;
+                }
+                for b in lo..hi {
+                    self.s.trace[(b - base) * 64 + l] += per_bin;
                 }
                 m &= m - 1;
             }
@@ -784,7 +868,7 @@ impl<'a> MaskedEngine<'a> {
             let mut m = rises;
             while m != 0 {
                 let l = m.trailing_zeros() as usize;
-                let mut q = sim.q_base[net];
+                let mut q = comp.q_base[net];
                 for &(other, cc) in coups {
                     let o = other.index();
                     if self.s.lt_present[o] >> l & 1 == 1
@@ -800,11 +884,13 @@ impl<'a> MaskedEngine<'a> {
                     }
                 }
                 let q = q.max(0.0);
-                self.s.energy_fj[l] += q * vdd;
-                self.s.rises[l] += 1;
-                let per_bin = q / sim.nbins_f[net];
-                for b in first..last {
-                    self.s.trace[b * 64 + l] += per_bin;
+                if measuring {
+                    self.s.energy_fj[l] += q * vdd;
+                    self.s.rises[l] += 1;
+                }
+                let per_bin = q / nbins_f;
+                for b in lo..hi {
+                    self.s.trace[(b - base) * 64 + l] += per_bin;
                 }
                 m &= m - 1;
             }
@@ -837,6 +923,7 @@ impl<'a> MaskedEngine<'a> {
         self.settle_initial();
         for (c, words) in vectors.iter().enumerate() {
             assert_eq!(words.len(), n_inputs, "bad vector length");
+            self.begin_cycle(c);
             let t0 = c as u64 * period;
             for i in 0..n_regs {
                 let (_, q) = self.sim.comp.se_regs[i];
@@ -865,6 +952,7 @@ impl<'a> MaskedEngine<'a> {
         self.settle_initial();
         for (c, words) in vectors.iter().enumerate() {
             assert_eq!(words.len(), input_pairs.len(), "bad vector length");
+            self.begin_cycle(c);
             let t0 = c as u64 * period;
             let te = t0 + eval_start;
 
@@ -975,11 +1063,11 @@ mod tests {
             .collect();
         let (packed, active) = pack(&windows);
         let mut bs = BitScratch::new();
-        sim.run_single_ended(&mut bs, &packed, active);
+        sim.run_single_ended(&mut bs, &packed, active, ..);
 
         let mut es = EngineScratch::new();
         for (l, win) in windows.iter().enumerate() {
-            comp.run_single_ended(&mut es, win);
+            comp.run_single_ended(&mut es, win, ..);
             let want: Vec<u64> = es.trace().iter().map(|x| x.to_bits()).collect();
             let got: Vec<u64> = bs.lane_trace(l).iter().map(|x| x.to_bits()).collect();
             assert_eq!(got, want, "trace lane {l}");
@@ -995,21 +1083,58 @@ mod tests {
         }
     }
 
+    /// `q = DFF(INV(a))`: a dead lane's all-zero inputs still make the
+    /// register load 1 after the first cycle, so any driver that
+    /// ignored `active` would count that lane's rises.
+    fn registered_fixture() -> (Netlist, Library, SimConfig) {
+        let mut nl = Netlist::new("r");
+        let a = nl.add_input("a");
+        let y = nl.add_net("y");
+        let q = nl.add_net("q");
+        nl.add_gate("g0", "INV", GateKind::Comb, vec![a], vec![y]);
+        nl.add_gate("r0", "DFF", GateKind::Seq, vec![y], vec![q]);
+        nl.mark_output(q);
+        let cfg = SimConfig {
+            samples_per_cycle: 40,
+            ..Default::default()
+        };
+        (nl, Library::lib180(), cfg)
+    }
+
     #[test]
     fn dead_lanes_contribute_nothing() {
-        let (nl, lib, cfg) = fixture();
+        let (nl, lib, cfg) = registered_fixture();
         let load = LoadModel::try_build(&nl, &lib, None).unwrap();
         let sim = BitSim::build(&nl, &lib, &load, &cfg).unwrap();
-        let mut bs = BitScratch::new();
-        // One live lane toggling hard; 63 dead lanes.
-        let packed = vec![vec![1u64, 1u64], vec![0u64, 1u64], vec![1u64, 1u64]];
-        sim.run_single_ended(&mut bs, &packed, 1);
-        for l in 1..64 {
-            assert_eq!(bs.cycle_rises(0, l), 0, "dead lane {l} rose");
-            assert_eq!(bs.cycle_energy_fj(0, l), 0.0);
-            assert!(bs.lane_trace(l).iter().all(|&x| x == 0.0));
+        // One live lane toggling its input; 63 dead lanes.
+        let packed = vec![vec![1u64], vec![0u64], vec![1u64], vec![0u64]];
+        for glitch_free in [false, true] {
+            let mut bs = BitScratch::new();
+            if glitch_free {
+                sim.run_single_ended_glitch_free(&mut bs, &packed, 1, ..);
+            } else {
+                sim.run_single_ended(&mut bs, &packed, 1, ..);
+            }
+            for l in 1..64 {
+                for c in 0..packed.len() {
+                    assert_eq!(
+                        bs.cycle_rises(c, l),
+                        0,
+                        "dead lane {l} rose (gf={glitch_free})"
+                    );
+                    assert_eq!(bs.cycle_energy_fj(c, l), 0.0);
+                }
+                assert!(bs.lane_trace(l).iter().all(|&x| x == 0.0));
+            }
+            let live: u64 = (0..packed.len()).map(|c| bs.cycle_rises(c, 0)).sum();
+            assert!(live > 0, "live lane never rose (gf={glitch_free})");
+            assert_eq!(
+                bs.total_rises(),
+                live,
+                "dead lanes in the total (gf={glitch_free})"
+            );
+            assert!(bs.lane_trace(0).iter().sum::<f64>() > 0.0);
         }
-        assert!(bs.lane_trace(0).iter().sum::<f64>() > 0.0);
     }
 
     #[test]

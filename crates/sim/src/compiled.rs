@@ -26,8 +26,18 @@
 //! order, same delay expression), and `reset` reproduces the exact
 //! state a freshly built engine would start from. The golden-trace
 //! test (`tests/golden_kernel.rs`) pins this across thread counts.
+//!
+//! **Measured cycles.** Every `run_*` takes the cycles the caller
+//! measures (`..` for the whole window). Charge work — the crosstalk
+//! adjustment, energy and trace deposits — is done only for rises in
+//! those cycles and for earlier rises whose deposit reaches their
+//! bins; the trace holds just those cycles. Each measured bin sees the
+//! same additions in the same order as in a whole-window run, so the
+//! measured cycles are bit-identical to the same cycles of that run
+//! (DESIGN.md §15).
 
 use std::collections::HashMap;
+use std::ops::{Bound, Range, RangeBounds};
 
 use secflow_cells::{CellFunction, Library, TruthTable};
 use secflow_netlist::{FanoutCsr, GateId, GateKind, NetId, Netlist};
@@ -82,7 +92,10 @@ pub struct CompiledSim {
     /// Nets whose transitions draw no supply current (primary inputs).
     pub(crate) exempt: Vec<bool>,
     pub(crate) c_eff_ff: Vec<f64>,
-    pub(crate) drive_kohm: Vec<f64>,
+    /// Rising charge before crosstalk, `c_eff · Vdd` (fC).
+    pub(crate) q_base: Vec<f64>,
+    /// Deposit bin count of a rise, `ceil(max(2RC, sample) / sample)`.
+    pub(crate) nbins: Vec<u32>,
     /// CSR offsets into `coup`; `net_count + 1` entries.
     pub(crate) coup_offsets: Vec<u32>,
     /// Coupling lists of all nets, concatenated: `(other net, fF)`.
@@ -190,6 +203,15 @@ impl CompiledSim {
             .map(|g| (g.inputs[0], g.inputs[1], g.outputs[0], g.outputs[1]))
             .collect();
 
+        let sample_ps = cfg.sample_ps();
+        let mut q_base = Vec::with_capacity(nl.net_count());
+        let mut nbins = Vec::with_capacity(nl.net_count());
+        for (&c, &r) in load.c_eff_ff.iter().zip(&load.drive_kohm) {
+            q_base.push(c * cfg.vdd);
+            let tau_ps = (2.0 * r * c).max(sample_ps);
+            nbins.push((tau_ps / sample_ps).ceil().max(1.0) as u32);
+        }
+
         let max_delay = cells
             .iter()
             .map(|c| match c {
@@ -212,7 +234,8 @@ impl CompiledSim {
             fanout: FanoutCsr::build(nl),
             exempt,
             c_eff_ff: load.c_eff_ff.clone(),
-            drive_kohm: load.drive_kohm.clone(),
+            q_base,
+            nbins,
             coup_offsets,
             coup,
             inputs: nl.inputs().to_vec(),
@@ -221,7 +244,7 @@ impl CompiledSim {
             wddl_regs,
             n_nets: nl.net_count(),
             n_gates: nl.gate_count(),
-            sample_ps: cfg.sample_ps(),
+            sample_ps,
             wheel_size,
         })
     }
@@ -239,20 +262,28 @@ impl CompiledSim {
         &self.coup[lo..hi]
     }
 
-    /// Simulates a single-ended netlist window into `scratch`; see
+    /// Simulates a single-ended netlist window into `scratch`,
+    /// accounting charge for the `measured` cycles; see
     /// [`crate::simulate_single_ended`] for the protocol. Results are
     /// read back through the [`EngineScratch`] accessors.
     ///
     /// # Panics
     ///
     /// Panics if any vector length differs from the input count.
-    pub fn run_single_ended(&self, scratch: &mut EngineScratch, input_vectors: &[Vec<bool>]) {
-        let mut engine = Engine::new(self, scratch, input_vectors.len());
+    pub fn run_single_ended(
+        &self,
+        scratch: &mut EngineScratch,
+        input_vectors: &[Vec<bool>],
+        measured: impl RangeBounds<usize>,
+    ) {
+        let cycles = measured_cycles(&measured, input_vectors.len());
+        let mut engine = Engine::new(self, scratch, input_vectors.len(), cycles);
         engine.drive_single_ended(input_vectors);
     }
 
-    /// Simulates a WDDL two-phase window into `scratch`; see
-    /// [`crate::simulate_wddl`] for the protocol.
+    /// Simulates a WDDL two-phase window into `scratch`, accounting
+    /// charge for the `measured` cycles; see [`crate::simulate_wddl`]
+    /// for the protocol.
     ///
     /// # Panics
     ///
@@ -262,13 +293,16 @@ impl CompiledSim {
         scratch: &mut EngineScratch,
         input_pairs: &[(NetId, NetId)],
         input_vectors: &[Vec<bool>],
+        measured: impl RangeBounds<usize>,
     ) {
-        let mut engine = Engine::new(self, scratch, input_vectors.len());
+        let cycles = measured_cycles(&measured, input_vectors.len());
+        let mut engine = Engine::new(self, scratch, input_vectors.len(), cycles);
         engine.drive_wddl(input_pairs, input_vectors);
     }
 
-    /// Simulates a window under the idealized glitch-free power model;
-    /// see [`crate::simulate_single_ended_glitch_free`].
+    /// Simulates a window under the idealized glitch-free power model,
+    /// accounting charge for the `measured` cycles; see
+    /// [`crate::simulate_single_ended_glitch_free`].
     ///
     /// # Panics
     ///
@@ -277,9 +311,11 @@ impl CompiledSim {
         &self,
         scratch: &mut EngineScratch,
         input_vectors: &[Vec<bool>],
+        measured: impl RangeBounds<usize>,
     ) {
         let n_cycles = input_vectors.len();
-        scratch.reset(self, n_cycles);
+        let cycles = measured_cycles(&measured, n_cycles);
+        scratch.reset(self, n_cycles, cycles.clone());
         let spc = self.cfg.samples_per_cycle;
 
         // Consistent initial state: all sources 0 (inverters settle
@@ -297,18 +333,26 @@ impl CompiledSim {
             }
             self.eval_comb_into(&mut scratch.values);
 
+            // A cycle's charge stays inside the cycle, so only the
+            // measured ones need it; every cycle's rises are counted.
+            let measuring = cycles.contains(&c);
             let mut energy = 0.0;
             let mut rises = 0u64;
             for i in 0..self.n_nets {
                 if scratch.values[i] && !scratch.prev_values[i] && !self.exempt[i] {
-                    energy += self.c_eff_ff[i] * self.cfg.vdd * self.cfg.vdd;
+                    if measuring {
+                        energy += self.c_eff_ff[i] * self.cfg.vdd * self.cfg.vdd;
+                    }
                     rises += 1;
                 }
             }
-            // Deposit the charge over the first quarter of the cycle.
-            let bins = (spc / 4).max(1);
-            for b in 0..bins {
-                scratch.trace[c * spc + b] += energy / self.cfg.vdd / bins as f64;
+            if measuring {
+                // Deposit the charge over the first quarter of the cycle.
+                let bins = (spc / 4).max(1);
+                let base = (c - cycles.start) * spc;
+                for b in 0..bins {
+                    scratch.trace[base + b] += energy / self.cfg.vdd / bins as f64;
+                }
             }
             for (i, &(d, _)) in self.se_regs.iter().enumerate() {
                 scratch.reg_state[i] = scratch.values[d.index()];
@@ -346,6 +390,24 @@ impl CompiledSim {
     }
 }
 
+/// Resolves a caller's measured-cycle bounds against an `n_cycles`
+/// window, clamped into it (`..` is the whole window).
+pub(crate) fn measured_cycles(measured: &impl RangeBounds<usize>, n_cycles: usize) -> Range<usize> {
+    let hi = match measured.end_bound() {
+        Bound::Included(&e) => e.saturating_add(1),
+        Bound::Excluded(&e) => e,
+        Bound::Unbounded => n_cycles,
+    }
+    .min(n_cycles);
+    let lo = match measured.start_bound() {
+        Bound::Included(&s) => s,
+        Bound::Excluded(&s) => s.saturating_add(1),
+        Bound::Unbounded => 0,
+    }
+    .min(hi);
+    lo..hi
+}
+
 /// The reusable mutable half of the simulation kernel: every array the
 /// event loop and the cycle drivers touch. One scratch per worker
 /// thread; [`EngineScratch::reset`] (called by every
@@ -381,7 +443,14 @@ pub struct EngineScratch {
     pub(crate) horizon: u64,
     /// Last transition per net: (time, new value).
     pub(crate) last_transition: Vec<Option<(u64, bool)>>,
-    /// Supply-current trace: charge (fC) per sample bin.
+    /// The measured cycles of the current window.
+    pub(crate) measured: Range<usize>,
+    /// Their sample bins, `measured × samples_per_cycle`.
+    pub(crate) bins: Range<usize>,
+    /// The cycle being simulated is measured.
+    pub(crate) measuring: bool,
+    /// Supply-current trace of the measured cycles: charge (fC) per
+    /// sample bin, bin `bins.start` first.
     pub(crate) trace: Vec<f64>,
     /// Net transitions, recorded when [`SimConfig::record_waveform`].
     pub(crate) waveform: Vec<(u64, NetId, bool)>,
@@ -421,8 +490,8 @@ impl EngineScratch {
     }
 
     /// Restores the initial engine state for a `n_cycles`-cycle window
-    /// of `comp`, reusing every buffer's capacity.
-    pub(crate) fn reset(&mut self, comp: &CompiledSim, n_cycles: usize) {
+    /// of `comp` measuring `measured`, reusing every buffer's capacity.
+    pub(crate) fn reset(&mut self, comp: &CompiledSim, n_cycles: usize, measured: Range<usize>) {
         let spc = comp.cfg.samples_per_cycle;
         self.values.clear();
         self.values.resize(comp.n_nets, false);
@@ -455,8 +524,11 @@ impl EngineScratch {
         self.horizon = n_cycles as u64 * comp.cfg.period_ps;
         self.last_transition.clear();
         self.last_transition.resize(comp.n_nets, None);
+        self.bins = measured.start * spc..measured.end * spc;
+        self.measuring = measured.contains(&0);
+        self.measured = measured;
         self.trace.clear();
-        self.trace.resize(n_cycles * spc, 0.0);
+        self.trace.resize(self.bins.len(), 0.0);
         self.waveform.clear();
         self.energy_fj = 0.0;
         self.rising_events = 0;
@@ -480,22 +552,29 @@ impl EngineScratch {
         self.wheel_peak = 0;
     }
 
-    /// The full supply-current trace of the last window.
+    /// The supply-current trace of the last window's measured cycles
+    /// (the whole window when every cycle was measured).
     pub fn trace(&self) -> &[f64] {
         &self.trace
     }
 
-    /// The samples of one cycle of the last window.
+    /// The samples of one measured cycle of the last window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle` was not measured.
     pub fn cycle_trace(&self, cycle: usize) -> &[f64] {
-        &self.trace[cycle * self.samples_per_cycle..(cycle + 1) * self.samples_per_cycle]
+        let at = (cycle - self.measured.start) * self.samples_per_cycle;
+        &self.trace[at..at + self.samples_per_cycle]
     }
 
-    /// Supply energy per cycle, in fJ.
+    /// Supply energy per cycle, in fJ; 0 for cycles that were not
+    /// measured.
     pub fn cycle_energy_fj(&self) -> &[f64] {
         &self.cycle_energy_fj
     }
 
-    /// Rising-transition count per cycle.
+    /// Rising-transition count per cycle, measured or not.
     pub fn cycle_rises(&self) -> &[u64] {
         &self.cycle_rises
     }
@@ -615,7 +694,7 @@ mod tests {
         let vectors = vec![vec![true, true], vec![false, true], vec![true, true]];
 
         let mut fresh = EngineScratch::new();
-        comp.run_single_ended(&mut fresh, &vectors);
+        comp.run_single_ended(&mut fresh, &vectors, ..);
         let reference: Vec<u64> = fresh.trace().iter().map(|x| x.to_bits()).collect();
         let ref_energy: Vec<u64> = fresh
             .cycle_energy_fj()
@@ -625,8 +704,8 @@ mod tests {
 
         // Dirty the scratch with a different window, then re-run.
         let mut reused = EngineScratch::new();
-        comp.run_single_ended(&mut reused, &[vec![true, false], vec![true, true]]);
-        comp.run_single_ended(&mut reused, &vectors);
+        comp.run_single_ended(&mut reused, &[vec![true, false], vec![true, true]], 1..2);
+        comp.run_single_ended(&mut reused, &vectors, ..);
         let got: Vec<u64> = reused.trace().iter().map(|x| x.to_bits()).collect();
         let got_energy: Vec<u64> = reused
             .cycle_energy_fj()

@@ -105,7 +105,7 @@ pub fn simulate_single_ended_with_load(
 ) -> Result<SimResult, SimError> {
     let comp = CompiledSim::build(nl, lib, load, cfg)?;
     let mut scratch = EngineScratch::new();
-    comp.run_single_ended(&mut scratch, input_vectors);
+    comp.run_single_ended(&mut scratch, input_vectors, ..);
     Ok(finish(scratch.take_sim_result(), cfg))
 }
 
@@ -153,7 +153,7 @@ pub fn simulate_wddl_with_load(
 ) -> Result<SimResult, SimError> {
     let comp = CompiledSim::build(nl, lib, load, cfg)?;
     let mut scratch = EngineScratch::new();
-    comp.run_wddl(&mut scratch, input_pairs, input_vectors);
+    comp.run_wddl(&mut scratch, input_pairs, input_vectors, ..);
     Ok(finish(scratch.take_sim_result(), cfg))
 }
 
@@ -201,7 +201,7 @@ pub fn simulate_single_ended_glitch_free_with_load(
 ) -> Result<SimResult, SimError> {
     let comp = CompiledSim::build(nl, lib, load, cfg)?;
     let mut scratch = EngineScratch::new();
-    comp.run_single_ended_glitch_free(&mut scratch, input_vectors);
+    comp.run_single_ended_glitch_free(&mut scratch, input_vectors, ..);
     Ok(finish(scratch.take_sim_result(), cfg))
 }
 
@@ -384,7 +384,7 @@ mod tests {
         ];
         for vectors in &windows {
             let legacy = simulate_wddl(&nl, &lib, None, &cfg, &pairs, vectors).unwrap();
-            comp.run_wddl(&mut scratch, &pairs, vectors);
+            comp.run_wddl(&mut scratch, &pairs, vectors, ..);
             let legacy_bits: Vec<u64> = legacy.trace.iter().map(|x| x.to_bits()).collect();
             let compiled_bits: Vec<u64> = scratch.trace().iter().map(|x| x.to_bits()).collect();
             assert_eq!(legacy_bits, compiled_bits);

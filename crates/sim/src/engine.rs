@@ -14,6 +14,11 @@
 //! counter is globally monotonic, and gate delays are at least 1 ps —
 //! together these make the drain order exactly the heap's
 //! `(time, order)` order, event for event.
+//!
+//! Every rise is counted, but only rises that land in a measured cycle
+//! or deposit into one get charge work (see `Engine::record_rise`).
+
+use std::ops::Range;
 
 use secflow_netlist::{Gate, GateId, GateKind, NetId};
 
@@ -45,11 +50,22 @@ pub(crate) struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Binds `scratch` to `comp` for one `n_cycles`-cycle window,
-    /// resetting it to the initial engine state.
-    pub fn new(comp: &'a CompiledSim, scratch: &'a mut EngineScratch, n_cycles: usize) -> Self {
-        scratch.reset(comp, n_cycles);
+    /// Binds `scratch` to `comp` for one `n_cycles`-cycle window that
+    /// measures `measured`, resetting it to the initial engine state.
+    pub fn new(
+        comp: &'a CompiledSim,
+        scratch: &'a mut EngineScratch,
+        n_cycles: usize,
+        measured: Range<usize>,
+    ) -> Self {
+        scratch.reset(comp, n_cycles, measured);
         Engine { comp, s: scratch }
+    }
+
+    /// Marks the start of window cycle `c`: its rises are measured
+    /// iff `c` is.
+    fn begin_cycle(&mut self, c: usize) {
+        self.s.measuring = self.s.measured.contains(&c);
     }
 
     /// Current logical value of a net.
@@ -232,10 +248,22 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Records the supply charge of a rising transition on `net`.
+    /// Records a rising transition on `net`. Every rise is counted; the
+    /// crosstalk-adjusted charge is computed only if the rise lies in
+    /// a measured cycle (its energy) or its deposit reaches a measured
+    /// bin, and deposits are clipped to the measured bins.
     fn record_rise(&mut self, net: NetId, time: u64) {
         let comp = self.comp;
-        let mut q_fc = comp.c_eff_ff[net.index()] * comp.cfg.vdd;
+        self.s.rising_events += 1;
+        // The charge spreads over the driver's RC time constant.
+        let nbins = comp.nbins[net.index()] as usize;
+        let first = (time as f64 / comp.sample_ps) as usize;
+        let lo = first.max(self.s.bins.start);
+        let hi = (first + nbins).min(self.s.bins.end);
+        if !self.s.measuring && lo >= hi {
+            return;
+        }
+        let mut q_fc = comp.q_base[net.index()];
         // Crosstalk adjustment for coupled neighbours that switched
         // within the simultaneity window.
         for &(other, cc) in comp.couplings(net) {
@@ -252,19 +280,13 @@ impl<'a> Engine<'a> {
             }
         }
         let q_fc = q_fc.max(0.0);
-        self.s.energy_fj += q_fc * comp.cfg.vdd;
-        self.s.rising_events += 1;
-
-        // Spread the charge over the driver's RC time constant.
-        let r = comp.drive_kohm[net.index()];
-        let c = comp.c_eff_ff[net.index()];
-        let sample_ps = comp.sample_ps;
-        let tau_ps = (2.0 * r * c).max(sample_ps);
-        let first = (time as f64 / sample_ps) as usize;
-        let nbins = (tau_ps / sample_ps).ceil().max(1.0) as usize;
+        if self.s.measuring {
+            self.s.energy_fj += q_fc * comp.cfg.vdd;
+        }
         let per_bin = q_fc / nbins as f64;
-        for b in first..(first + nbins).min(self.s.trace.len()) {
-            self.s.trace[b] += per_bin;
+        let base = self.s.bins.start;
+        for b in lo..hi {
+            self.s.trace[b - base] += per_bin;
         }
     }
 
@@ -289,6 +311,7 @@ impl<'a> Engine<'a> {
         self.settle_initial();
         for (c, vector) in input_vectors.iter().enumerate() {
             assert_eq!(vector.len(), comp.inputs.len(), "bad vector length");
+            self.begin_cycle(c);
             let t0 = c as u64 * comp.cfg.period_ps;
             for i in 0..comp.se_regs.len() {
                 let (_, q) = comp.se_regs[i];
@@ -327,6 +350,7 @@ impl<'a> Engine<'a> {
         self.settle_initial();
         for (c, vector) in input_vectors.iter().enumerate() {
             assert_eq!(vector.len(), input_pairs.len(), "bad vector length");
+            self.begin_cycle(c);
             let t0 = c as u64 * comp.cfg.period_ps;
             let te = t0 + comp.cfg.eval_start_ps();
 
@@ -402,7 +426,7 @@ mod tests {
         let (nl, lib, cfg) = engine_fixture();
         let comp = compile(&nl, &lib, &cfg);
         let mut s = EngineScratch::new();
-        let mut e = Engine::new(&comp, &mut s, 1);
+        let mut e = Engine::new(&comp, &mut s, 1, 0..1);
         e.settle_initial();
         let a = nl.net_by_name("a").unwrap();
         let b = nl.net_by_name("b").unwrap();
@@ -422,7 +446,7 @@ mod tests {
         let (nl, lib, cfg) = engine_fixture();
         let comp = compile(&nl, &lib, &cfg);
         let mut s = EngineScratch::new();
-        let mut e = Engine::new(&comp, &mut s, 1);
+        let mut e = Engine::new(&comp, &mut s, 1, 0..1);
         e.settle_initial();
         let a = nl.net_by_name("a").unwrap();
         e.inject(a, 100, true); // AND output stays 0
@@ -438,7 +462,7 @@ mod tests {
         let (nl, lib, cfg) = engine_fixture();
         let comp = compile(&nl, &lib, &cfg);
         let mut s = EngineScratch::new();
-        let mut e = Engine::new(&comp, &mut s, 1);
+        let mut e = Engine::new(&comp, &mut s, 1, 0..1);
         e.settle_initial();
         let a = nl.net_by_name("a").unwrap();
         let b = nl.net_by_name("b").unwrap();
@@ -457,7 +481,7 @@ mod tests {
         let (nl, lib, cfg) = engine_fixture();
         let comp = compile(&nl, &lib, &cfg);
         let mut s = EngineScratch::new();
-        let mut e = Engine::new(&comp, &mut s, 1);
+        let mut e = Engine::new(&comp, &mut s, 1, 0..1);
         e.settle_initial();
         let a = nl.net_by_name("a").unwrap();
         let b = nl.net_by_name("b").unwrap();
@@ -483,7 +507,7 @@ mod tests {
         let cfg = SimConfig::default();
         let comp = compile(&nl, &lib, &cfg);
         let mut s = EngineScratch::new();
-        let mut e = Engine::new(&comp, &mut s, 1);
+        let mut e = Engine::new(&comp, &mut s, 1, 0..1);
         e.settle_initial();
         assert!(e.value(y), "INV of 0 must settle to 1");
         let _ = a;

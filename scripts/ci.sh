@@ -38,6 +38,13 @@ cargo run --release --offline -p secflow-bench --bin exp_fig6_mtd -- --smoke \
     --sim-backend bitslice > "$tmp/bitslice.out"
 cmp "$tmp/event.out" "$tmp/bitslice.out"
 
+echo "== tier-1: sim-backend stdout byte-identity (glitch ablation, 150 traces, event vs bitslice) =="
+cargo run --release --offline -p secflow-bench --bin exp_glitch_ablation -- 150 \
+    --sim-backend event > "$tmp/glitch_event.out"
+cargo run --release --offline -p secflow-bench --bin exp_glitch_ablation -- 150 \
+    --sim-backend bitslice > "$tmp/glitch_bitslice.out"
+cmp "$tmp/glitch_event.out" "$tmp/glitch_bitslice.out"
+
 echo "== tier-1: compiled-kernel bench smoke (baseline bit-equality self-check) =="
 cargo bench --offline -p secflow-bench --bench flow_stages -- sim_kernel --smoke
 

@@ -215,19 +215,51 @@ fn random_netlist(g: &mut Gen) -> Netlist {
     nl
 }
 
-/// Random netlists, random stimuli, random lane counts: per-cycle
+/// Adds random symmetric couplings (a few per net) to `load`, so the
+/// crosstalk adjustment and last-transition tracking are exercised.
+fn add_random_couplings(g: &mut Gen, nl: &Netlist, load: &mut LoadModel) {
+    let n = nl.net_count();
+    for a in 0..n {
+        for b in (a + 1)..n {
+            if g.random_bool(0.3) {
+                let cc = 0.5 + 4.0 * g.random::<f64>();
+                load.couplings[a].push((NetId(b as u32), cc));
+                load.couplings[b].push((NetId(a as u32), cc));
+            }
+        }
+    }
+}
+
+/// Random netlists with random couplings under the paper's clock or a
+/// random short one, random stimuli, random lane counts: per-cycle
 /// toggle vectors, energies, traces and outputs must match the scalar
-/// event kernel in every lane.
+/// event kernel in every lane — and a run measuring one random cycle
+/// must reproduce that cycle of the whole-window run on both kernels.
 #[test]
 fn prop_random_netlists_match_event_kernel_per_lane() {
     secflow_testkit::prop_check!(cases: 48, seed: 0xB17_511CE, |g| {
         let nl = random_netlist(g);
         let lib = Library::lib180();
-        let cfg = SimConfig {
-            samples_per_cycle: 20,
-            ..Default::default()
+        let cfg = if g.random_bool(0.5) {
+            SimConfig {
+                samples_per_cycle: 20,
+                ..Default::default()
+            }
+        } else {
+            // A clock short enough that switching and deposits cross
+            // cycle edges, with bins of any (often non-integer) width.
+            let period_ps = g.random_range(150..1200u64);
+            SimConfig {
+                period_ps,
+                samples_per_cycle: g.random_range(3..64usize),
+                clk2q_ps: g.random_range(0..period_ps / 2),
+                input_delay_ps: g.random_range(0..period_ps / 2),
+                crosstalk_window_ps: g.random_range(0..300u64),
+                ..Default::default()
+            }
         };
-        let load = LoadModel::try_build(&nl, &lib, None).unwrap();
+        let mut load = LoadModel::try_build(&nl, &lib, None).unwrap();
+        add_random_couplings(g, &nl, &mut load);
         let comp = CompiledSim::build(&nl, &lib, &load, &cfg).unwrap();
         let sim = BitSim::build(&nl, &lib, &load, &cfg).unwrap();
 
@@ -253,13 +285,21 @@ fn prop_random_netlists_match_event_kernel_per_lane() {
             }
         }
         let active = if lanes == 64 { !0u64 } else { (1u64 << lanes) - 1 };
+        let m = g.random_range(0..n_cycles);
 
         let mut bs = BitScratch::new();
-        sim.run_single_ended(&mut bs, &packed, active);
+        sim.run_single_ended(&mut bs, &packed, active, ..);
+        let mut bm = BitScratch::new();
+        sim.run_single_ended(&mut bm, &packed, active, m..=m);
+        assert_eq!(bm.total_rises(), bs.total_rises(), "measured bitslice rises");
+        assert_eq!(bm.events_processed(), bs.events_processed(), "measured bitslice events");
+        assert_eq!(bm.gate_evals(), bs.gate_evals(), "measured bitslice evals");
 
         let mut es = EngineScratch::new();
+        let mut em = EngineScratch::new();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (l, win) in windows.iter().enumerate() {
-            comp.run_single_ended(&mut es, win);
+            comp.run_single_ended(&mut es, win, ..);
             // Per-cycle toggle vector: the power model's currency.
             let toggles: Vec<u64> = (0..n_cycles).map(|c| bs.cycle_rises(c, l)).collect();
             assert_eq!(&toggles[..], es.cycle_rises(), "toggles lane {l}");
@@ -270,11 +310,26 @@ fn prop_random_netlists_match_event_kernel_per_lane() {
                     "energy lane {l} cycle {c}"
                 );
             }
-            let want: Vec<u64> = es.trace().iter().map(|x| x.to_bits()).collect();
-            let got: Vec<u64> = bs.lane_trace(l).iter().map(|x| x.to_bits()).collect();
-            assert_eq!(got, want, "trace lane {l}");
+            assert_eq!(bits(&bs.lane_trace(l)), bits(es.trace()), "trace lane {l}");
             for c in 0..n_cycles {
                 assert_eq!(bs.output_bit(c, 0, l), es.outputs(c)[0], "output lane {l}");
+            }
+
+            // The measured cycle, on both kernels.
+            comp.run_single_ended(&mut em, win, m..=m);
+            let want = bits(es.cycle_trace(m));
+            assert_eq!(bits(em.cycle_trace(m)), want, "measured event trace lane {l}");
+            assert_eq!(bits(&bm.cycle_trace(m, l)), want, "measured bitslice trace lane {l}");
+            let e = es.cycle_energy_fj()[m].to_bits();
+            assert_eq!(em.cycle_energy_fj()[m].to_bits(), e, "measured event energy lane {l}");
+            assert_eq!(bm.cycle_energy_fj(m, l).to_bits(), e, "measured bitslice energy lane {l}");
+            assert_eq!(bm.cycle_rises(m, l), es.cycle_rises()[m], "measured rises lane {l}");
+            assert_eq!(em.cycle_rises(), es.cycle_rises(), "measured event rises lane {l}");
+            assert_eq!(em.events_processed(), es.events_processed(), "events lane {l}");
+            assert_eq!(em.gate_evals(), es.gate_evals(), "evals lane {l}");
+            for c in 0..n_cycles {
+                assert_eq!(em.outputs(c), es.outputs(c), "measured event outputs lane {l}");
+                assert_eq!(bm.output_bit(c, 0, l), es.outputs(c)[0], "measured output lane {l}");
             }
         }
     });

@@ -55,6 +55,10 @@ fn fixture() -> &'static (Library, Netlist) {
 }
 
 fn campaign_report_on(threads: usize, backend: SimBackend) -> obs::Report {
+    model_report_on(threads, backend, false)
+}
+
+fn model_report_on(threads: usize, backend: SimBackend, glitch_free: bool) -> obs::Report {
     let (lib, nl) = fixture();
     let cfg = SimConfig {
         samples_per_cycle: 100,
@@ -65,7 +69,7 @@ fn campaign_report_on(threads: usize, backend: SimBackend) -> obs::Report {
         lib,
         parasitics: None,
         wddl_inputs: None,
-        glitch_free: false,
+        glitch_free,
         backend,
     };
     let ((), report) = secflow::exec::with_threads(threads, || {
@@ -160,6 +164,23 @@ fn bitslice_counters_match_golden_at_1_2_and_8_threads() {
         // The scalar kernel's counters must stay silent on this path.
         assert_eq!(r.counter(Counter::SimWindows), 0);
         assert_eq!(r.counter(Counter::SimEvents), 0);
+    }
+}
+
+/// Under the glitch-free power model the bit-sliced rise total must
+/// also equal the scalar one: every batch of this campaign is ragged
+/// (1, 1 and 22 live lanes), and dead lanes count no rises.
+#[test]
+fn glitch_free_bitslice_rises_match_the_event_kernel_at_1_2_and_8_threads() {
+    let scalar = model_report_on(1, SimBackend::Event, true).counter(Counter::SimRises);
+    assert!(scalar > 0);
+    for threads in [1usize, 2, 8] {
+        let r = model_report_on(threads, SimBackend::Bitslice, true);
+        assert_eq!(
+            r.counter(Counter::SimBitsliceRises),
+            scalar,
+            "sim.bitslice.rises vs sim.rises at {threads} threads"
+        );
     }
 }
 
