@@ -202,9 +202,11 @@ fn bench_exec_speedup(filter: &str) {
 /// Compiled kernel vs the original per-window-setup engine, on the
 /// same windowed WDDL trace campaign the DPA harness runs. The
 /// baseline is the frozen pre-compiled engine
-/// ([`secflow_bench::seed_engine`]), which accounts charge for every
-/// window cycle; the compiled arm measures only the leak cycle, as
-/// campaigns do. Both are timed serially (thread count pinned to 1)
+/// ([`secflow_bench::seed_engine`]), which simulates and accounts
+/// every window cycle; the compiled arm measures only the leak cycle,
+/// as campaigns do, and since the design settles it event-simulates
+/// only that cycle (DESIGN.md §16), so the ratio includes the
+/// fast-forward. Both are timed serially (thread count pinned to 1)
 /// so the measured ratio is pure kernel speedup, not parallelism.
 /// Results go to `results/BENCH_sim_kernel.json`;
 /// `--smoke` shrinks the campaign and skips the JSON (a CI

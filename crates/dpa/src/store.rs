@@ -272,12 +272,19 @@ impl TraceStore {
                 self.chunk_counts[i]
             )));
         }
-        let rec = self.samples * 8 + 10;
-        if buf.len() != 4 + n * rec {
+        // Both counts are untrusted, so the size is computed checked:
+        // a wrapped product would admit a short chunk.
+        let expected = self
+            .samples
+            .checked_mul(8)
+            .and_then(|b| b.checked_add(10))
+            .and_then(|rec| rec.checked_mul(n))
+            .and_then(|b| b.checked_add(4));
+        if expected != Some(buf.len()) {
             return Err(corrupt(format!(
                 "chunk is {} bytes, expected {} for {n} traces × {} samples",
                 buf.len(),
-                4 + n * rec,
+                expected.map_or_else(|| "more than usize::MAX".to_string(), |e| e.to_string()),
                 self.samples
             )));
         }
@@ -391,6 +398,29 @@ mod tests {
             w.append_block(&ragged),
             Err(StoreError::Shape { .. })
         ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `samples = u32::MAX` and 2^29 traces make the chunk size
+    /// `4 + n × (8 · samples + 10)` wrap to 1 GiB + 4 in 64-bit
+    /// arithmetic. A short chunk must be refused, not read past.
+    #[test]
+    fn oversized_counts_are_a_corrupt_chunk_not_an_overflow() {
+        let dir = tmp_dir("overflow");
+        fs::create_dir_all(&dir).unwrap();
+        let n = 1u32 << 29;
+        let mut index = MAGIC.to_vec();
+        index.extend_from_slice(&u32::MAX.to_le_bytes());
+        index.extend_from_slice(&1u32.to_le_bytes());
+        index.extend_from_slice(&n.to_le_bytes());
+        fs::write(dir.join("index.bin"), &index).unwrap();
+        let mut chunk = n.to_le_bytes().to_vec();
+        chunk.extend_from_slice(&[0u8; 64]);
+        fs::write(chunk_path(&dir, 0), &chunk).unwrap();
+
+        let store = TraceStore::open(&dir).unwrap();
+        let err = store.blocks().next().unwrap().unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -48,7 +48,9 @@
 //! counted (a popcount per event), and per-lane last-transition times
 //! — needed only to adjust the charge of measured rises — are kept
 //! from `lookback_ps` before the first measured cycle to the end of
-//! the last one (DESIGN.md §15).
+//! the last one (DESIGN.md §15). When the design settles inside a
+//! cycle, unmeasured cycles skip the event loop and are evaluated
+//! zero-delay in every live lane (DESIGN.md §16).
 
 use std::ops::{Range, RangeBounds};
 
@@ -200,13 +202,26 @@ impl BitSim {
         self.comp.config()
     }
 
+    /// True if [`Self::run_single_ended`] event-simulates only the
+    /// measured cycles; see [`CompiledSim::settles_single_ended`].
+    pub fn settles_single_ended(&self) -> bool {
+        self.comp.settles_se
+    }
+
+    /// True if [`Self::run_wddl`] event-simulates only the measured
+    /// cycles; see [`CompiledSim::settles_wddl`].
+    pub fn settles_wddl(&self) -> bool {
+        self.comp.settles_wddl
+    }
+
     /// Number of primary inputs (one packed word per input per cycle).
     pub fn n_inputs(&self) -> usize {
         self.comp.inputs.len()
     }
 
     /// Simulates up to 64 single-ended windows at once, accounting
-    /// charge for the `measured` cycles. `vectors` is one packed word
+    /// charge for the `measured` cycles (and event-simulating only them
+    /// if [`Self::settles_single_ended`]). `vectors` is one packed word
     /// per primary input per cycle (bit `l` of word `k` is lane `l`'s
     /// value of input `k`); `active` masks the live lanes — dead lanes
     /// receive no injections and contribute nothing.
@@ -227,7 +242,8 @@ impl BitSim {
     }
 
     /// Simulates up to 64 WDDL two-phase windows at once, accounting
-    /// charge for the `measured` cycles; `vectors` is one packed word
+    /// charge for the `measured` cycles (and event-simulating only them
+    /// if [`Self::settles_wddl`]); `vectors` is one packed word
     /// per input *pair* per cycle.
     ///
     /// # Panics
@@ -413,6 +429,10 @@ pub struct BitScratch {
     lt_present: Vec<u64>,
     /// Per net: last transition value per lane.
     lt_val: Vec<u64>,
+    /// Per net: time of the newest recorded transition in any lane, so
+    /// a coupling whose every lane is outside the crosstalk window is
+    /// skipped with one compare.
+    lt_newest: Vec<u64>,
     // --- measured cycles ---
     measured: Range<usize>,
     /// Their sample bins, `measured × samples_per_cycle`.
@@ -503,6 +523,8 @@ impl BitScratch {
         self.lt_present.resize(lt, 0);
         self.lt_val.clear();
         self.lt_val.resize(lt, 0);
+        self.lt_newest.clear();
+        self.lt_newest.resize(lt, 0);
         self.energy_fj.clear();
         self.energy_fj.resize(64, 0.0);
         self.rises.clear();
@@ -574,9 +596,10 @@ impl BitScratch {
         self.cycle_rises[cycle * 64 + lane]
     }
 
-    /// Rising transitions summed over every cycle and live lane of the
-    /// last batch, measured or not — a deterministic function of
-    /// (design, batch stimuli).
+    /// Rising transitions summed over every simulated cycle and live
+    /// lane of the last batch, measured or not — a deterministic
+    /// function of (design, batch stimuli). Settled cycles the kernel
+    /// did not event-simulate add nothing.
     pub fn total_rises(&self) -> u64 {
         self.cycle_rises.iter().sum::<u64>() + self.unmeasured_rises
     }
@@ -642,9 +665,24 @@ impl<'a> MaskedEngine<'a> {
     /// Establishes a consistent initial state in every lane by
     /// zero-delay evaluation, without recording any power.
     fn settle_initial(&mut self) {
-        let mut vals = std::mem::take(&mut self.s.vals);
-        self.sim.eval_comb_words(&mut vals);
-        self.s.vals = vals;
+        self.sim.eval_comb_words(&mut self.s.vals);
+    }
+
+    /// Completes a settled, unmeasured cycle ending at `t_end` without
+    /// the event loop, as the scalar engine does (DESIGN.md §16): the
+    /// caller has set the cycle's sources in the live lanes.
+    fn skip_to(&mut self, t_end: u64) {
+        debug_assert_eq!(self.s.wheel_pending, 0, "events pending at a settled edge");
+        self.settle_initial();
+        self.s.cursor = t_end;
+    }
+
+    /// Sets `net` to `w` in the `active` lanes. Dead lanes receive no
+    /// injections, so they keep their settled initial state.
+    #[inline]
+    fn set_lanes(&mut self, net: NetId, w: u64, active: u64) {
+        let v = &mut self.s.vals[net.index()];
+        *v = (*v & !active) | (w & active);
     }
 
     #[inline]
@@ -757,6 +795,7 @@ impl<'a> MaskedEngine<'a> {
             }
             self.s.lt_present[net] |= ev.mask;
             self.s.lt_val[net] = (self.s.lt_val[net] & !ev.mask) | (ev.vals & ev.mask);
+            self.s.lt_newest[net] = t;
         }
         let cur = self.s.vals[net];
         let flip = ev.mask & (cur ^ ev.vals);
@@ -865,25 +904,38 @@ impl<'a> MaskedEngine<'a> {
             }
         } else {
             let win = comp.cfg.crosstalk_window_ps;
+            // Per-lane charge, adjusted coupling by coupling: each lane
+            // sees the scalar engine's additions in the same order.
+            let mut q = [0.0f64; 64];
+            let mut m = rises;
+            while m != 0 {
+                q[m.trailing_zeros() as usize] = comp.q_base[net];
+                m &= m - 1;
+            }
+            for &(other, cc) in coups {
+                let o = other.index();
+                if t.saturating_sub(self.s.lt_newest[o]) > win {
+                    continue; // no lane switched within the window
+                }
+                let mut m = self.s.lt_present[o] & rises;
+                while m != 0 {
+                    let l = m.trailing_zeros() as usize;
+                    if t.saturating_sub(self.s.lt_time[o * 64 + l]) <= win {
+                        if self.s.lt_val[o] >> l & 1 == 1 {
+                            // Both rising: the coupling cap sees no swing.
+                            q[l] -= cc * vdd;
+                        } else {
+                            // Opposite transitions: Miller doubling.
+                            q[l] += cc * vdd;
+                        }
+                    }
+                    m &= m - 1;
+                }
+            }
             let mut m = rises;
             while m != 0 {
                 let l = m.trailing_zeros() as usize;
-                let mut q = comp.q_base[net];
-                for &(other, cc) in coups {
-                    let o = other.index();
-                    if self.s.lt_present[o] >> l & 1 == 1
-                        && t.saturating_sub(self.s.lt_time[o * 64 + l]) <= win
-                    {
-                        if self.s.lt_val[o] >> l & 1 == 1 {
-                            // Both rising: the coupling cap sees no swing.
-                            q -= cc * vdd;
-                        } else {
-                            // Opposite transitions: Miller doubling.
-                            q += cc * vdd;
-                        }
-                    }
-                }
-                let q = q.max(0.0);
+                let q = q[l].max(0.0);
                 if measuring {
                     self.s.energy_fj[l] += q * vdd;
                     self.s.rises[l] += 1;
@@ -925,15 +977,26 @@ impl<'a> MaskedEngine<'a> {
             assert_eq!(words.len(), n_inputs, "bad vector length");
             self.begin_cycle(c);
             let t0 = c as u64 * period;
-            for i in 0..n_regs {
-                let (_, q) = self.sim.comp.se_regs[i];
-                let w = self.s.reg_state[i];
-                self.inject(q, t0 + clk2q, w, active);
+            if comp.settles_se && !self.s.measuring {
+                for i in 0..n_regs {
+                    let (_, q) = self.sim.comp.se_regs[i];
+                    self.set_lanes(q, self.s.reg_state[i], active);
+                }
+                for (i, &w) in words.iter().enumerate() {
+                    self.set_lanes(self.sim.comp.inputs[i], w, active);
+                }
+                self.skip_to(t0 + period);
+            } else {
+                for i in 0..n_regs {
+                    let (_, q) = self.sim.comp.se_regs[i];
+                    let w = self.s.reg_state[i];
+                    self.inject(q, t0 + clk2q, w, active);
+                }
+                for (i, &w) in words.iter().enumerate() {
+                    self.inject(self.sim.comp.inputs[i], t0 + in_delay, w, active);
+                }
+                self.run_until(t0 + period);
             }
-            for (i, &w) in words.iter().enumerate() {
-                self.inject(self.sim.comp.inputs[i], t0 + in_delay, w, active);
-            }
-            self.run_until(t0 + period);
             for i in 0..n_regs {
                 let (d, _) = self.sim.comp.se_regs[i];
                 self.s.reg_state[i] = self.s.vals[d.index()];
@@ -956,29 +1019,45 @@ impl<'a> MaskedEngine<'a> {
             let t0 = c as u64 * period;
             let te = t0 + eval_start;
 
-            // Precharge phase: everything to (0, 0).
-            for i in 0..n_regs {
-                let (_, _, qt, qf) = self.sim.comp.wddl_regs[i];
-                self.inject(qt, t0 + clk2q, 0, active);
-                self.inject(qf, t0 + clk2q, 0, active);
+            if comp.settles_wddl && !self.s.measuring {
+                // The evaluation wave's sources decide the cycle's end.
+                for i in 0..n_regs {
+                    let (_, _, qt, qf) = self.sim.comp.wddl_regs[i];
+                    let (wt, wf) = (self.s.reg_t[i], self.s.reg_f[i]);
+                    self.set_lanes(qt, wt, active);
+                    self.set_lanes(qf, wf, active);
+                }
+                for (i, &w) in words.iter().enumerate() {
+                    let (t, f) = input_pairs[i];
+                    self.set_lanes(t, w, active);
+                    self.set_lanes(f, !w, active);
+                }
+                self.skip_to(t0 + period);
+            } else {
+                // Precharge phase: everything to (0, 0).
+                for i in 0..n_regs {
+                    let (_, _, qt, qf) = self.sim.comp.wddl_regs[i];
+                    self.inject(qt, t0 + clk2q, 0, active);
+                    self.inject(qf, t0 + clk2q, 0, active);
+                }
+                for &(t, f) in input_pairs {
+                    self.inject(t, t0 + in_delay, 0, active);
+                    self.inject(f, t0 + in_delay, 0, active);
+                }
+                // Evaluation phase: stored values and differential inputs.
+                for i in 0..n_regs {
+                    let (_, _, qt, qf) = self.sim.comp.wddl_regs[i];
+                    let (wt, wf) = (self.s.reg_t[i], self.s.reg_f[i]);
+                    self.inject(qt, te + clk2q, wt, active);
+                    self.inject(qf, te + clk2q, wf, active);
+                }
+                for (i, &w) in words.iter().enumerate() {
+                    let (t, f) = input_pairs[i];
+                    self.inject(t, te + in_delay, w, active);
+                    self.inject(f, te + in_delay, !w, active);
+                }
+                self.run_until(t0 + period);
             }
-            for &(t, f) in input_pairs {
-                self.inject(t, t0 + in_delay, 0, active);
-                self.inject(f, t0 + in_delay, 0, active);
-            }
-            // Evaluation phase: stored values and differential inputs.
-            for i in 0..n_regs {
-                let (_, _, qt, qf) = self.sim.comp.wddl_regs[i];
-                let (wt, wf) = (self.s.reg_t[i], self.s.reg_f[i]);
-                self.inject(qt, te + clk2q, wt, active);
-                self.inject(qf, te + clk2q, wf, active);
-            }
-            for (i, &w) in words.iter().enumerate() {
-                let (t, f) = input_pairs[i];
-                self.inject(t, te + in_delay, w, active);
-                self.inject(f, te + in_delay, !w, active);
-            }
-            self.run_until(t0 + period);
 
             // Capture at the rising edge; (0,0) pairs are DFA alarms.
             for i in 0..n_regs {

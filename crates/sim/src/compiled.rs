@@ -35,6 +35,13 @@
 //! same additions in the same order as in a whole-window run, so the
 //! measured cycles are bit-identical to the same cycles of that run
 //! (DESIGN.md §15).
+//!
+//! **Settled cycles.** When a driver's switching provably settles
+//! inside every cycle (the settle test of DESIGN.md §16, computed once
+//! at build), `run_*` event-simulate only the measured cycles. Every
+//! other cycle ends at the zero-delay fixed point of its sources, which
+//! is the state the event loop would reach, so it is evaluated in
+//! topological order instead; it reports no rises and no events.
 
 use std::collections::HashMap;
 use std::ops::{Bound, Range, RangeBounds};
@@ -118,6 +125,11 @@ pub struct CompiledSim {
     /// the largest gate delay plus the driver offsets), so wheel slots
     /// never alias two pending times.
     pub(crate) wheel_size: u64,
+    /// The single-ended driver's cycles settle (DESIGN.md §16), so its
+    /// runs event-simulate only the measured cycles.
+    pub(crate) settles_se: bool,
+    /// The same for the WDDL driver.
+    pub(crate) settles_wddl: bool,
 }
 
 impl CompiledSim {
@@ -224,7 +236,7 @@ impl CompiledSim {
             .next_power_of_two()
             .max(64);
 
-        Ok(CompiledSim {
+        let mut comp = CompiledSim {
             cfg: cfg.clone(),
             cells,
             in_offsets,
@@ -246,12 +258,78 @@ impl CompiledSim {
             n_gates: nl.gate_count(),
             sample_ps,
             wheel_size,
-        })
+            settles_se: false,
+            settles_wddl: false,
+        };
+        let arrival = comp.arrivals();
+        let launch = cfg.clk2q_ps.max(cfg.input_delay_ps);
+        comp.settles_se = comp.settles_after(&arrival, launch);
+        comp.settles_wddl = comp.settles_after(&arrival, cfg.eval_start_ps() + launch);
+        Ok(comp)
     }
 
     /// The compiled configuration.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
+    }
+
+    /// True if [`Self::run_single_ended`] event-simulates only the
+    /// measured cycles: every single-ended cycle provably settles
+    /// before the next clock edge (DESIGN.md §16) and no waveform is
+    /// recorded. Other cycles then report no rises and no kernel work.
+    pub fn settles_single_ended(&self) -> bool {
+        self.settles_se
+    }
+
+    /// The same as [`Self::settles_single_ended`] for
+    /// [`Self::run_wddl`].
+    pub fn settles_wddl(&self) -> bool {
+        self.settles_wddl
+    }
+
+    /// Longest-path arrival per net in ps, summed from the kernel's own
+    /// gate delays, with every source (input, register or tie output)
+    /// at 0.
+    fn arrivals(&self) -> Vec<u64> {
+        let mut at = vec![0u64; self.n_nets];
+        for &gid in &self.topo {
+            let g = gid.index();
+            if let CellKind::Comb { delay_ps, .. } = self.cells[g] {
+                let ins =
+                    &self.in_nets[self.in_offsets[g] as usize..self.in_offsets[g + 1] as usize];
+                let a = ins.iter().map(|n| at[n.index()]).max().unwrap_or(0) + delay_ps;
+                if let Some(out) = at.get_mut(self.out_net[g].index()) {
+                    *out = a;
+                }
+            }
+        }
+        at
+    }
+
+    /// The settle test of DESIGN.md §16 for a driver whose last
+    /// injection comes `launch` ps after the clock edge. Every event of
+    /// a cycle then falls before the next edge, every deposit ends
+    /// inside its cycle with a bin to spare for the rounding of
+    /// `t / sample_ps`, and the quiet gap up to the next cycle's first
+    /// injection is longer than the crosstalk window. A register output
+    /// switching at the edge itself could round into the previous bin,
+    /// so `clk2q_ps` must be positive.
+    fn settles_after(&self, arrival: &[u64], launch: u64) -> bool {
+        let cfg = &self.cfg;
+        if cfg.record_waveform || cfg.clk2q_ps == 0 {
+            return false;
+        }
+        let period = cfg.period_ps;
+        let mut latest = 0;
+        for (&a, &nbins) in arrival.iter().zip(&self.nbins) {
+            let t = launch.saturating_add(a);
+            if t >= period || t as f64 + (f64::from(nbins) + 1.0) * self.sample_ps > period as f64 {
+                return false;
+            }
+            latest = latest.max(t);
+        }
+        let first = cfg.clk2q_ps.min(cfg.input_delay_ps);
+        period - latest + first > cfg.crosstalk_window_ps
     }
 
     /// The coupling list of `net`, in [`LoadModel`] order.
@@ -263,7 +341,8 @@ impl CompiledSim {
     }
 
     /// Simulates a single-ended netlist window into `scratch`,
-    /// accounting charge for the `measured` cycles; see
+    /// accounting charge for the `measured` cycles (and event-simulating
+    /// only them if [`Self::settles_single_ended`]); see
     /// [`crate::simulate_single_ended`] for the protocol. Results are
     /// read back through the [`EngineScratch`] accessors.
     ///
@@ -282,8 +361,9 @@ impl CompiledSim {
     }
 
     /// Simulates a WDDL two-phase window into `scratch`, accounting
-    /// charge for the `measured` cycles; see [`crate::simulate_wddl`]
-    /// for the protocol.
+    /// charge for the `measured` cycles (and event-simulating only them
+    /// if [`Self::settles_wddl`]); see [`crate::simulate_wddl`] for the
+    /// protocol.
     ///
     /// # Panics
     ///
@@ -369,7 +449,7 @@ impl CompiledSim {
     /// Zero-delay evaluation of the combinational portion in cached
     /// topological order. `values` holds the forced source values on
     /// entry and every net's settled value on exit.
-    fn eval_comb_into(&self, values: &mut [bool]) {
+    pub(crate) fn eval_comb_into(&self, values: &mut [bool]) {
         for &gid in &self.topo {
             match self.cells[gid.index()] {
                 CellKind::Comb { tt, .. } => {
@@ -574,7 +654,8 @@ impl EngineScratch {
         &self.cycle_energy_fj
     }
 
-    /// Rising-transition count per cycle, measured or not.
+    /// Rising-transition count per simulated cycle, measured or not;
+    /// 0 for a settled cycle the kernel did not event-simulate.
     pub fn cycle_rises(&self) -> &[u64] {
         &self.cycle_rises
     }

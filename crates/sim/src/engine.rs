@@ -17,6 +17,8 @@
 //!
 //! Every rise is counted, but only rises that land in a measured cycle
 //! or deposit into one get charge work (see `Engine::record_rise`).
+//! When the design settles inside a cycle, the drivers skip the event
+//! loop for unmeasured cycles altogether (see `Engine::skip_to`).
 
 use std::ops::Range;
 
@@ -75,22 +77,20 @@ impl<'a> Engine<'a> {
 
     /// Establishes a consistent initial state by zero-delay evaluation
     /// in (cached) topological order, without recording any power.
+    /// Registers start at 0 (reset state).
     pub fn settle_initial(&mut self) {
-        let comp = self.comp;
-        for &gid in &comp.topo {
-            match comp.cells[gid.index()] {
-                CellKind::Tie(v) => {
-                    let out = comp.out_net[gid.index()];
-                    self.s.values[out.index()] = v;
-                }
-                CellKind::Comb { tt, .. } => {
-                    let v = tt.eval(self.input_index(gid));
-                    self.s.values[comp.out_net[gid.index()].index()] = v;
-                }
-                // Registers start at 0 (reset state).
-                CellKind::Dff | CellKind::WddlDff => {}
-            }
-        }
+        self.comp.eval_comb_into(&mut self.s.values);
+    }
+
+    /// Completes a settled, unmeasured cycle ending at `t_end` without
+    /// the event loop. The caller has set the cycle's sources; under
+    /// the settle test (DESIGN.md §16) the event loop would end the
+    /// cycle at their zero-delay fixed point with nothing pending, and
+    /// no deposit or crosstalk it computes reaches another cycle.
+    fn skip_to(&mut self, t_end: u64) {
+        debug_assert_eq!(self.s.wheel_pending, 0, "events pending at a settled edge");
+        self.settle_initial();
+        self.s.cursor = t_end;
     }
 
     /// Packs the gate's current input values into a truth-table index.
@@ -313,15 +313,25 @@ impl<'a> Engine<'a> {
             assert_eq!(vector.len(), comp.inputs.len(), "bad vector length");
             self.begin_cycle(c);
             let t0 = c as u64 * comp.cfg.period_ps;
-            for i in 0..comp.se_regs.len() {
-                let (_, q) = comp.se_regs[i];
-                let v = self.s.reg_state[i];
-                self.inject(q, t0 + comp.cfg.clk2q_ps, v);
+            if comp.settles_se && !self.s.measuring {
+                for (&(_, q), &v) in comp.se_regs.iter().zip(&self.s.reg_state) {
+                    self.s.values[q.index()] = v;
+                }
+                for (&net, &v) in comp.inputs.iter().zip(vector) {
+                    self.s.values[net.index()] = v;
+                }
+                self.skip_to(t0 + comp.cfg.period_ps);
+            } else {
+                for i in 0..comp.se_regs.len() {
+                    let (_, q) = comp.se_regs[i];
+                    let v = self.s.reg_state[i];
+                    self.inject(q, t0 + comp.cfg.clk2q_ps, v);
+                }
+                for (i, &v) in vector.iter().enumerate() {
+                    self.inject(comp.inputs[i], t0 + comp.cfg.input_delay_ps, v);
+                }
+                self.run_until(t0 + comp.cfg.period_ps);
             }
-            for (i, &v) in vector.iter().enumerate() {
-                self.inject(comp.inputs[i], t0 + comp.cfg.input_delay_ps, v);
-            }
-            self.run_until(t0 + comp.cfg.period_ps);
             for (i, &(d, _)) in comp.se_regs.iter().enumerate() {
                 self.s.reg_state[i] = self.value(d);
             }
@@ -354,28 +364,43 @@ impl<'a> Engine<'a> {
             let t0 = c as u64 * comp.cfg.period_ps;
             let te = t0 + comp.cfg.eval_start_ps();
 
-            // Precharge phase: everything to (0, 0).
-            for &(_, _, qt, qf) in &comp.wddl_regs {
-                self.inject(qt, t0 + comp.cfg.clk2q_ps, false);
-                self.inject(qf, t0 + comp.cfg.clk2q_ps, false);
+            if comp.settles_wddl && !self.s.measuring {
+                // The evaluation wave's sources decide the cycle's end.
+                for (&(_, _, qt, qf), &(vt, vf)) in
+                    comp.wddl_regs.iter().zip(&self.s.reg_state_pairs)
+                {
+                    self.s.values[qt.index()] = vt;
+                    self.s.values[qf.index()] = vf;
+                }
+                for (&(t, f), &v) in input_pairs.iter().zip(vector) {
+                    self.s.values[t.index()] = v;
+                    self.s.values[f.index()] = !v;
+                }
+                self.skip_to(t0 + comp.cfg.period_ps);
+            } else {
+                // Precharge phase: everything to (0, 0).
+                for &(_, _, qt, qf) in &comp.wddl_regs {
+                    self.inject(qt, t0 + comp.cfg.clk2q_ps, false);
+                    self.inject(qf, t0 + comp.cfg.clk2q_ps, false);
+                }
+                for &(t, f) in input_pairs {
+                    self.inject(t, t0 + comp.cfg.input_delay_ps, false);
+                    self.inject(f, t0 + comp.cfg.input_delay_ps, false);
+                }
+                // Evaluation phase: stored values and differential inputs.
+                for i in 0..comp.wddl_regs.len() {
+                    let (_, _, qt, qf) = comp.wddl_regs[i];
+                    let (vt, vf) = self.s.reg_state_pairs[i];
+                    self.inject(qt, te + comp.cfg.clk2q_ps, vt);
+                    self.inject(qf, te + comp.cfg.clk2q_ps, vf);
+                }
+                for (i, &v) in vector.iter().enumerate() {
+                    let (t, f) = input_pairs[i];
+                    self.inject(t, te + comp.cfg.input_delay_ps, v);
+                    self.inject(f, te + comp.cfg.input_delay_ps, !v);
+                }
+                self.run_until(t0 + comp.cfg.period_ps);
             }
-            for &(t, f) in input_pairs {
-                self.inject(t, t0 + comp.cfg.input_delay_ps, false);
-                self.inject(f, t0 + comp.cfg.input_delay_ps, false);
-            }
-            // Evaluation phase: stored values and differential inputs.
-            for i in 0..comp.wddl_regs.len() {
-                let (_, _, qt, qf) = comp.wddl_regs[i];
-                let (vt, vf) = self.s.reg_state_pairs[i];
-                self.inject(qt, te + comp.cfg.clk2q_ps, vt);
-                self.inject(qf, te + comp.cfg.clk2q_ps, vf);
-            }
-            for (i, &v) in vector.iter().enumerate() {
-                let (t, f) = input_pairs[i];
-                self.inject(t, te + comp.cfg.input_delay_ps, v);
-                self.inject(f, te + comp.cfg.input_delay_ps, !v);
-            }
-            self.run_until(t0 + comp.cfg.period_ps);
 
             // Capture at the rising edge; (0,0) pairs are DFA alarms.
             let mut alarms = 0;

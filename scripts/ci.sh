@@ -38,6 +38,9 @@ cargo run --release --offline -p secflow-bench --bin exp_fig6_mtd -- --smoke \
     --sim-backend bitslice > "$tmp/bitslice.out"
 cmp "$tmp/event.out" "$tmp/bitslice.out"
 
+echo "== tier-1: Fig. 6 smoke stdout matches the committed golden =="
+cmp tests/golden/fig6_smoke.txt "$tmp/event.out"
+
 echo "== tier-1: sim-backend stdout byte-identity (glitch ablation, 150 traces, event vs bitslice) =="
 cargo run --release --offline -p secflow-bench --bin exp_glitch_ablation -- 150 \
     --sim-backend event > "$tmp/glitch_event.out"

@@ -235,6 +235,8 @@ fn add_random_couplings(g: &mut Gen, nl: &Netlist, load: &mut LoadModel) {
 /// toggle vectors, energies, traces and outputs must match the scalar
 /// event kernel in every lane — and a run measuring one random cycle
 /// must reproduce that cycle of the whole-window run on both kernels.
+/// Its work is that cycle's own if the design settles (DESIGN.md §16),
+/// and the whole window's otherwise.
 #[test]
 fn prop_random_netlists_match_event_kernel_per_lane() {
     secflow_testkit::prop_check!(cases: 48, seed: 0xB17_511CE, |g| {
@@ -287,15 +289,37 @@ fn prop_random_netlists_match_event_kernel_per_lane() {
         let active = if lanes == 64 { !0u64 } else { (1u64 << lanes) - 1 };
         let m = g.random_range(0..n_cycles);
 
+        let settles = comp.settles_single_ended();
+        assert_eq!(sim.settles_single_ended(), settles, "both kernels share the settle test");
+        // `[events, evals, rises]` a run measuring cycle m must report,
+        // given the work of whole-window runs over the first k cycles:
+        // the whole window's, or if the design settles, the difference
+        // of the runs truncated after cycle m and before it (they share
+        // their first m cycles).
+        let expected_work = |work_upto: &mut dyn FnMut(usize) -> [u64; 3]| {
+            if settles {
+                let (after, before) = (work_upto(m + 1), work_upto(m));
+                [after[0] - before[0], after[1] - before[1], after[2] - before[2]]
+            } else {
+                work_upto(n_cycles)
+            }
+        };
+
         let mut bs = BitScratch::new();
+        let mut bt = BitScratch::new();
         sim.run_single_ended(&mut bs, &packed, active, ..);
+        let [events, evals, rises] = expected_work(&mut |k| {
+            sim.run_single_ended(&mut bt, &packed[..k], active, ..);
+            [bt.events_processed(), bt.gate_evals(), bt.total_rises()]
+        });
         let mut bm = BitScratch::new();
         sim.run_single_ended(&mut bm, &packed, active, m..=m);
-        assert_eq!(bm.total_rises(), bs.total_rises(), "measured bitslice rises");
-        assert_eq!(bm.events_processed(), bs.events_processed(), "measured bitslice events");
-        assert_eq!(bm.gate_evals(), bs.gate_evals(), "measured bitslice evals");
+        assert_eq!(bm.total_rises(), rises, "measured bitslice rises");
+        assert_eq!(bm.events_processed(), events, "measured bitslice events");
+        assert_eq!(bm.gate_evals(), evals, "measured bitslice evals");
 
         let mut es = EngineScratch::new();
+        let mut et = EngineScratch::new();
         let mut em = EngineScratch::new();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (l, win) in windows.iter().enumerate() {
@@ -324,9 +348,16 @@ fn prop_random_netlists_match_event_kernel_per_lane() {
             assert_eq!(em.cycle_energy_fj()[m].to_bits(), e, "measured event energy lane {l}");
             assert_eq!(bm.cycle_energy_fj(m, l).to_bits(), e, "measured bitslice energy lane {l}");
             assert_eq!(bm.cycle_rises(m, l), es.cycle_rises()[m], "measured rises lane {l}");
-            assert_eq!(em.cycle_rises(), es.cycle_rises(), "measured event rises lane {l}");
-            assert_eq!(em.events_processed(), es.events_processed(), "events lane {l}");
-            assert_eq!(em.gate_evals(), es.gate_evals(), "evals lane {l}");
+            let rises: Vec<u64> = (0..n_cycles)
+                .map(|c| if settles && c != m { 0 } else { es.cycle_rises()[c] })
+                .collect();
+            assert_eq!(em.cycle_rises(), &rises[..], "measured event rises lane {l}");
+            let [events, evals, _] = expected_work(&mut |k| {
+                comp.run_single_ended(&mut et, &win[..k], ..);
+                [et.events_processed(), et.gate_evals(), 0]
+            });
+            assert_eq!(em.events_processed(), events, "events lane {l}");
+            assert_eq!(em.gate_evals(), evals, "evals lane {l}");
             for c in 0..n_cycles {
                 assert_eq!(em.outputs(c), es.outputs(c), "measured event outputs lane {l}");
                 assert_eq!(bm.output_bit(c, 0, l), es.outputs(c)[0], "measured output lane {l}");

@@ -1,7 +1,14 @@
 //! The measured-cycle contract of both simulation kernels: a run that
 //! measures one cycle of a window must reproduce that cycle of the
-//! whole-window run bit for bit — trace, energy, rise counts, outputs
-//! and the kernel's event and evaluation counts.
+//! whole-window run bit for bit — trace, energy, its rise count and the
+//! outputs of every cycle.
+//!
+//! The kernel's work depends on the settle test (DESIGN.md §16). A
+//! design that settles inside a cycle event-simulates only the measured
+//! cycle: other cycles report no rises, and the events, evaluations and
+//! rises are exactly the measured cycle's own. A design that does not
+//! settle simulates every cycle, so its work equals the whole-window
+//! run's.
 //!
 //! Campaigns only ever measure the leak cycle, so these tests sweep
 //! what campaigns do not: every window cycle as the measured one, on
@@ -15,7 +22,8 @@
 //! configuration therefore compresses the clock until switching
 //! straddles every edge, with sample bins of a non-integer width: it
 //! is the one that exercises the deposit clipping, the look-back and
-//! the look-ahead of the measured-cycle mode.
+//! the look-ahead of the measured-cycle mode. Constructed cases below
+//! fail one clause of the settle test each.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -150,19 +158,47 @@ struct Reference {
     energy: Vec<u64>,
     rises: Vec<u64>,
     outputs: Vec<Vec<bool>>,
-    events: u64,
-    evals: u64,
+    /// `[events, evals, rises]` of the whole-window runs over each
+    /// prefix `..k` of the window, `k = 0..=CYCLES`; the last is the
+    /// whole window's.
+    prefix: Vec<[u64; 3]>,
 }
 
-fn reference(s: &EngineScratch) -> Reference {
+fn reference(
+    comp: &CompiledSim,
+    s: &mut EngineScratch,
+    imp: &Imp<'_>,
+    win: &[Vec<bool>],
+) -> Reference {
+    let prefix = (0..=CYCLES)
+        .map(|k| {
+            run_event(comp, s, imp, &win[..k], 0..k);
+            [
+                s.events_processed(),
+                s.gate_evals(),
+                s.cycle_rises().iter().sum(),
+            ]
+        })
+        .collect();
     Reference {
         trace: bits(s.trace()),
         energy: bits(s.cycle_energy_fj()),
         rises: s.cycle_rises().to_vec(),
         outputs: (0..CYCLES).map(|c| s.outputs(c).to_vec()).collect(),
-        events: s.events_processed(),
-        evals: s.gate_evals(),
+        prefix,
     }
+}
+
+/// The work of cycle `m` alone, from whole-window work counts over the
+/// prefixes of a window: the runs over `..m + 1` and `..m` share their
+/// first `m` cycles, so in a settled design the difference is exact.
+fn own_work(prefix: &[[u64; 3]], m: usize) -> [u64; 3] {
+    let (after, before) = (prefix[m + 1], prefix[m]);
+    [
+        after[0] - before[0],
+        after[1] - before[1],
+        after[2] - before[2],
+    ]
 }
 
 /// The paper's clock at 40, 100 and 800 samples per cycle, then a
@@ -194,15 +230,25 @@ fn measured_cycles_equal_whole_window_cycles_on_both_kernels() {
             let comp = CompiledSim::build(imp.netlist, imp.lib, &load, &cfg).unwrap();
             let sim = BitSim::build(imp.netlist, imp.lib, &load, &cfg).unwrap();
             let label = format!("{} at {} ps / {spc} spc", imp.name, cfg.period_ps);
+            let (settles, bs_settles) = match imp.pairs {
+                Some(_) => (comp.settles_wddl(), sim.settles_wddl()),
+                None => (comp.settles_single_ended(), sim.settles_single_ended()),
+            };
+            assert_eq!(
+                bs_settles, settles,
+                "{label}: both kernels share the settle test"
+            );
+            assert_eq!(
+                settles,
+                cfg.period_ps == 8000,
+                "{label}: DES settles at the paper's clock and not at 1.2 ns"
+            );
 
             // The event kernel: every window, every measured cycle.
             let mut s = EngineScratch::new();
             let refs: Vec<Reference> = windows
                 .iter()
-                .map(|win| {
-                    run_event(&comp, &mut s, &imp, win, 0..CYCLES);
-                    reference(&s)
-                })
+                .map(|win| reference(&comp, &mut s, &imp, win))
                 .collect();
             for (l, (win, r)) in windows.iter().zip(&refs).enumerate() {
                 for m in 0..CYCLES {
@@ -218,12 +264,20 @@ fn measured_cycles_equal_whole_window_cycles_on_both_kernels() {
                         r.energy[m],
                         "{at}: energy"
                     );
-                    assert_eq!(s.cycle_rises(), &r.rises[..], "{at}: rises");
                     for (c, outs) in r.outputs.iter().enumerate() {
                         assert_eq!(s.outputs(c), &outs[..], "{at}: outputs of cycle {c}");
                     }
-                    assert_eq!(s.events_processed(), r.events, "{at}: events");
-                    assert_eq!(s.gate_evals(), r.evals, "{at}: evals");
+                    let rises: Vec<u64> = (0..CYCLES)
+                        .map(|c| if settles && c != m { 0 } else { r.rises[c] })
+                        .collect();
+                    assert_eq!(s.cycle_rises(), &rises[..], "{at}: rises");
+                    let [events, evals, _] = if settles {
+                        own_work(&r.prefix, m)
+                    } else {
+                        r.prefix[CYCLES]
+                    };
+                    assert_eq!(s.events_processed(), events, "{at}: events");
+                    assert_eq!(s.gate_evals(), evals, "{at}: evals");
                 }
             }
 
@@ -233,7 +287,16 @@ fn measured_cycles_equal_whole_window_cycles_on_both_kernels() {
                 let packed = pack(&windows, lanes);
                 let active = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
                 let mut full = BitScratch::new();
-                run_bitslice(&sim, &mut full, &imp, &packed, active, 0..CYCLES);
+                let prefix: Vec<[u64; 3]> = (0..=CYCLES)
+                    .map(|k| {
+                        run_bitslice(&sim, &mut full, &imp, &packed[..k], active, 0..k);
+                        [
+                            full.events_processed(),
+                            full.gate_evals(),
+                            full.total_rises(),
+                        ]
+                    })
+                    .collect();
                 let rises: u64 = refs[..lanes].iter().flat_map(|r| &r.rises).sum();
                 assert_eq!(
                     full.total_rises(),
@@ -244,13 +307,14 @@ fn measured_cycles_equal_whole_window_cycles_on_both_kernels() {
                 for m in 0..CYCLES {
                     run_bitslice(&sim, &mut bs, &imp, &packed, active, m..m + 1);
                     let at = format!("{label}, {lanes} lanes, cycle {m}");
+                    let [events, evals, rises] = if settles {
+                        own_work(&prefix, m)
+                    } else {
+                        prefix[CYCLES]
+                    };
                     assert_eq!(bs.total_rises(), rises, "{at}: rises");
-                    assert_eq!(
-                        bs.events_processed(),
-                        full.events_processed(),
-                        "{at}: events"
-                    );
-                    assert_eq!(bs.gate_evals(), full.gate_evals(), "{at}: evals");
+                    assert_eq!(bs.events_processed(), events, "{at}: events");
+                    assert_eq!(bs.gate_evals(), evals, "{at}: evals");
                     for (l, r) in refs[..lanes].iter().enumerate() {
                         let at = format!("{at}, lane {l}");
                         let want = &r.trace[m * spc..(m + 1) * spc];
@@ -322,4 +386,259 @@ fn a_rise_at_a_cycle_edge_counts_in_the_bin_it_rounds_into() {
     let mut bs = BitScratch::new();
     sim.run_single_ended(&mut bs, &packed, 1, 0..1);
     assert_eq!(bits(&bs.cycle_trace(0, 0)), want, "bit-sliced kernel");
+}
+
+/// Runs `win` on both kernels measuring each cycle in turn, and checks
+/// that every cycle was simulated: trace, energy, every cycle's rises
+/// and outputs, and the event and evaluation counts all equal the
+/// whole-window run's.
+fn assert_every_cycle_simulated(
+    nl: &Netlist,
+    lib: &Library,
+    load: &LoadModel,
+    cfg: &SimConfig,
+    win: &[Vec<bool>],
+) {
+    let comp = CompiledSim::build(nl, lib, load, cfg).unwrap();
+    let sim = BitSim::build(nl, lib, load, cfg).unwrap();
+    assert!(!comp.settles_single_ended() && !sim.settles_single_ended());
+    let n = win.len();
+    let mut full = EngineScratch::new();
+    comp.run_single_ended(&mut full, win, ..);
+    let packed: Vec<Vec<u64>> = win
+        .iter()
+        .map(|v| v.iter().map(|&b| u64::from(b)).collect())
+        .collect();
+    let mut bfull = BitScratch::new();
+    sim.run_single_ended(&mut bfull, &packed, 1, ..);
+    let (mut s, mut bs) = (EngineScratch::new(), BitScratch::new());
+    for m in 0..n {
+        comp.run_single_ended(&mut s, win, m..=m);
+        sim.run_single_ended(&mut bs, &packed, 1, m..=m);
+        let want = bits(full.cycle_trace(m));
+        assert_eq!(bits(s.cycle_trace(m)), want, "event trace of cycle {m}");
+        assert_eq!(
+            bits(&bs.cycle_trace(m, 0)),
+            want,
+            "bit-sliced trace of cycle {m}"
+        );
+        let e = full.cycle_energy_fj()[m].to_bits();
+        assert_eq!(
+            s.cycle_energy_fj()[m].to_bits(),
+            e,
+            "event energy of cycle {m}"
+        );
+        assert_eq!(
+            bs.cycle_energy_fj(m, 0).to_bits(),
+            e,
+            "bit-sliced energy of cycle {m}"
+        );
+        assert_eq!(
+            s.cycle_rises(),
+            full.cycle_rises(),
+            "event rises, cycle {m} measured"
+        );
+        assert_eq!(
+            s.events_processed(),
+            full.events_processed(),
+            "events, cycle {m} measured"
+        );
+        assert_eq!(
+            s.gate_evals(),
+            full.gate_evals(),
+            "evals, cycle {m} measured"
+        );
+        assert_eq!(
+            bs.total_rises(),
+            bfull.total_rises(),
+            "bit-sliced rises, cycle {m} measured"
+        );
+        assert_eq!(
+            bs.events_processed(),
+            bfull.events_processed(),
+            "bit-sliced events"
+        );
+        assert_eq!(bs.gate_evals(), bfull.gate_evals(), "bit-sliced evals");
+        for c in 0..n {
+            assert_eq!(s.outputs(c), full.outputs(c), "event outputs of cycle {c}");
+            for (j, &o) in full.outputs(c).iter().enumerate() {
+                assert_eq!(
+                    bs.output_bit(c, j, 0),
+                    o,
+                    "bit-sliced output {j} of cycle {c}"
+                );
+            }
+        }
+    }
+}
+
+/// `x = BUF(a)` driving `y = BUF(x)`; `x` gets a 4 ns RC deposit.
+fn slow_net_fixture() -> (Netlist, Library, LoadModel) {
+    let mut nl = Netlist::new("slow");
+    let a = nl.add_input("a");
+    let x = nl.add_net("x");
+    let y = nl.add_net("y");
+    nl.add_gate("g0", "BUF", GateKind::Comb, vec![a], vec![x]);
+    nl.add_gate("g1", "BUF", GateKind::Comb, vec![x], vec![y]);
+    nl.mark_output(y);
+    let lib = Library::lib180();
+    let mut load = LoadModel::try_build(&nl, &lib, None).unwrap();
+    load.c_eff_ff[x.index()] = 10.0;
+    load.drive_kohm[x.index()] = 200.0; // 2RC = 4000 ps: 20 bins of 200 ps
+    (nl, lib, load)
+}
+
+/// Only the deposit clause fails: `x` rises 5 ns into the cycle, long
+/// before the edge and with a quiet gap far wider than the crosstalk
+/// window, but its 4 ns deposit runs into the next cycle. Measuring
+/// that cycle must therefore still simulate the one before it.
+#[test]
+fn a_late_rise_whose_deposit_crosses_the_edge_simulates_every_cycle() {
+    let (nl, lib, load) = slow_net_fixture();
+    let early = SimConfig {
+        samples_per_cycle: 40,
+        input_delay_ps: 1000,
+        ..Default::default()
+    };
+    let comp = CompiledSim::build(&nl, &lib, &load, &early).unwrap();
+    assert!(
+        comp.settles_single_ended(),
+        "the same rise 4 ns earlier settles"
+    );
+
+    let late = SimConfig {
+        input_delay_ps: 5000,
+        ..early
+    };
+    let win = vec![vec![true], vec![false], vec![true]];
+    let comp = CompiledSim::build(&nl, &lib, &load, &late).unwrap();
+    let mut full = EngineScratch::new();
+    comp.run_single_ended(&mut full, &win, ..);
+    assert_eq!(full.cycle_rises()[1], 0, "cycle 1 only falls");
+    assert!(
+        full.cycle_trace(1).iter().sum::<f64>() > 0.0,
+        "cycle 0's deposit must reach cycle 1"
+    );
+    assert_every_cycle_simulated(&nl, &lib, &load, &late, &win);
+}
+
+/// Only the crosstalk clause fails: `x` and `y` are coupled, `x` rises
+/// in cycle 0 and `y` in cycle 1, exactly one period later, and the
+/// crosstalk window is a whole period. The rise of `y` couples with
+/// the previous cycle's rise of `x`.
+#[test]
+fn a_crosstalk_window_longer_than_the_quiet_gap_simulates_every_cycle() {
+    let mut nl = Netlist::new("xtalk");
+    let a = nl.add_input("a");
+    let b = nl.add_input("b");
+    let x = nl.add_net("x");
+    let y = nl.add_net("y");
+    nl.add_gate("g0", "BUF", GateKind::Comb, vec![a], vec![x]);
+    nl.add_gate("g1", "BUF", GateKind::Comb, vec![b], vec![y]);
+    nl.mark_output(x);
+    nl.mark_output(y);
+    let lib = Library::lib180();
+    let mut load = LoadModel::try_build(&nl, &lib, None).unwrap();
+    load.couplings[x.index()].push((y, 4.0));
+    load.couplings[y.index()].push((x, 4.0));
+    let short = SimConfig {
+        samples_per_cycle: 40,
+        ..Default::default()
+    };
+    let comp = CompiledSim::build(&nl, &lib, &load, &short).unwrap();
+    assert!(
+        comp.settles_single_ended(),
+        "the default 60 ps window settles"
+    );
+
+    let long = SimConfig {
+        crosstalk_window_ps: short.period_ps,
+        ..short
+    };
+    let win = vec![vec![true, false], vec![true, true]];
+    let mut quiet = EngineScratch::new();
+    comp.run_single_ended(&mut quiet, &win, ..);
+    let comp = CompiledSim::build(&nl, &lib, &load, &long).unwrap();
+    let mut full = EngineScratch::new();
+    comp.run_single_ended(&mut full, &win, ..);
+    assert_ne!(
+        full.cycle_energy_fj()[1].to_bits(),
+        quiet.cycle_energy_fj()[1].to_bits(),
+        "the rise of y must couple with cycle 0's rise of x"
+    );
+    assert_every_cycle_simulated(&nl, &lib, &load, &long, &win);
+}
+
+/// A waveform needs every transition, so a `record_waveform` run that
+/// measures one cycle still simulates and records all of them.
+#[test]
+fn record_waveform_records_every_cycle_of_a_measured_run() {
+    let (nl, lib, load) = slow_net_fixture();
+    let cfg = SimConfig {
+        samples_per_cycle: 40,
+        ..Default::default()
+    };
+    let comp = CompiledSim::build(&nl, &lib, &load, &cfg).unwrap();
+    assert!(comp.settles_single_ended());
+    let cfg = SimConfig {
+        record_waveform: true,
+        ..cfg
+    };
+    let comp = CompiledSim::build(&nl, &lib, &load, &cfg).unwrap();
+    assert!(!comp.settles_single_ended());
+
+    let win = vec![vec![true], vec![false], vec![true]];
+    let mut s = EngineScratch::new();
+    comp.run_single_ended(&mut s, &win, ..);
+    let want = s.take_sim_result().waveform;
+    comp.run_single_ended(&mut s, &win, 1..=1);
+    let got = s.take_sim_result().waveform;
+    assert_eq!(got, want);
+    for c in 0..win.len() as u64 {
+        let in_cycle = |&&(t, _, _): &&(u64, NetId, bool)| t / cfg.period_ps == c;
+        assert!(
+            want.iter().any(|e| in_cycle(&e)),
+            "no transition in cycle {c}"
+        );
+    }
+}
+
+/// Only the `clk2q_ps > 0` clause fails: a register output that rises
+/// at the edge itself rounds into the last bin of the previous cycle,
+/// as in the cycle-edge case above. Measuring that cycle must still
+/// simulate the next one.
+#[test]
+fn a_register_switching_at_the_edge_simulates_every_cycle() {
+    let mut nl = Netlist::new("clk2q");
+    let a = nl.add_input("a");
+    let q = nl.add_net("q");
+    let y = nl.add_net("y");
+    nl.add_gate("r0", "DFF", GateKind::Seq, vec![a], vec![q]);
+    nl.add_gate("g0", "BUF", GateKind::Comb, vec![q], vec![y]);
+    nl.mark_output(y);
+    let lib = Library::lib180();
+    let load = LoadModel::try_build(&nl, &lib, None).unwrap();
+    let late = SimConfig {
+        samples_per_cycle: 30,
+        ..Default::default()
+    };
+    let comp = CompiledSim::build(&nl, &lib, &load, &late).unwrap();
+    assert!(
+        comp.settles_single_ended(),
+        "a register 150 ps after the edge settles"
+    );
+
+    let at_edge = SimConfig {
+        clk2q_ps: 0,
+        ..late
+    };
+    let win = vec![vec![true], vec![true]];
+    let comp = CompiledSim::build(&nl, &lib, &load, &at_edge).unwrap();
+    let mut full = EngineScratch::new();
+    comp.run_single_ended(&mut full, &win, ..);
+    assert!(
+        full.cycle_trace(0)[29] > 0.0,
+        "q's rise at 8000 ps must land in bin 29"
+    );
+    assert_every_cycle_simulated(&nl, &lib, &load, &at_edge, &win);
 }
