@@ -1,9 +1,10 @@
 //! Differential Power Analysis on a set of supply-current traces.
 //!
-//! The attack is parallel over key guesses (`secflow-exec`): each
-//! guess partitions and sums the traces independently, always walking
-//! them in input order, so the differential statistics are
-//! byte-identical at any thread count.
+//! Kocher's difference of means, computed as a difference of
+//! *conditional* means: the traces are summed once per selection-bit
+//! signature class, and each key guess's partition sums are combined
+//! from those class sums (see [`crate::streaming`]). The statistics
+//! are byte-identical at any thread count.
 //!
 //! The batch entry points here are thin wrappers over
 //! [`crate::streaming::DpaStream`] — the whole slice is pushed as one
@@ -11,7 +12,7 @@
 //! implementation and agree bit for bit by construction.
 
 use crate::error::AnalysisError;
-use crate::streaming::DpaStream;
+use crate::streaming::{check_correct_key, DpaStream};
 
 /// Per-key-guess attack statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,6 +78,7 @@ pub(crate) fn finalize(guesses: Vec<KeyGuessResult>) -> DpaResult {
 /// # Errors
 ///
 /// [`AnalysisError::NoKeyGuesses`] if `n_keys == 0`;
+/// [`AnalysisError::TooManyKeyGuesses`] if `n_keys > 256`;
 /// [`AnalysisError::InconsistentTraceLength`] if traces have unequal
 /// lengths.
 pub fn dpa_attack(
@@ -121,8 +123,9 @@ pub struct MtdScan {
 ///
 /// # Errors
 ///
-/// [`AnalysisError::ZeroStep`] if `step == 0`, plus the
-/// [`dpa_attack`] input errors.
+/// [`AnalysisError::ZeroStep`] if `step == 0`;
+/// [`AnalysisError::CorrectKeyOutOfRange`] if `correct_key >= n_keys`;
+/// plus the [`dpa_attack`] input errors.
 pub fn mtd_scan(
     traces: &[Vec<f64>],
     n_keys: usize,
@@ -133,6 +136,7 @@ pub fn mtd_scan(
     let _span = secflow_obs::span("dpa.mtd_scan");
     secflow_obs::add(secflow_obs::Counter::DpaGuesses, n_keys as u64);
     let mut stream = DpaStream::with_step(n_keys, step)?;
+    check_correct_key(n_keys, correct_key)?;
     stream.push_block(traces, |k, i| select(k, i))?;
     Ok(stream.mtd(correct_key))
 }
@@ -244,5 +248,32 @@ mod tests {
                 expect: 8
             })
         );
+    }
+
+    #[test]
+    fn mtd_scan_rejects_a_correct_key_outside_the_guesses() {
+        let (traces, data) = synthetic_traces(50, 0.5);
+        assert_eq!(
+            mtd_scan(&traces, 16, 40, 10, |k, i| sel(k, data[i])).err(),
+            Some(AnalysisError::CorrectKeyOutOfRange {
+                correct_key: 40,
+                n_keys: 16
+            })
+        );
+    }
+
+    #[test]
+    fn dpa_attack_rejects_more_guesses_than_u8_keys_can_label() {
+        let (traces, data) = synthetic_traces(50, 0.5);
+        assert_eq!(
+            dpa_attack(&traces, 300, |k, i| sel(k, data[i])).err(),
+            Some(AnalysisError::TooManyKeyGuesses { n_keys: 300 })
+        );
+        let all = dpa_attack(&traces, 256, |k, i| sel(k, data[i])).unwrap();
+        assert!(all
+            .guesses
+            .iter()
+            .enumerate()
+            .all(|(k, g)| usize::from(g.key) == k));
     }
 }

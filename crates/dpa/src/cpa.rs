@@ -10,15 +10,14 @@
 //! escalation for evaluating the secure flow's margin.
 //!
 //! The batch entry points are thin wrappers over
-//! [`crate::streaming::CpaStream`]: the trace-only moments (Σt, Σt²)
-//! advance serially once, each guess accumulates its hypothesis
-//! moments independently in input order (parallel over guesses via
-//! `secflow-exec`), and MTD checkpoints read the single running
-//! moment accumulator in place — no per-checkpoint snapshots —
-//! byte-identical at any thread count.
+//! [`crate::streaming::CpaStream`]: each trace is summed once into the
+//! class of its model values under every guess, and every read
+//! combines the trace moments (Σt, Σt²) and each guess's hypothesis
+//! moments (Σh, Σh², Σh·t) from those class sums (see
+//! [`crate::streaming`]) — byte-identical at any thread count.
 
 use crate::error::AnalysisError;
-use crate::streaming::CpaStream;
+use crate::streaming::{check_correct_key, CpaStream};
 
 /// Per-key-guess CPA statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,6 +69,7 @@ pub(crate) fn finalize(guesses: Vec<CpaKeyResult>) -> CpaResult {
 /// # Errors
 ///
 /// [`AnalysisError::NoKeyGuesses`] if `n_keys == 0`;
+/// [`AnalysisError::TooManyKeyGuesses`] if `n_keys > 256`;
 /// [`AnalysisError::InconsistentTraceLength`] if traces have unequal
 /// lengths.
 pub fn cpa_attack(
@@ -102,8 +102,9 @@ pub struct CpaMtdPoint {
 ///
 /// # Errors
 ///
-/// [`AnalysisError::ZeroStep`] if `step == 0`, plus the
-/// [`cpa_attack`] input errors.
+/// [`AnalysisError::ZeroStep`] if `step == 0`;
+/// [`AnalysisError::CorrectKeyOutOfRange`] if `correct_key >= n_keys`;
+/// plus the [`cpa_attack`] input errors.
 pub fn cpa_mtd_scan(
     traces: &[Vec<f64>],
     n_keys: usize,
@@ -114,6 +115,7 @@ pub fn cpa_mtd_scan(
     let _span = secflow_obs::span("dpa.cpa_mtd_scan");
     secflow_obs::add(secflow_obs::Counter::DpaGuesses, n_keys as u64);
     let mut stream = CpaStream::with_step(n_keys, step)?;
+    check_correct_key(n_keys, correct_key)?;
     stream.push_block(traces, |k, i| model(k, i))?;
     Ok(stream.mtd(correct_key))
 }
@@ -214,6 +216,27 @@ mod tests {
                 got: 2,
                 expect: 6
             })
+        );
+    }
+
+    #[test]
+    fn cpa_mtd_scan_rejects_a_correct_key_outside_the_guesses() {
+        let (traces, crs) = leaky_traces(50, 0.3);
+        assert_eq!(
+            cpa_mtd_scan(&traces, 16, 40, 10, |k, i| sbox_hamming_model(k, 0, crs[i])).err(),
+            Some(AnalysisError::CorrectKeyOutOfRange {
+                correct_key: 40,
+                n_keys: 16
+            })
+        );
+    }
+
+    #[test]
+    fn cpa_attack_rejects_more_guesses_than_u8_keys_can_label() {
+        let (traces, crs) = leaky_traces(50, 0.3);
+        assert_eq!(
+            cpa_attack(&traces, 300, |k, i| sbox_hamming_model(k, 0, crs[i])).err(),
+            Some(AnalysisError::TooManyKeyGuesses { n_keys: 300 })
         );
     }
 }

@@ -26,6 +26,19 @@ pub const ANALYSIS_EXIT_CODE: i32 = 20;
 pub enum AnalysisError {
     /// The attack was asked to evaluate zero key guesses.
     NoKeyGuesses,
+    /// The attack was asked to evaluate more key guesses than the 256
+    /// that `u8` key labels can name.
+    TooManyKeyGuesses {
+        /// The requested number of key guesses.
+        n_keys: usize,
+    },
+    /// An MTD scan's correct key lies outside its key guesses.
+    CorrectKeyOutOfRange {
+        /// The correct key.
+        correct_key: u8,
+        /// The number of key guesses, `0..n_keys`.
+        n_keys: usize,
+    },
     /// An MTD scan was requested with `step == 0`.
     ZeroStep,
     /// A trace's length disagrees with the first trace's.
@@ -44,6 +57,8 @@ impl AnalysisError {
     pub fn kind(&self) -> &'static str {
         match self {
             AnalysisError::NoKeyGuesses => "NoKeyGuesses",
+            AnalysisError::TooManyKeyGuesses { .. } => "TooManyKeyGuesses",
+            AnalysisError::CorrectKeyOutOfRange { .. } => "CorrectKeyOutOfRange",
             AnalysisError::ZeroStep => "ZeroStep",
             AnalysisError::InconsistentTraceLength { .. } => "InconsistentTraceLength",
         }
@@ -56,6 +71,17 @@ impl fmt::Display for AnalysisError {
             AnalysisError::NoKeyGuesses => {
                 write!(f, "attack needs at least one key guess (n_keys == 0)")
             }
+            AnalysisError::TooManyKeyGuesses { n_keys } => write!(
+                f,
+                "attack asked for {n_keys} key guesses; at most 256 fit u8 key labels"
+            ),
+            AnalysisError::CorrectKeyOutOfRange {
+                correct_key,
+                n_keys,
+            } => write!(
+                f,
+                "correct key {correct_key} is outside the key guesses 0..{n_keys}"
+            ),
             AnalysisError::ZeroStep => {
                 write!(f, "MTD scan step must be at least 1")
             }

@@ -32,10 +32,10 @@
 //! * **Streaming** ([`collect_des_analysis_streaming`]): windows are
 //!   simulated in bounded chunks and fed straight into the one-pass
 //!   accumulators of [`crate::streaming`]; memory is
-//!   O(chunk × points + points × guesses) however many traces run,
+//!   O(chunk × points + points × classes) however many traces run,
 //!   and the resulting [`CampaignAnalysis`] is byte-identical to the
-//!   materialized path because every per-guess fold sees the same
-//!   traces in the same order.
+//!   materialized path because the accumulators' statistics are a pure
+//!   function of the traces in input order, whatever the blocks.
 
 use std::path::Path;
 
@@ -56,7 +56,7 @@ use crate::attack::{dpa_attack, mtd_scan, DpaResult, MtdScan};
 use crate::cpa::{cpa_attack, cpa_mtd_scan, sbox_hamming_model, CpaMtdPoint, CpaResult};
 use crate::error::{AnalysisError, CampaignError};
 use crate::store::{StoreWriter, TraceBlock, TraceStore};
-use crate::streaming::{CpaStream, DpaStream};
+use crate::streaming::{check_correct_key, CpaStream, DpaStream};
 
 /// A simulated implementation of the DES DPA module.
 #[derive(Debug, Clone, Copy)]
@@ -509,7 +509,8 @@ fn run_bitslice_batch(
 pub struct AnalysisPlan {
     /// Key guesses to evaluate (the Fig. 4 module: 64).
     pub n_keys: usize,
-    /// The campaign's actual key, for MTD disclosure.
+    /// The campaign's actual key, for MTD disclosure. A plan that runs
+    /// an attack must have it below `n_keys`.
     pub correct_key: u8,
     /// MTD checkpoint step; `None` skips the MTD scans.
     pub step: Option<usize>,
@@ -517,6 +518,17 @@ pub struct AnalysisPlan {
     pub dpa: bool,
     /// Run the Hamming-weight CPA.
     pub cpa: bool,
+}
+
+impl AnalysisPlan {
+    /// Checks the key-guess space and the correct key of a plan that
+    /// runs an attack, so that a bad plan fails before any work.
+    fn check(&self) -> Result<(), AnalysisError> {
+        if self.dpa || self.cpa {
+            check_correct_key(self.n_keys, self.correct_key)?;
+        }
+        Ok(())
+    }
 }
 
 /// Attack statistics of one campaign, produced identically by the
@@ -546,11 +558,14 @@ pub struct CampaignAnalysis {
 ///
 /// # Errors
 ///
-/// Propagates the typed input errors of the batch attacks.
+/// Propagates the typed input errors of the batch attacks; a plan
+/// whose `correct_key` is not below `n_keys` fails before any attack
+/// runs.
 pub fn analyze_trace_set(
     set: &TraceSet,
     plan: &AnalysisPlan,
 ) -> Result<CampaignAnalysis, AnalysisError> {
+    plan.check()?;
     let energy_sum = set.energies.iter().sum::<f64>();
     let mut analysis = CampaignAnalysis {
         n: set.traces.len(),
@@ -690,7 +705,7 @@ fn into_block(collected: Vec<(Vec<f64>, (u8, u8), f64)>) -> TraceBlock {
 /// across the chunk), each chunk's traces flow straight into the
 /// streaming accumulators, and the chunk is dropped before the next
 /// one is simulated. Peak memory is O(chunk × points) for the block
-/// in flight plus O(points × guesses) of accumulator state — the full
+/// in flight plus O(points × classes) of accumulator state — the full
 /// trace matrix never exists.
 ///
 /// With `store_dir`, every block is also appended to an out-of-core
@@ -704,7 +719,8 @@ fn into_block(collected: Vec<(Vec<f64>, (u8, u8), f64)>) -> TraceBlock {
 /// # Errors
 ///
 /// [`CampaignError`] on simulation, analysis-input, or store
-/// failures.
+/// failures; a plan whose `correct_key` is not below `n_keys` fails
+/// before any simulation or store write.
 ///
 /// # Panics
 ///
@@ -723,6 +739,7 @@ pub fn collect_des_analysis_streaming(
     store_dir: Option<&Path>,
 ) -> Result<CampaignAnalysis, CampaignError> {
     assert!(key < 64);
+    plan.check()?;
     cfg.validate_backend(program.backend())?;
     let _campaign = obs::span("dpa.campaign.stream");
     let plaintexts = draw_plaintexts(n, seed);
@@ -782,11 +799,13 @@ pub fn collect_des_analysis_streaming(
 ///
 /// # Errors
 ///
-/// [`CampaignError`] on store or analysis-input failures.
+/// [`CampaignError`] on store or analysis-input failures; a plan whose
+/// `correct_key` is not below `n_keys` fails before any chunk is read.
 pub fn analyze_trace_store(
     store: &TraceStore,
     plan: &AnalysisPlan,
 ) -> Result<CampaignAnalysis, CampaignError> {
+    plan.check()?;
     let _span = obs::span("dpa.campaign.replay");
     let mut sinks = StreamSinks::build(plan, None)?;
     for block in store.blocks() {
@@ -959,6 +978,59 @@ mod tests {
         assert_eq!(store.n_traces(), 70);
         let replayed = analyze_trace_store(&store, &plan).unwrap();
         assert_eq!(replayed, fused);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn plans_with_a_correct_key_outside_the_guesses_fail_before_any_work() {
+        let design = des_dpa_design();
+        let lib = Library::lib180();
+        let nl = map_design(&design, &lib, &MapOptions::default()).unwrap();
+        let target = DesTarget {
+            netlist: &nl,
+            lib: &lib,
+            parasitics: None,
+            wddl_inputs: None,
+            glitch_free: false,
+            backend: SimBackend::Bitslice,
+        };
+        let cfg = SimConfig {
+            samples_per_cycle: 20,
+            ..Default::default()
+        };
+        let good = AnalysisPlan {
+            n_keys: 64,
+            correct_key: 46,
+            step: Some(10),
+            dpa: true,
+            cpa: true,
+        };
+        let bad = AnalysisPlan { n_keys: 16, ..good };
+        let out_of_range = AnalysisError::CorrectKeyOutOfRange {
+            correct_key: 46,
+            n_keys: 16,
+        };
+        let program = CampaignProgram::build(&target, &cfg).unwrap();
+        let set = collect_des_traces_with(&program, &target, &cfg, 46, 30, 5).unwrap();
+        assert_eq!(
+            analyze_trace_set(&set, &bad).err(),
+            Some(out_of_range.clone())
+        );
+
+        let dir =
+            std::env::temp_dir().join(format!("secflow-harness-bad-plan-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let campaign = |plan: &AnalysisPlan| {
+            collect_des_analysis_streaming(&program, &target, &cfg, 46, 30, 5, plan, 16, Some(&dir))
+        };
+        let err = campaign(&bad).unwrap_err();
+        assert!(matches!(err, CampaignError::Analysis(ref e) if *e == out_of_range));
+        assert!(!dir.exists(), "no store is written for a bad plan");
+
+        campaign(&good).unwrap();
+        let store = TraceStore::open(&dir).unwrap();
+        let err = analyze_trace_store(&store, &bad).unwrap_err();
+        assert!(matches!(err, CampaignError::Analysis(ref e) if *e == out_of_range));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,9 +12,10 @@
 //!   module on a simulated implementation (regular or WDDL), with a
 //!   fused streaming path that feeds simulator output straight into
 //!   the accumulators;
-//! * [`streaming`] — one-pass DPA/CPA/MTD accumulators with
-//!   block-wise input and incremental checkpoints, byte-identical to
-//!   the batch attacks at any thread count or chunking;
+//! * [`streaming`] — one-pass DPA/CPA/MTD accumulators that sum each
+//!   trace once into the class of its predictions, with block-wise
+//!   input and incremental checkpoints, byte-identical to the batch
+//!   attacks at any thread count or chunking;
 //! * [`store`] — out-of-core chunked trace store for million-trace
 //!   campaign replay;
 //! * [`error`] — the typed analysis/campaign error taxonomy;

@@ -227,39 +227,6 @@ pub fn par_map_range_with<S, R: Send>(
     run_pool_with(n, threads, &init, &f)
 }
 
-/// Order-preserving parallel mutation of disjoint slice elements.
-///
-/// Each element is visited exactly once as `f(i, &mut items[i])`,
-/// with the same chunked work-stealing decomposition as
-/// [`par_map_range`]. Because every index is claimed by exactly one
-/// worker, the `&mut` accesses are disjoint — this is the primitive
-/// behind the streaming DPA/CPA accumulators, where every key guess
-/// owns a shard of accumulator state and folds its own updates in
-/// input order regardless of which worker ran it.
-///
-/// Like every primitive in this crate, the result (the final state of
-/// `items`) is byte-identical at any worker count: `f` receives only
-/// its own element, so the per-element fold order cannot depend on
-/// scheduling.
-pub fn par_for_each_mut<S: Send>(items: &mut [S], f: impl Fn(usize, &mut S) + Sync) {
-    /// Raw-pointer wrapper so the base address can be captured by the
-    /// `Sync` closure; disjointness of the accesses is what makes the
-    /// sharing sound, not the wrapper.
-    struct Base<S>(*mut S);
-    unsafe impl<S: Send> Sync for Base<S> {}
-    let base = Base(items.as_mut_ptr());
-    let base = &base;
-    par_map_range(items.len(), move |i| {
-        // SAFETY: the pool claims every index in `0..items.len()`
-        // exactly once (panic unwinding aborts before any reuse), and
-        // distinct indices address disjoint elements of `items`, so no
-        // two live `&mut` borrows alias. The borrow ends before the
-        // closure returns.
-        let s = unsafe { &mut *base.0.add(i) };
-        f(i, s);
-    });
-}
-
 /// Deterministic `f64` sum over `0..n` of a parallel map: the values
 /// are computed in parallel and reduced with [`tree_sum`], so the
 /// result is bit-exact at any worker count.
@@ -512,63 +479,6 @@ mod tests {
             *caught.downcast::<usize>().expect("payload is the index"),
             0
         );
-    }
-
-    #[test]
-    fn for_each_mut_touches_every_element_once() {
-        for t in [1, 2, 3, 8] {
-            let mut items: Vec<u64> = (0..500).map(|i| i * 3).collect();
-            with_threads(t, || {
-                par_for_each_mut(&mut items, |i, s| {
-                    *s += i as u64;
-                });
-            });
-            let expect: Vec<u64> = (0..500).map(|i| i * 3 + i).collect();
-            assert_eq!(items, expect, "threads = {t}");
-        }
-    }
-
-    #[test]
-    fn for_each_mut_is_a_per_element_fold() {
-        // Every element accumulates its own serial fold; the final
-        // state must be bit-identical at any worker count.
-        let fold = |k: usize| -> f64 {
-            let mut acc = 0.0f64;
-            for j in 0..200 {
-                acc += ((k * 200 + j) as f64 * 0.1).sin();
-            }
-            acc
-        };
-        let expect: Vec<u64> = (0..64).map(|k| fold(k).to_bits()).collect();
-        for t in [1, 2, 8] {
-            let mut state = vec![0.0f64; 64];
-            with_threads(t, || {
-                par_for_each_mut(&mut state, |k, acc| {
-                    for j in 0..200 {
-                        *acc += ((k * 200 + j) as f64 * 0.1).sin();
-                    }
-                });
-            });
-            let got: Vec<u64> = state.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(got, expect, "threads = {t}");
-        }
-    }
-
-    #[test]
-    fn for_each_mut_handles_empty_and_nested() {
-        let mut empty: [u8; 0] = [];
-        with_threads(8, || par_for_each_mut(&mut empty, |_, _| unreachable!()));
-        // Nested inside a worker it must fall back to serial inline.
-        let out = with_threads(4, || {
-            par_map_range(4, |i| {
-                let mut inner = vec![0usize; 8];
-                par_for_each_mut(&mut inner, |j, s| *s = i * 8 + j);
-                inner
-            })
-        });
-        for (i, inner) in out.iter().enumerate() {
-            assert_eq!(*inner, (i * 8..i * 8 + 8).collect::<Vec<_>>());
-        }
     }
 
     #[test]

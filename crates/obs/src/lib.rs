@@ -98,6 +98,9 @@ pub enum Counter {
     DpaStreamTraces,
     /// Incremental MTD checkpoints evaluated by streaming scans.
     DpaStreamCheckpoints,
+    /// Class tables folded into per-guess sums at their budget of
+    /// `2 · n_keys` signature classes.
+    DpaStreamFolds,
     /// Annealing moves attempted by the placer.
     PlaceMoves,
     /// Annealing moves accepted.
@@ -143,7 +146,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 35] = [
+    pub const ALL: [Counter; 36] = [
         Counter::SimWindows,
         Counter::SimEvents,
         Counter::SimEvals,
@@ -158,6 +161,7 @@ impl Counter {
         Counter::DpaStreamBlocks,
         Counter::DpaStreamTraces,
         Counter::DpaStreamCheckpoints,
+        Counter::DpaStreamFolds,
         Counter::PlaceMoves,
         Counter::PlaceAccepted,
         Counter::PlaceRestarts,
@@ -198,6 +202,7 @@ impl Counter {
             Counter::DpaStreamBlocks => "dpa.stream.blocks",
             Counter::DpaStreamTraces => "dpa.stream.traces",
             Counter::DpaStreamCheckpoints => "dpa.stream.checkpoints",
+            Counter::DpaStreamFolds => "dpa.stream.folds",
             Counter::PlaceMoves => "place.moves",
             Counter::PlaceAccepted => "place.accepted",
             Counter::PlaceRestarts => "place.restarts",
@@ -235,6 +240,9 @@ pub enum Gauge {
     SimBitsliceWheelPeak,
     /// Largest parallel region (item count) seen by the exec pool.
     ExecRegionPeakItems,
+    /// Largest signature-class table of a streaming DPA/CPA
+    /// accumulator.
+    DpaStreamClassesPeak,
     /// Peak BDD node count during equivalence checking.
     LecBddPeakNodes,
     /// Peak pending-job queue depth seen by the serve daemon.
@@ -242,10 +250,11 @@ pub enum Gauge {
 }
 
 impl Gauge {
-    pub const ALL: [Gauge; 5] = [
+    pub const ALL: [Gauge; 6] = [
         Gauge::SimWheelPeak,
         Gauge::SimBitsliceWheelPeak,
         Gauge::ExecRegionPeakItems,
+        Gauge::DpaStreamClassesPeak,
         Gauge::LecBddPeakNodes,
         Gauge::ServeQueuePeak,
     ];
@@ -256,6 +265,7 @@ impl Gauge {
             Gauge::SimWheelPeak => "sim.wheel_peak",
             Gauge::SimBitsliceWheelPeak => "sim.bitslice.wheel_peak",
             Gauge::ExecRegionPeakItems => "exec.region_peak_items",
+            Gauge::DpaStreamClassesPeak => "dpa.stream.classes_peak",
             Gauge::LecBddPeakNodes => "lec.bdd_peak_nodes",
             Gauge::ServeQueuePeak => "serve.queue_peak",
         }

@@ -41,6 +41,10 @@ cmp "$tmp/event.out" "$tmp/bitslice.out"
 echo "== tier-1: Fig. 6 smoke stdout matches the committed golden =="
 cmp tests/golden/fig6_smoke.txt "$tmp/event.out"
 
+echo "== tier-1: CPA smoke stdout (400 traces, HW and HD models) matches the committed golden =="
+cargo run --release --offline -p secflow-bench --bin exp_cpa -- 400 > "$tmp/cpa.out"
+cmp tests/golden/cpa_smoke.txt "$tmp/cpa.out"
+
 echo "== tier-1: sim-backend stdout byte-identity (glitch ablation, 150 traces, event vs bitslice) =="
 cargo run --release --offline -p secflow-bench --bin exp_glitch_ablation -- 150 \
     --sim-backend event > "$tmp/glitch_event.out"

@@ -31,6 +31,7 @@ COUNTERS = [
     "sim.bitslice.evals", "sim.bitslice.rises",
     "dpa.traces", "dpa.guesses",
     "dpa.stream.blocks", "dpa.stream.traces", "dpa.stream.checkpoints",
+    "dpa.stream.folds",
     "place.moves", "place.accepted", "place.restarts",
     "route.nets", "route.ripups", "route.iterations",
     "extract.nets", "extract.couplings",
@@ -43,7 +44,8 @@ COUNTERS = [
 
 GAUGES = [
     "sim.wheel_peak", "sim.bitslice.wheel_peak",
-    "exec.region_peak_items", "lec.bdd_peak_nodes",
+    "exec.region_peak_items", "dpa.stream.classes_peak",
+    "lec.bdd_peak_nodes",
     "serve.queue_peak",
 ]
 

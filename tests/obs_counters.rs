@@ -13,6 +13,7 @@ use std::sync::OnceLock;
 
 use secflow::cells::Library;
 use secflow::crypto::dpa_module::{des_dpa_design, PAPER_KEY};
+use secflow::dpa::attack::{dpa_attack, mtd_scan};
 use secflow::dpa::harness::{collect_des_traces, DesTarget};
 use secflow::flow::{run_secure_flow, FlowOptions};
 use secflow::netlist::Netlist;
@@ -45,6 +46,15 @@ const GOLD_BS_EVENTS: u64 = 1708;
 const GOLD_BS_EVALS: u64 = 1957;
 const GOLD_BS_RISES: u64 = 1095;
 const GOLD_BS_WHEEL_PEAK: u64 = 81;
+
+// Golden class-table values of the streaming DPA accumulators for a
+// DPA and an MTD scan (step 50) over 400 traces of the same design at
+// 20 samples per cycle, seed 11. The DES selection function has 128
+// signatures, so the table never reaches its budget of 2 · 64 classes
+// and never folds (DESIGN.md §17).
+const DPA_TRACES: usize = 400;
+const GOLD_DPA_CLASSES_PEAK: u64 = 126;
+const GOLD_DPA_FOLDS: u64 = 0;
 
 fn fixture() -> &'static (Library, Netlist) {
     static CELL: OnceLock<(Library, Netlist)> = OnceLock::new();
@@ -232,4 +242,57 @@ fn secure_flow_covers_all_ten_stage_spans() {
     assert!(report.counter(Counter::PlaceMoves) > 0);
     assert!(report.counter(Counter::ExtractNets) > 0);
     assert!(report.counter(Counter::LecOutputs) > 0);
+}
+
+/// The class table a DES campaign's DPA builds is a pure function of
+/// the traces, so its size and fold count are the same at every
+/// thread count.
+#[test]
+fn dpa_class_table_matches_golden_at_1_2_and_8_threads() {
+    let (lib, nl) = fixture();
+    let cfg = SimConfig {
+        samples_per_cycle: 20,
+        ..Default::default()
+    };
+    let target = DesTarget {
+        netlist: nl,
+        lib,
+        parasitics: None,
+        wddl_inputs: None,
+        glitch_free: false,
+        backend: SimBackend::Bitslice,
+    };
+    // Under a capture, so that the campaign's counters stay out of the
+    // sessions of the tests running beside this one.
+    let (set, _) = obs::capture(|| {
+        collect_des_traces(&target, &cfg, PAPER_KEY, DPA_TRACES, SEED).expect("campaign")
+    });
+    for threads in [1usize, 2, 8] {
+        let ((), r) = secflow::exec::with_threads(threads, || {
+            obs::capture(|| {
+                dpa_attack(&set.traces, 64, set.selector()).expect("attack");
+                mtd_scan(&set.traces, 64, PAPER_KEY, 50, set.selector()).expect("scan");
+            })
+        });
+        let actual = [
+            (
+                "dpa.stream.classes_peak",
+                r.gauge(Gauge::DpaStreamClassesPeak),
+                GOLD_DPA_CLASSES_PEAK,
+            ),
+            (
+                "dpa.stream.folds",
+                r.counter(Counter::DpaStreamFolds),
+                GOLD_DPA_FOLDS,
+            ),
+        ];
+        eprintln!("dpa class-table actuals at {threads} threads: {actual:?}");
+        assert!(r.gauge(Gauge::DpaStreamClassesPeak) <= 128);
+        for (name, got, want) in actual {
+            assert_eq!(
+                got, want,
+                "{name} at {threads} threads: got {got}, golden {want}"
+            );
+        }
+    }
 }
