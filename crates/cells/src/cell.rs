@@ -135,6 +135,22 @@ impl LibCell {
             _ => 1,
         }
     }
+
+    /// The first pin count of a gate with `inputs` inputs and `outputs`
+    /// outputs that differs from this cell's, as `(pins, got, expected)`
+    /// with `pins` either `"input"` or `"output"`.
+    pub fn pin_mismatch(
+        &self,
+        inputs: usize,
+        outputs: usize,
+    ) -> Option<(&'static str, usize, usize)> {
+        [
+            ("input", inputs, self.input_count()),
+            ("output", outputs, self.output_count()),
+        ]
+        .into_iter()
+        .find(|&(_, got, expected)| got != expected)
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use std::time::Instant;
 use secflow_cells::{Library, TRACK_UM};
 use secflow_extract::{pair_mismatch, try_extract, Parasitics, Technology};
 use secflow_lec::{check_equiv_random_with_parity, check_equiv_with_parity};
-use secflow_netlist::{Netlist, NetlistStats};
+use secflow_netlist::{Netlist, NetlistError, NetlistStats};
 use secflow_pnr::{
     build_clock_tree, place_best_of, route, ClockOptions, ClockReport, GridPitch, PlaceOptions,
     RoutedDesign,
@@ -180,6 +180,30 @@ pub fn run_regular_flow(
     run_regular_backend(netlist, lib, opts, synth_ms)
 }
 
+/// The flow's Parse stage, the backends' entry contract on the CLI's
+/// `rtl.v` netlist: a structural sanity check, and every gate of a
+/// known cell has the cell's input and output counts. Unknown cells
+/// fail in the stage that first resolves them.
+fn parse_stage(netlist: &Netlist, lib: &Library) -> Result<(), NetlistError> {
+    let _s = secflow_obs::span("parse");
+    netlist.validate()?;
+    for g in netlist.gates() {
+        let Some(cell) = lib.by_name(&g.cell) else {
+            continue;
+        };
+        if let Some((pins, got, expected)) = cell.pin_mismatch(g.inputs.len(), g.outputs.len()) {
+            return Err(NetlistError::PinCount {
+                gate: g.name.clone(),
+                cell: g.cell.clone(),
+                pins,
+                got,
+                expected,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// The backend half of the regular flow: place & route, extraction and
 /// reporting, starting from an already-mapped netlist (the paper's
 /// `rtl.v` entry point).
@@ -193,12 +217,7 @@ pub fn run_regular_backend(
     opts: &FlowOptions,
     synth_ms: f64,
 ) -> Result<RegularFlowResult, FlowError> {
-    // The backend's entry contract is the CLI's `rtl.v` netlist; the
-    // structural sanity check is the flow's Parse stage.
-    {
-        let _s = secflow_obs::span("parse");
-        netlist.validate().map_err(FlowError::Parse)?;
-    }
+    parse_stage(&netlist, lib)?;
     let t = Instant::now();
     let placed = {
         let _s = secflow_obs::span("place");
@@ -302,12 +321,7 @@ pub fn run_secure_backend(
     opts: &FlowOptions,
     synth_ms: f64,
 ) -> Result<SecureFlowResult, FlowError> {
-    // The backend's entry contract is the CLI's `rtl.v` netlist; the
-    // structural sanity check is the flow's Parse stage.
-    {
-        let _s = secflow_obs::span("parse");
-        mapped.validate().map_err(FlowError::Parse)?;
-    }
+    parse_stage(&mapped, lib)?;
     let t = Instant::now();
     let substitution = {
         let _s = secflow_obs::span("substitute");

@@ -15,7 +15,10 @@
 //! (the datapath's full state history), the leakage cycle itself, and
 //! two flush cycles — so traces are independent work items yet
 //! byte-identical at any thread count. Only the leakage cycle is
-//! measured: the kernels account charge for it alone.
+//! measured: the kernel accounts charge for it alone. One generic
+//! runner simulates a batch of windows on either lane width of the
+//! event kernel (DESIGN.md §18): one window per batch on the event
+//! backend, up to 64 on the bit-sliced one, with identical traces.
 //!
 //! The windowed campaign is the specification. It equals slicing one
 //! continuous n-encryption run on netlists without coupling, and with
@@ -48,8 +51,8 @@ use secflow_extract::Parasitics;
 use secflow_netlist::{NetId, Netlist};
 use secflow_obs as obs;
 use secflow_sim::{
-    add_gaussian_noise, BitScratch, BitSim, CompiledSim, EngineScratch, LoadModel, SimBackend,
-    SimConfig, SimError,
+    add_gaussian_noise, BitSim, CompiledSim, CycleDriver, LaneScratch, LaneSim, LaneWord,
+    LoadModel, SimBackend, SimConfig, SimError,
 };
 
 use crate::attack::{dpa_attack, mtd_scan, DpaResult, MtdScan};
@@ -75,9 +78,9 @@ pub struct DesTarget<'a> {
     /// Use the idealized glitch-free power model (single-ended targets
     /// only; used by the glitch-contribution ablation).
     pub glitch_free: bool,
-    /// Which simulation kernel runs the campaign windows. Both produce
-    /// byte-identical traces; `Bitslice` batches 64 windows per lane
-    /// word (see `tests/bitslice_cross_check.rs`).
+    /// Which lane width of the event kernel runs the campaign windows.
+    /// Both produce byte-identical traces; `Bitslice` batches 64
+    /// windows per lane word (see `tests/bitslice_cross_check.rs`).
     pub backend: SimBackend,
 }
 
@@ -99,9 +102,9 @@ impl<'a> DesTarget<'a> {
 /// concurrent campaigns that differ only in stimuli and seeds.
 #[derive(Debug)]
 pub enum CampaignProgram {
-    /// Compiled event-driven kernel (one window at a time).
+    /// The one-lane kernel (one window per batch).
     Event(CompiledSim),
-    /// Bit-sliced oblivious kernel (up to 64 windows per batch).
+    /// The 64-lane kernel (up to 64 windows per batch).
     Bitslice(BitSim),
 }
 
@@ -148,6 +151,28 @@ impl CampaignProgram {
         match self {
             CampaignProgram::Event(_) => SimBackend::Event,
             CampaignProgram::Bitslice(_) => SimBackend::Bitslice,
+        }
+    }
+
+    /// The campaign's lane batches for `n` encryptions at this
+    /// program's lane width; see [`lane_batches`].
+    fn batches(&self, n: usize) -> Vec<(usize, usize)> {
+        match self {
+            CampaignProgram::Event(_) => lane_batches(n, bool::LANES),
+            CampaignProgram::Bitslice(_) => lane_batches(n, u64::LANES),
+        }
+    }
+
+    /// Simulates `batches` in parallel, one worker scratch per thread;
+    /// results in encryption order.
+    fn run_batches(
+        &self,
+        campaign: &Campaign<'_>,
+        batches: &[(usize, usize)],
+    ) -> Vec<(Vec<f64>, (u8, u8), f64)> {
+        match self {
+            CampaignProgram::Event(sim) => run_batches(sim, campaign, batches),
+            CampaignProgram::Bitslice(sim) => run_batches(sim, campaign, batches),
         }
     }
 }
@@ -243,55 +268,65 @@ pub fn collect_des_traces_with(
     // the campaign identical to the serial harness for a given seed.
     // Only the expensive per-encryption simulation is parallelised.
     let plaintexts = draw_plaintexts(n, seed);
-    let spc = cfg.samples_per_cycle;
-
-    let collected = match program {
-        CampaignProgram::Bitslice(sim) => {
-            let batches = bitslice_batches(n);
-            let per_batch = par_map_range_with(batches.len(), BitScratch::new, |scratch, bi| {
-                let (start, count) = batches[bi];
-                run_bitslice_batch(sim, scratch, target, cfg, key, &plaintexts, start, count)
-            });
-            per_batch.into_iter().flatten().collect()
-        }
-        CampaignProgram::Event(comp) => {
-            // One work item per encryption; each pool worker keeps one
-            // engine scratch, reset per window, so the steady-state
-            // campaign allocates nothing in the simulator.
-            par_map_range_with(n, EngineScratch::new, |scratch, i| {
-                run_event_window(comp, scratch, target, cfg, key, &plaintexts, i)
-            })
-        }
+    let campaign = Campaign {
+        target,
+        cfg,
+        key,
+        plaintexts: &plaintexts,
     };
-
-    Ok(finish_campaign(collected, n, spc))
-}
-
-fn finish_campaign(
-    collected: Vec<(Vec<f64>, (u8, u8), f64)>,
-    n: usize,
-    spc: usize,
-) -> TraceSet {
-    let mut traces = Vec::with_capacity(n);
-    let mut ciphertexts = Vec::with_capacity(n);
-    let mut energies = Vec::with_capacity(n);
-    for (trace, ct, energy) in collected {
-        traces.push(trace);
-        ciphertexts.push(ct);
-        energies.push(energy);
-    }
-
+    let block = into_block(program.run_batches(&campaign, &program.batches(n)));
     obs::add(obs::Counter::DpaTraces, n as u64);
-    TraceSet {
-        traces,
-        ciphertexts,
-        energies,
-        samples_per_trace: spc,
-    }
+    Ok(TraceSet {
+        traces: block.traces,
+        ciphertexts: block.ciphertexts,
+        energies: block.energies,
+        samples_per_trace: cfg.samples_per_cycle,
+    })
 }
 
-/// Simulates the window of encryption `i` on the event kernel,
-/// measuring its leakage cycle only.
+/// What every window of one campaign shares.
+struct Campaign<'a> {
+    target: &'a DesTarget<'a>,
+    cfg: &'a SimConfig,
+    key: u8,
+    plaintexts: &'a [(u8, u8)],
+}
+
+/// The campaign's batch partition at `lanes` windows per batch:
+/// encryptions 0 (3-cycle window) and 1 (4 cycles) run alone against
+/// the reset boundary; the steady state (5 cycles) packs up to `lanes`
+/// encryptions per batch. A pure function of `(n, lanes)`, so
+/// batch-level obs counters — and any chunk-of-batches grouping built
+/// on top — are thread-count invariant.
+fn lane_batches(n: usize, lanes: usize) -> Vec<(usize, usize)> {
+    let mut batches: Vec<(usize, usize)> = Vec::new();
+    let mut at = 0usize;
+    while at < n {
+        let count = if at < 2 { 1 } else { (n - at).min(lanes) };
+        batches.push((at, count));
+        at += count;
+    }
+    batches
+}
+
+fn run_batches<W: LaneWord>(
+    sim: &LaneSim<W>,
+    campaign: &Campaign<'_>,
+    batches: &[(usize, usize)],
+) -> Vec<(Vec<f64>, (u8, u8), f64)> {
+    // Each pool worker keeps one scratch, reset per batch, so the
+    // steady-state campaign allocates nothing in the simulator.
+    par_map_range_with(batches.len(), LaneScratch::new, |scratch, bi| {
+        run_batch(sim, scratch, campaign, batches[bi])
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// Simulates one lane batch — encryptions `start..start + count`, all
+/// sharing a window length, one per lane — measuring its leakage cycle
+/// only, and unpacks the per-lane results in encryption order.
 ///
 /// The datapath state feeding the leakage cycle of encryption i is
 /// fully determined by the two preceding plaintexts (PL/PR capture
@@ -303,205 +338,108 @@ fn finish_campaign(
 /// the continuous campaign's bit for bit unless crosstalk couples the
 /// (flush, not next) plaintext inputs into it; the window defines the
 /// trace either way.
-fn run_event_window(
-    comp: &CompiledSim,
-    scratch: &mut EngineScratch,
-    target: &DesTarget<'_>,
-    cfg: &SimConfig,
-    key: u8,
-    plaintexts: &[(u8, u8)],
-    i: usize,
-) -> (Vec<f64>, (u8, u8), f64) {
-    let vector = |pl: u8, pr: u8| -> Vec<bool> {
-        let mut v = Vec::with_capacity(16);
-        for b in 0..4 {
-            v.push(pl >> b & 1 == 1);
-        }
-        for b in 0..6 {
-            v.push(pr >> b & 1 == 1);
-        }
-        for b in 0..6 {
-            v.push(key >> b & 1 == 1);
-        }
-        v
-    };
-    let decode = |outs: &[bool]| -> (u8, u8) {
-        let bit = |j: usize| -> bool {
-            match target.wddl_inputs {
-                Some(_) => outs[2 * j], // rails interleaved (t, f)
-                None => outs[j],
-            }
-        };
-        let cl = (0..4).fold(0u8, |a, j| a | ((bit(j) as u8) << j));
-        let cr = (0..6).fold(0u8, |a, j| a | ((bit(4 + j) as u8) << j));
-        (cl, cr)
-    };
-
-    let h = i.min(2);
-    let mut vectors: Vec<Vec<bool>> = Vec::with_capacity(h + 3);
-    for j in (i - h)..=i {
-        let (pl, pr) = plaintexts[j];
-        vectors.push(vector(pl, pr));
-    }
-    vectors.push(vector(0, 0));
-    vectors.push(vector(0, 0));
-
-    // Plaintext i is captured by PL/PR at the end of window cycle
-    // h; the S-box evaluates and the ciphertext registers capture
-    // during cycle h+1 (the leakage cycle, the only one measured);
-    // the new CL/CR values drive the outputs during cycle h+2.
-    let leak_cycle = h + 1;
-    let measured = leak_cycle..=leak_cycle;
-    match (target.wddl_inputs, target.glitch_free) {
-        (Some(pairs), _) => comp.run_wddl(scratch, pairs, &vectors, measured),
-        (None, false) => comp.run_single_ended(scratch, &vectors, measured),
-        (None, true) => comp.run_single_ended_glitch_free(scratch, &vectors, measured),
-    }
-
-    let mut trace = scratch.cycle_trace(leak_cycle).to_vec();
-    if cfg.noise_sigma > 0.0 {
-        add_gaussian_noise(
-            &mut trace,
-            cfg.noise_sigma,
-            split_seed(cfg.noise_seed, i as u64),
-        );
-    }
-    // Per-window kernel counters: each is a pure function of the
-    // compiled design and this window's vectors, so campaign sums
-    // are thread-count invariant (pinned by tests/obs_counters.rs).
-    if obs::enabled() {
-        obs::add(obs::Counter::SimWindows, 1);
-        obs::add(obs::Counter::SimEvents, scratch.events_processed());
-        obs::add(obs::Counter::SimEvals, scratch.gate_evals());
-        obs::add(obs::Counter::SimRises, scratch.cycle_rises().iter().sum());
-        obs::gauge_max(obs::Gauge::SimWheelPeak, scratch.wheel_peak());
-    }
-    let energy = scratch.cycle_energy_fj()[leak_cycle];
-    let got = decode(scratch.outputs(leak_cycle + 1));
-    let (pl, pr) = plaintexts[i];
-    let expect = encrypt(pl, pr, key);
-    assert_eq!(
-        got, expect,
-        "simulated ciphertext disagrees with the model at encryption {i}"
-    );
-    (trace, got, energy)
-}
-
-/// The bit-sliced campaign's batch partition: encryptions 0 (3-cycle
-/// window) and 1 (4 cycles) run alone against the reset boundary; the
-/// steady state (5 cycles) packs up to 64 encryptions per batch. A
-/// pure function of `n`, so batch-level obs counters — and any
-/// chunk-of-batches grouping built on top — are thread-count
-/// invariant.
-fn bitslice_batches(n: usize) -> Vec<(usize, usize)> {
-    let mut batches: Vec<(usize, usize)> = Vec::new();
-    let mut at = 0usize;
-    while at < n {
-        let count = if at < 2 { 1 } else { (n - at).min(64) };
-        batches.push((at, count));
-        at += count;
-    }
-    batches
-}
-
-/// Simulates one lane batch (encryptions `start..start + count`, all
-/// sharing a window length) on the bit-sliced kernel and unpacks the
-/// per-lane results in encryption order — byte-identical to the event
-/// path at any thread count.
-#[allow(clippy::too_many_arguments)]
-fn run_bitslice_batch(
-    sim: &BitSim,
-    scratch: &mut BitScratch,
-    target: &DesTarget<'_>,
-    cfg: &SimConfig,
-    key: u8,
-    plaintexts: &[(u8, u8)],
-    start: usize,
-    count: usize,
+fn run_batch<W: LaneWord>(
+    sim: &LaneSim<W>,
+    scratch: &mut LaneScratch<W>,
+    campaign: &Campaign<'_>,
+    (start, count): (usize, usize),
 ) -> Vec<(Vec<f64>, (u8, u8), f64)> {
+    let Campaign {
+        target,
+        cfg,
+        key,
+        plaintexts,
+    } = *campaign;
     let h = start.min(2);
-    let active = if count == 64 { !0u64 } else { (1u64 << count) - 1 };
-    let key_word = |b: usize| if key >> b & 1 == 1 { active } else { 0 };
-    // One packed word per input per cycle: bit l is lane l's value
-    // of that input (port order pl[0..4], pr[0..6], k[0..6]).
-    let mut vectors: Vec<Vec<u64>> = Vec::with_capacity(h + 3);
-    for j in 0..=h {
-        let mut words = vec![0u64; 16];
-        for l in 0..count {
+    let active = W::first(count);
+    // One word per input per cycle, lane l holding encryption
+    // start + l, in port order pl[0..4], pr[0..6], k[0..6]. The two
+    // flush cycles drive plaintext zero; the key is held throughout.
+    let mut vectors: Vec<Vec<W>> = Vec::with_capacity(h + 3);
+    for j in 0..h + 3 {
+        let mut words = vec![W::ZERO; 16];
+        for l in (0..count).filter(|_| j <= h) {
             let (pl, pr) = plaintexts[start + l - h + j];
-            for b in 0..4 {
-                if pl >> b & 1 == 1 {
-                    words[b] |= 1 << l;
-                }
-            }
-            for b in 0..6 {
-                if pr >> b & 1 == 1 {
-                    words[4 + b] |= 1 << l;
+            let bits = u32::from(pl) | u32::from(pr) << 4;
+            for (b, w) in words[..10].iter_mut().enumerate() {
+                if bits >> b & 1 == 1 {
+                    *w = w.with(l);
                 }
             }
         }
-        for b in 0..6 {
-            words[10 + b] = key_word(b);
-        }
-        vectors.push(words);
-    }
-    // Flush cycles: plaintext zero, key held.
-    for _ in 0..2 {
-        let mut words = vec![0u64; 16];
-        for b in 0..6 {
-            words[10 + b] = key_word(b);
+        for b in (0..6).filter(|b| key >> b & 1 == 1) {
+            words[10 + b] = active;
         }
         vectors.push(words);
     }
 
+    // Plaintext i is captured by PL/PR at the end of window cycle h;
+    // the S-box evaluates and the ciphertext registers capture during
+    // cycle h+1 (the leakage cycle, the only one measured); the new
+    // CL/CR values drive the outputs during cycle h+2.
     let leak_cycle = h + 1;
-    let measured = leak_cycle..=leak_cycle;
-    match (target.wddl_inputs, target.glitch_free) {
-        (Some(pairs), _) => sim.run_wddl(scratch, pairs, &vectors, active, measured),
-        (None, false) => sim.run_single_ended(scratch, &vectors, active, measured),
-        (None, true) => sim.run_single_ended_glitch_free(scratch, &vectors, active, measured),
-    }
+    let driver = match (target.wddl_inputs, target.glitch_free) {
+        (Some(pairs), _) => CycleDriver::Wddl(pairs),
+        (None, false) => CycleDriver::SingleEnded,
+        (None, true) => CycleDriver::GlitchFree,
+    };
+    sim.run(scratch, driver, &vectors, active, leak_cycle..=leak_cycle);
 
-    // Batch-level kernel counters: pure functions of the compiled
-    // design and this batch's stimuli (pinned by
-    // tests/obs_counters.rs).
+    // Kernel counters: pure functions of the compiled design and this
+    // batch's stimuli, so campaign sums are thread-count invariant
+    // (pinned by tests/obs_counters.rs).
     if obs::enabled() {
-        obs::add(obs::Counter::SimBitsliceBatches, 1);
-        obs::add(obs::Counter::SimBitsliceLanes, count as u64);
-        obs::add(obs::Counter::SimBitsliceEvents, scratch.events_processed());
-        obs::add(obs::Counter::SimBitsliceEvals, scratch.gate_evals());
-        obs::add(obs::Counter::SimBitsliceRises, scratch.total_rises());
-        obs::gauge_max(obs::Gauge::SimBitsliceWheelPeak, scratch.wheel_peak());
+        use obs::{Counter as C, Gauge as G};
+        let (batches, events, evals, rises, peak) = match W::BACKEND {
+            SimBackend::Event => (
+                C::SimWindows,
+                C::SimEvents,
+                C::SimEvals,
+                C::SimRises,
+                G::SimWheelPeak,
+            ),
+            SimBackend::Bitslice => {
+                obs::add(C::SimBitsliceLanes, count as u64);
+                (
+                    C::SimBitsliceBatches,
+                    C::SimBitsliceEvents,
+                    C::SimBitsliceEvals,
+                    C::SimBitsliceRises,
+                    G::SimBitsliceWheelPeak,
+                )
+            }
+        };
+        obs::add(batches, 1);
+        obs::add(events, scratch.events_processed());
+        obs::add(evals, scratch.gate_evals());
+        obs::add(rises, scratch.total_rises());
+        obs::gauge_max(peak, scratch.wheel_peak());
     }
 
-    let mut out = Vec::with_capacity(count);
-    for l in 0..count {
-        let i = start + l;
-        let mut trace = scratch.cycle_trace(leak_cycle, l);
-        if cfg.noise_sigma > 0.0 {
-            add_gaussian_noise(
-                &mut trace,
-                cfg.noise_sigma,
-                split_seed(cfg.noise_seed, i as u64),
+    // WDDL output rails are interleaved (t, f).
+    let stride = if target.wddl_inputs.is_some() { 2 } else { 1 };
+    (0..count)
+        .map(|l| {
+            let i = start + l;
+            let mut trace = scratch.lane_cycle_trace(leak_cycle, l);
+            if cfg.noise_sigma > 0.0 {
+                let seed = split_seed(cfg.noise_seed, i as u64);
+                add_gaussian_noise(&mut trace, cfg.noise_sigma, seed);
+            }
+            let bit = |j: usize| u8::from(scratch.output_bit(leak_cycle + 1, stride * j, l));
+            let ct = (
+                (0..4).fold(0u8, |a, j| a | bit(j) << j),
+                (0..6).fold(0u8, |a, j| a | bit(4 + j) << j),
             );
-        }
-        let energy = scratch.cycle_energy_fj(leak_cycle, l);
-        let bit = |j: usize| match target.wddl_inputs {
-            Some(_) => scratch.output_bit(leak_cycle + 1, 2 * j, l),
-            None => scratch.output_bit(leak_cycle + 1, j, l),
-        };
-        let cl = (0..4).fold(0u8, |a, j| a | ((bit(j) as u8) << j));
-        let cr = (0..6).fold(0u8, |a, j| a | ((bit(4 + j) as u8) << j));
-        let (pl, pr) = plaintexts[i];
-        let expect = encrypt(pl, pr, key);
-        assert_eq!(
-            (cl, cr),
-            expect,
-            "simulated ciphertext disagrees with the model at encryption {i}"
-        );
-        out.push((trace, (cl, cr), energy));
-    }
-    out
+            let (pl, pr) = plaintexts[i];
+            assert_eq!(
+                ct,
+                encrypt(pl, pr, key),
+                "simulated ciphertext disagrees with the model at encryption {i}"
+            );
+            (trace, ct, scratch.lane_energy_fj(leak_cycle, l))
+        })
+        .collect()
 }
 
 /// Which attack statistics a campaign analysis should produce.
@@ -750,44 +688,27 @@ pub fn collect_des_analysis_streaming(
     };
     let mut sinks = StreamSinks::build(plan, writer)?;
 
-    match program {
-        CampaignProgram::Event(comp) => {
-            let mut at = 0usize;
-            while at < n {
-                let len = chunk.min(n - at);
-                let collected = par_map_range_with(len, EngineScratch::new, |scratch, j| {
-                    run_event_window(comp, scratch, target, cfg, key, &plaintexts, at + j)
-                });
-                sinks.consume(&into_block(collected))?;
-                at += len;
-            }
+    let campaign = Campaign {
+        target,
+        cfg,
+        key,
+        plaintexts: &plaintexts,
+    };
+    // Group consecutive lane batches until ~chunk encryptions; the
+    // grouping is a pure function of (n, chunk), so blocks — and
+    // everything folded from them — are identical at any thread count.
+    let batches = program.batches(n);
+    let mut bi = 0usize;
+    while bi < batches.len() {
+        let mut end = bi;
+        let mut lanes = 0usize;
+        while end < batches.len() && (lanes == 0 || lanes + batches[end].1 <= chunk) {
+            lanes += batches[end].1;
+            end += 1;
         }
-        CampaignProgram::Bitslice(sim) => {
-            // Group consecutive lane batches until ~chunk encryptions;
-            // the grouping is a pure function of (n, chunk), so blocks
-            // — and everything folded from them — are identical at any
-            // thread count.
-            let batches = bitslice_batches(n);
-            let mut bi = 0usize;
-            while bi < batches.len() {
-                let mut end = bi;
-                let mut lanes = 0usize;
-                while end < batches.len() && (lanes == 0 || lanes + batches[end].1 <= chunk) {
-                    lanes += batches[end].1;
-                    end += 1;
-                }
-                let group = &batches[bi..end];
-                let per_batch =
-                    par_map_range_with(group.len(), BitScratch::new, |scratch, gi| {
-                        let (start, count) = group[gi];
-                        run_bitslice_batch(
-                            sim, scratch, target, cfg, key, &plaintexts, start, count,
-                        )
-                    });
-                sinks.consume(&into_block(per_batch.into_iter().flatten().collect()))?;
-                bi = end;
-            }
-        }
+        let collected = program.run_batches(&campaign, &batches[bi..end]);
+        sinks.consume(&into_block(collected))?;
+        bi = end;
     }
 
     sinks.finish(plan, n, cfg.samples_per_cycle)

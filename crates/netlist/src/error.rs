@@ -33,6 +33,19 @@ pub enum NetlistError {
         /// The duplicated net name.
         name: String,
     },
+    /// A gate's input or output count differs from its library cell's.
+    PinCount {
+        /// Instance name of the offending gate.
+        gate: String,
+        /// The gate's cell.
+        cell: String,
+        /// `"input"` or `"output"`.
+        pins: &'static str,
+        /// The gate's pin count.
+        got: usize,
+        /// The cell's pin count.
+        expected: usize,
+    },
     /// A parse error in the structural Verilog reader.
     Parse {
         /// 1-based line number of the error.
@@ -61,6 +74,16 @@ impl fmt::Display for NetlistError {
             NetlistError::DuplicateNetName { name } => {
                 write!(f, "duplicate net name `{name}`")
             }
+            NetlistError::PinCount {
+                gate,
+                cell,
+                pins,
+                got,
+                expected,
+            } => write!(
+                f,
+                "gate `{gate}` has {got} {pins}s but cell `{cell}` has {expected}"
+            ),
             NetlistError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }

@@ -1,58 +1,49 @@
-//! The build-once simulation kernel: [`CompiledSim`] + [`EngineScratch`].
+//! The build-once compilation of a netlist for the event kernel
+//! ([`LaneSim`]), and its one-lane instantiation: [`CompiledSim`] +
+//! [`EngineScratch`], one window per run, with the scalar result API.
 //!
-//! Trace campaigns simulate the same netlist thousands of times (one
-//! short window per encryption). The seed engine rebuilt its entire
-//! working state per window — per-gate `by_name` string hashing, a
-//! fresh topological order, ten freshly allocated arrays — and its
-//! event loop allocated a sink list on every processed event. This
-//! module splits the engine into the two halves that actually have
-//! different lifetimes:
+//! Trace campaigns simulate the same netlist thousands of times, so the
+//! kernel splits by lifetime. A [`LaneSim`] is immutable and built once
+//! from `(Netlist, Library, LoadModel, SimConfig)`: a cell table
+//! resolved per gate (truth table + precomputed event delay, no name
+//! lookups after build), CSR adjacency for net fanout, gate inputs and
+//! coupling lists, the cached topological order, and dense per-net
+//! load/exempt arrays; it is shared read-only across worker threads. A
+//! [`LaneScratch`] holds every array the event loop writes and is reset
+//! between runs, so steady-state runs allocate nothing (DESIGN.md §8,
+//! §18).
 //!
-//! * [`CompiledSim`] — an immutable, build-once compilation of
-//!   `(Netlist, Library, LoadModel, SimConfig)`: a cell table resolved
-//!   per gate (truth table + precomputed event delay, no name lookups
-//!   after build), CSR adjacency for net fanout, gate inputs and
-//!   coupling lists, the cached topological order, and dense per-net
-//!   load/exempt arrays. Shared read-only across worker threads.
-//! * [`EngineScratch`] — every mutable array the event loop touches
-//!   (values, pending, the timing-wheel event queue, trace, …),
-//!   `reset` between windows instead of reallocated, so steady-state
-//!   window simulation performs zero heap allocations.
+//! **Determinism contract:** the kernel is byte-identical
+//! (`f64::to_bits`) to the seed per-window engine — the compiled tables
+//! are pure reassociations of the same lookups (same sink order, same
+//! coupling order, same delay expression), and a reset reproduces a
+//! fresh engine's state. `tests/golden_kernel.rs` and
+//! `crates/bench/tests/crosstalk_reference.rs` pin this.
 //!
-//! **Determinism contract:** for any `(netlist, library, load, config,
-//! stimulus)` the kernel is byte-identical (`f64::to_bits`) to the
-//! seed per-window engine — the compiled tables are pure
-//! reassociations of the same lookups (same sink order, same coupling
-//! order, same delay expression), and `reset` reproduces the exact
-//! state a freshly built engine would start from. The golden-trace
-//! test (`tests/golden_kernel.rs`) pins this across thread counts.
-//!
-//! **Measured cycles.** Every `run_*` takes the cycles the caller
-//! measures (`..` for the whole window). Charge work — the crosstalk
-//! adjustment, energy and trace deposits — is done only for rises in
-//! those cycles and for earlier rises whose deposit reaches their
-//! bins; the trace holds just those cycles. Each measured bin sees the
-//! same additions in the same order as in a whole-window run, so the
-//! measured cycles are bit-identical to the same cycles of that run
-//! (DESIGN.md §15).
-//!
-//! **Settled cycles.** When a driver's switching provably settles
-//! inside every cycle (the settle test of DESIGN.md §16, computed once
-//! at build), `run_*` event-simulate only the measured cycles. Every
-//! other cycle ends at the zero-delay fixed point of its sources, which
-//! is the state the event loop would reach, so it is evaluated in
-//! topological order instead; it reports no rises and no events.
+//! **Measured and settled cycles.** Every `run_*` takes the cycles the
+//! caller measures (`..` for the whole window) and does charge work only
+//! for them; each measured cycle is bit-identical to the same cycle of a
+//! whole-window run (DESIGN.md §15). When a driver's cycles provably
+//! settle (the settle test of DESIGN.md §16, computed at build), only
+//! the measured cycles are event-simulated; the others are evaluated
+//! zero-delay and report no rises and no events.
 
 use std::collections::HashMap;
 use std::ops::{Bound, Range, RangeBounds};
 
-use secflow_cells::{CellFunction, Library, TruthTable};
-use secflow_netlist::{FanoutCsr, GateId, GateKind, NetId, Netlist};
+use secflow_cells::{isop, CellFunction, Library, TruthTable};
+use secflow_netlist::{FanoutCsr, Gate, GateId, GateKind, NetId, Netlist};
 
 use crate::config::SimConfig;
-use crate::engine::{is_wddl_register, Engine, Event};
 use crate::error::SimError;
-use crate::load::LoadModel;
+use crate::kernel::{CycleDriver, LaneScratch, LaneWord};
+use crate::load::{check_pins, LoadModel};
+
+/// True if `gate` is a WDDL register (sequential, dual-rail: two
+/// inputs `(Dt, Df)` and two outputs `(Qt, Qf)`).
+pub fn is_wddl_register(gate: &Gate) -> bool {
+    gate.kind == GateKind::Seq && gate.outputs.len() == 2 && gate.inputs.len() == 2
+}
 
 /// Per-gate resolved simulation behaviour. `Copy`, so gate evaluation
 /// reads it by value without cloning heap data.
@@ -68,21 +59,19 @@ pub(crate) enum CellKind {
         /// `load.delay_ps(intrinsic, drive, out).max(1.0)` as integer ps.
         delay_ps: u64,
     },
-    /// Single-ended D flip-flop (driven by the cycle driver).
-    Dff,
-    /// WDDL dual-rail register (driven by the cycle driver).
-    WddlDff,
+    /// A register, single-ended or WDDL (driven by the cycle driver).
+    Reg,
     /// Constant driver.
     Tie(bool),
 }
 
 /// A build-once, immutable compilation of
-/// `(Netlist, Library, LoadModel, SimConfig)` for the event-driven
-/// power simulator. Build it once per campaign, share it across
-/// threads (`&CompiledSim` is `Sync`), and pair it with one
-/// [`EngineScratch`] per worker.
+/// `(Netlist, Library, LoadModel, SimConfig)` for the event kernel at
+/// lane word `W`. Build it once per campaign, share it across threads
+/// (`&LaneSim` is `Sync`), and pair it with one
+/// [`LaneScratch`] per worker.
 #[derive(Debug, Clone)]
-pub struct CompiledSim {
+pub struct LaneSim<W: LaneWord> {
     pub(crate) cfg: SimConfig,
     // --- per gate, indexed by GateId ---
     pub(crate) cells: Vec<CellKind>,
@@ -130,26 +119,52 @@ pub struct CompiledSim {
     pub(crate) settles_se: bool,
     /// The same for the WDDL driver.
     pub(crate) settles_wddl: bool,
+    /// Wider words only: CSR offsets into `cubes`, `n_gates + 1`
+    /// entries.
+    pub(crate) cube_offsets: Vec<u32>,
+    /// Wider words only: `(positive literal mask, negative literal
+    /// mask)` over each gate's input pins, from an irredundant
+    /// sum-of-products cover of its truth table ([`isop`]); `out = OR
+    /// over cubes of AND over literals`.
+    pub(crate) cubes: Vec<(u8, u8)>,
+    /// How long before the first measured cycle last-transition
+    /// tracking starts, in ps: the longest deposit span (a rise that
+    /// starts earlier deposits nothing in the cycle) plus the crosstalk
+    /// window (a transition that much before such a rise does not
+    /// couple into it).
+    pub(crate) lookback_ps: u64,
+    _lanes: std::marker::PhantomData<W>,
 }
 
-impl CompiledSim {
+/// The one-lane kernel: one window per run.
+pub type CompiledSim = LaneSim<bool>;
+/// The one-lane kernel's scratch, with the scalar result API.
+pub type EngineScratch = LaneScratch<bool>;
+
+impl<W: LaneWord> LaneSim<W> {
     /// Compiles `nl` against `lib`, `load` and `cfg`.
     ///
     /// Each distinct cell name is resolved exactly once
     /// ([`Library::index_of`]); gates index the resolved table
-    /// thereafter.
+    /// thereafter. Every width accepts the same netlists and fails
+    /// with the same typed errors, so backend selection never changes
+    /// error behaviour.
     ///
     /// # Errors
     ///
-    /// [`SimError::UnknownCell`] if a gate references a cell missing
-    /// from `lib`; [`SimError::CombinationalCycle`] if no evaluation
-    /// order exists.
+    /// [`SimError::UnsupportedConfig`] if `cfg` requests a feature the
+    /// width's backend lacks ([`SimConfig::validate_backend`]: per-lane
+    /// waveforms are not recorded); [`SimError::UnknownCell`] if a gate
+    /// references a cell missing from `lib`; [`SimError::PinCount`] if
+    /// a gate's pin count differs from its cell's;
+    /// [`SimError::CombinationalCycle`] if no evaluation order exists.
     pub fn build(
         nl: &Netlist,
         lib: &Library,
         load: &LoadModel,
         cfg: &SimConfig,
-    ) -> Result<CompiledSim, SimError> {
+    ) -> Result<Self, SimError> {
+        cfg.validate_backend(W::BACKEND)?;
         let mut name_memo: HashMap<&str, usize> = HashMap::new();
         let mut cells = Vec::with_capacity(nl.gate_count());
         let mut in_offsets = Vec::with_capacity(nl.gate_count() + 1);
@@ -169,6 +184,7 @@ impl CompiledSim {
                 }
             };
             let cell = lib.cell_at(idx);
+            check_pins(g, cell)?;
             let out = g.outputs.first().copied().unwrap_or(NetId(u32::MAX));
             cells.push(match cell.function() {
                 CellFunction::Comb(tt) => CellKind::Comb {
@@ -177,9 +193,7 @@ impl CompiledSim {
                         .delay_ps(cell.intrinsic_delay_ps(), cell.drive_kohm(), out)
                         .max(1.0) as u64,
                 },
-                CellFunction::Dff if is_wddl_register(g) => CellKind::WddlDff,
-                CellFunction::Dff => CellKind::Dff,
-                CellFunction::WddlDff => CellKind::WddlDff,
+                CellFunction::Dff | CellFunction::WddlDff => CellKind::Reg,
                 CellFunction::Tie(v) => CellKind::Tie(*v),
             });
             in_nets.extend_from_slice(&g.inputs);
@@ -236,7 +250,10 @@ impl CompiledSim {
             .next_power_of_two()
             .max(64);
 
-        let mut comp = CompiledSim {
+        let max_nbins = nbins.iter().copied().max().unwrap_or(1);
+        let lookback_ps =
+            (f64::from(max_nbins) * sample_ps).ceil() as u64 + cfg.crosstalk_window_ps;
+        let mut comp = LaneSim {
             cfg: cfg.clone(),
             cells,
             in_offsets,
@@ -260,12 +277,43 @@ impl CompiledSim {
             wheel_size,
             settles_se: false,
             settles_wddl: false,
+            cube_offsets: Vec::new(),
+            cubes: Vec::new(),
+            lookback_ps,
+            _lanes: std::marker::PhantomData,
         };
         let arrival = comp.arrivals();
         let launch = cfg.clk2q_ps.max(cfg.input_delay_ps);
         comp.settles_se = comp.settles_after(&arrival, launch);
         comp.settles_wddl = comp.settles_after(&arrival, cfg.eval_start_ps() + launch);
+        if W::LANES > 1 {
+            comp.compile_cubes();
+        }
         Ok(comp)
+    }
+
+    /// Builds the per-gate word programs that evaluate every lane at
+    /// once.
+    fn compile_cubes(&mut self) {
+        self.cube_offsets.push(0);
+        for cell in &self.cells {
+            if let CellKind::Comb { tt, .. } = *cell {
+                let lo = self.cubes.len();
+                let cover = isop(&tt);
+                self.cubes
+                    .extend(cover.cubes().iter().map(|c| (c.pos_mask(), c.neg_mask())));
+                // The word program must compute exactly the truth table
+                // it replaces, for every input pattern of this gate.
+                for idx in 0..(1u32 << tt.vars()) {
+                    let got = self.cubes[lo..].iter().any(|&(p, n)| {
+                        idx & u32::from(p) == u32::from(p) && idx & u32::from(n) == 0
+                    });
+                    debug_assert_eq!(got, tt.eval(idx), "ISOP cover diverges from tt");
+                    let _ = got;
+                }
+            }
+            self.cube_offsets.push(self.cubes.len() as u32);
+        }
     }
 
     /// The compiled configuration.
@@ -273,16 +321,15 @@ impl CompiledSim {
         &self.cfg
     }
 
-    /// True if [`Self::run_single_ended`] event-simulates only the
-    /// measured cycles: every single-ended cycle provably settles
-    /// before the next clock edge (DESIGN.md §16) and no waveform is
-    /// recorded. Other cycles then report no rises and no kernel work.
+    /// True if single-ended runs event-simulate only the measured
+    /// cycles: every single-ended cycle provably settles before the
+    /// next clock edge (DESIGN.md §16) and no waveform is recorded.
+    /// Other cycles then report no rises and no kernel work.
     pub fn settles_single_ended(&self) -> bool {
         self.settles_se
     }
 
-    /// The same as [`Self::settles_single_ended`] for
-    /// [`Self::run_wddl`].
+    /// The same as [`Self::settles_single_ended`] for WDDL runs.
     pub fn settles_wddl(&self) -> bool {
         self.settles_wddl
     }
@@ -339,7 +386,9 @@ impl CompiledSim {
         let hi = self.coup_offsets[net.index() + 1] as usize;
         &self.coup[lo..hi]
     }
+}
 
+impl CompiledSim {
     /// Simulates a single-ended netlist window into `scratch`,
     /// accounting charge for the `measured` cycles (and event-simulating
     /// only them if [`Self::settles_single_ended`]); see
@@ -355,9 +404,13 @@ impl CompiledSim {
         input_vectors: &[Vec<bool>],
         measured: impl RangeBounds<usize>,
     ) {
-        let cycles = measured_cycles(&measured, input_vectors.len());
-        let mut engine = Engine::new(self, scratch, input_vectors.len(), cycles);
-        engine.drive_single_ended(input_vectors);
+        self.run(
+            scratch,
+            CycleDriver::SingleEnded,
+            input_vectors,
+            true,
+            measured,
+        );
     }
 
     /// Simulates a WDDL two-phase window into `scratch`, accounting
@@ -375,14 +428,15 @@ impl CompiledSim {
         input_vectors: &[Vec<bool>],
         measured: impl RangeBounds<usize>,
     ) {
-        let cycles = measured_cycles(&measured, input_vectors.len());
-        let mut engine = Engine::new(self, scratch, input_vectors.len(), cycles);
-        engine.drive_wddl(input_pairs, input_vectors);
+        let driver = CycleDriver::Wddl(input_pairs);
+        self.run(scratch, driver, input_vectors, true, measured);
     }
 
-    /// Simulates a window under the idealized glitch-free power model,
-    /// accounting charge for the `measured` cycles; see
-    /// [`crate::simulate_single_ended_glitch_free`].
+    /// Simulates a window under the idealized glitch-free power model
+    /// ([`CycleDriver::GlitchFree`]), accounting charge for the
+    /// `measured` cycles. Comparing DPA outcomes against
+    /// [`Self::run_single_ended`] isolates how much leakage the
+    /// glitches contribute.
     ///
     /// # Panics
     ///
@@ -393,80 +447,13 @@ impl CompiledSim {
         input_vectors: &[Vec<bool>],
         measured: impl RangeBounds<usize>,
     ) {
-        let n_cycles = input_vectors.len();
-        let cycles = measured_cycles(&measured, n_cycles);
-        scratch.reset(self, n_cycles, cycles.clone());
-        let spc = self.cfg.samples_per_cycle;
-
-        // Consistent initial state: all sources 0 (inverters settle
-        // high), evaluated once into prev_values.
-        self.eval_comb_into(&mut scratch.prev_values);
-
-        for (c, vector) in input_vectors.iter().enumerate() {
-            assert_eq!(vector.len(), self.inputs.len(), "bad vector length");
-            scratch.values.iter_mut().for_each(|v| *v = false);
-            for (&net, &v) in self.inputs.iter().zip(vector) {
-                scratch.values[net.index()] = v;
-            }
-            for (&(_, q), &v) in self.se_regs.iter().zip(&scratch.reg_state) {
-                scratch.values[q.index()] = v;
-            }
-            self.eval_comb_into(&mut scratch.values);
-
-            // A cycle's charge stays inside the cycle, so only the
-            // measured ones need it; every cycle's rises are counted.
-            let measuring = cycles.contains(&c);
-            let mut energy = 0.0;
-            let mut rises = 0u64;
-            for i in 0..self.n_nets {
-                if scratch.values[i] && !scratch.prev_values[i] && !self.exempt[i] {
-                    if measuring {
-                        energy += self.c_eff_ff[i] * self.cfg.vdd * self.cfg.vdd;
-                    }
-                    rises += 1;
-                }
-            }
-            if measuring {
-                // Deposit the charge over the first quarter of the cycle.
-                let bins = (spc / 4).max(1);
-                let base = (c - cycles.start) * spc;
-                for b in 0..bins {
-                    scratch.trace[base + b] += energy / self.cfg.vdd / bins as f64;
-                }
-            }
-            for (i, &(d, _)) in self.se_regs.iter().enumerate() {
-                scratch.reg_state[i] = scratch.values[d.index()];
-            }
-            scratch.cycle_energy_fj.push(energy);
-            scratch.cycle_rises.push(rises);
-            for &o in &self.outputs {
-                scratch.outputs_flat.push(scratch.values[o.index()]);
-            }
-            std::mem::swap(&mut scratch.values, &mut scratch.prev_values);
-        }
-    }
-
-    /// Zero-delay evaluation of the combinational portion in cached
-    /// topological order. `values` holds the forced source values on
-    /// entry and every net's settled value on exit.
-    pub(crate) fn eval_comb_into(&self, values: &mut [bool]) {
-        for &gid in &self.topo {
-            match self.cells[gid.index()] {
-                CellKind::Comb { tt, .. } => {
-                    let lo = self.in_offsets[gid.index()] as usize;
-                    let hi = self.in_offsets[gid.index() + 1] as usize;
-                    let mut idx = 0u32;
-                    for (i, &inp) in self.in_nets[lo..hi].iter().enumerate() {
-                        if values[inp.index()] {
-                            idx |= 1 << i;
-                        }
-                    }
-                    values[self.out_net[gid.index()].index()] = tt.eval(idx);
-                }
-                CellKind::Tie(v) => values[self.out_net[gid.index()].index()] = v,
-                CellKind::Dff | CellKind::WddlDff => {}
-            }
-        }
+        self.run(
+            scratch,
+            CycleDriver::GlitchFree,
+            input_vectors,
+            true,
+            measured,
+        );
     }
 }
 
@@ -488,150 +475,8 @@ pub(crate) fn measured_cycles(measured: &impl RangeBounds<usize>, n_cycles: usiz
     lo..hi
 }
 
-/// The reusable mutable half of the simulation kernel: every array the
-/// event loop and the cycle drivers touch. One scratch per worker
-/// thread; [`EngineScratch::reset`] (called by every
-/// `CompiledSim::run_*`) restores the exact initial state of a freshly
-/// built engine without releasing capacity, so repeated window
-/// simulations allocate nothing once buffers have grown to the
-/// campaign's steady-state sizes.
-#[derive(Debug, Default)]
-pub struct EngineScratch {
-    // --- event-engine state ---
-    pub(crate) values: Vec<bool>,
-    /// Monotonic tie-break counter for deterministic event order.
-    pub(crate) order: u64,
-    /// Per-gate cancellation sequence.
-    pub(crate) gate_seq: Vec<u64>,
-    /// Value the gate's pending output event will establish.
-    pub(crate) pending: Vec<Option<bool>>,
-    /// Timing wheel replacing the seed engine's binary heap: one event
-    /// bucket per slot, indexed by `time & wheel_mask`. The global
-    /// `order` counter is monotonic, so bucket FIFO order equals the
-    /// heap's `(time, order)` order exactly; and since every gate delay
-    /// is at least 1 ps (and smaller than the wheel), a bucket never
-    /// receives new events while it is being drained.
-    pub(crate) wheel: Vec<Vec<Event>>,
-    /// One bit per wheel slot: bucket non-empty.
-    pub(crate) occupancy: Vec<u64>,
-    pub(crate) wheel_mask: u64,
-    /// All events strictly before `cursor` have been processed.
-    pub(crate) cursor: u64,
-    /// End of the window (`n_cycles × period`). Events scheduled at or
-    /// beyond it can never be processed — the final `run_until` stops
-    /// there — so pushes drop them (the heap kept them, unread).
-    pub(crate) horizon: u64,
-    /// Last transition per net: (time, new value).
-    pub(crate) last_transition: Vec<Option<(u64, bool)>>,
-    /// The measured cycles of the current window.
-    pub(crate) measured: Range<usize>,
-    /// Their sample bins, `measured × samples_per_cycle`.
-    pub(crate) bins: Range<usize>,
-    /// The cycle being simulated is measured.
-    pub(crate) measuring: bool,
-    /// Supply-current trace of the measured cycles: charge (fC) per
-    /// sample bin, bin `bins.start` first.
-    pub(crate) trace: Vec<f64>,
-    /// Net transitions, recorded when [`SimConfig::record_waveform`].
-    pub(crate) waveform: Vec<(u64, NetId, bool)>,
-    pub(crate) energy_fj: f64,
-    pub(crate) rising_events: u64,
-    // --- cycle-driver state ---
-    pub(crate) reg_state: Vec<bool>,
-    pub(crate) reg_state_pairs: Vec<(bool, bool)>,
-    /// Previous-cycle values (glitch-free model only).
-    pub(crate) prev_values: Vec<bool>,
-    // --- per-window results, reused ---
-    pub(crate) cycle_energy_fj: Vec<f64>,
-    pub(crate) cycle_rises: Vec<u64>,
-    /// Primary-output values, `n_cycles × n_outputs`, flattened.
-    pub(crate) outputs_flat: Vec<bool>,
-    pub(crate) wddl_alarms: Vec<usize>,
-    // --- geometry of the last run ---
-    pub(crate) samples_per_cycle: usize,
-    pub(crate) n_outputs: usize,
-    // --- kernel work counters (per window, reset like the buffers;
-    // deterministic functions of (comp, stimuli), so campaign sums are
-    // thread-count invariant) ---
-    /// Timing-wheel events drained in the last window.
-    pub(crate) events_processed: u64,
-    /// Combinational gate evaluations in the last window.
-    pub(crate) gate_evals: u64,
-    /// Events currently pending on the wheel.
-    pub(crate) wheel_pending: u64,
-    /// Peak simultaneous pending events (wheel occupancy high-water).
-    pub(crate) wheel_peak: u64,
-}
-
+/// The scalar result API of a one-lane run.
 impl EngineScratch {
-    /// An empty scratch; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Restores the initial engine state for a `n_cycles`-cycle window
-    /// of `comp` measuring `measured`, reusing every buffer's capacity.
-    pub(crate) fn reset(&mut self, comp: &CompiledSim, n_cycles: usize, measured: Range<usize>) {
-        let spc = comp.cfg.samples_per_cycle;
-        self.values.clear();
-        self.values.resize(comp.n_nets, false);
-        self.order = 0;
-        self.gate_seq.clear();
-        self.gate_seq.resize(comp.n_gates, 0);
-        self.pending.clear();
-        self.pending.resize(comp.n_gates, None);
-        let w = comp.wheel_size as usize;
-        if self.wheel.len() != w {
-            self.wheel.clear();
-            self.wheel.resize_with(w, Vec::new);
-            self.occupancy.clear();
-            self.occupancy.resize(w / 64, 0);
-        } else {
-            // A completed window drains every bucket; this sweep only
-            // finds leftovers after an aborted run. Visiting set bits
-            // keeps it O(words) when there are none.
-            for (wi, word) in self.occupancy.iter_mut().enumerate() {
-                let mut m = *word;
-                while m != 0 {
-                    self.wheel[wi * 64 + m.trailing_zeros() as usize].clear();
-                    m &= m - 1;
-                }
-                *word = 0;
-            }
-        }
-        self.wheel_mask = comp.wheel_size - 1;
-        self.cursor = 0;
-        self.horizon = n_cycles as u64 * comp.cfg.period_ps;
-        self.last_transition.clear();
-        self.last_transition.resize(comp.n_nets, None);
-        self.bins = measured.start * spc..measured.end * spc;
-        self.measuring = measured.contains(&0);
-        self.measured = measured;
-        self.trace.clear();
-        self.trace.resize(self.bins.len(), 0.0);
-        self.waveform.clear();
-        self.energy_fj = 0.0;
-        self.rising_events = 0;
-        self.reg_state.clear();
-        self.reg_state.resize(comp.se_regs.len(), false);
-        // Logical 0 as a *valid* WDDL code word (t, f) = (0, 1).
-        self.reg_state_pairs.clear();
-        self.reg_state_pairs
-            .resize(comp.wddl_regs.len(), (false, true));
-        self.prev_values.clear();
-        self.prev_values.resize(comp.n_nets, false);
-        self.cycle_energy_fj.clear();
-        self.cycle_rises.clear();
-        self.outputs_flat.clear();
-        self.wddl_alarms.clear();
-        self.samples_per_cycle = spc;
-        self.n_outputs = comp.outputs.len();
-        self.events_processed = 0;
-        self.gate_evals = 0;
-        self.wheel_pending = 0;
-        self.wheel_peak = 0;
-    }
-
     /// The supply-current trace of the last window's measured cycles
     /// (the whole window when every cycle was measured).
     pub fn trace(&self) -> &[f64] {
@@ -651,7 +496,7 @@ impl EngineScratch {
     /// Supply energy per cycle, in fJ; 0 for cycles that were not
     /// measured.
     pub fn cycle_energy_fj(&self) -> &[f64] {
-        &self.cycle_energy_fj
+        &self.cycle_energy
     }
 
     /// Rising-transition count per simulated cycle, measured or not;
@@ -662,7 +507,7 @@ impl EngineScratch {
 
     /// Primary-output values at the end of `cycle`.
     pub fn outputs(&self, cycle: usize) -> &[bool] {
-        &self.outputs_flat[cycle * self.n_outputs..(cycle + 1) * self.n_outputs]
+        &self.outputs[cycle * self.n_outputs..(cycle + 1) * self.n_outputs]
     }
 
     /// Per-cycle WDDL DFA alarm counts (empty for single-ended runs).
@@ -670,37 +515,19 @@ impl EngineScratch {
         &self.wddl_alarms
     }
 
-    /// Timing-wheel events drained in the last window. A deterministic
-    /// function of the compiled design and the window's stimuli.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Combinational gate evaluations in the last window.
-    pub fn gate_evals(&self) -> u64 {
-        self.gate_evals
-    }
-
-    /// Peak simultaneous pending events on the timing wheel in the
-    /// last window (queue-depth high-water mark).
-    pub fn wheel_peak(&self) -> u64 {
-        self.wheel_peak
-    }
-
     /// Moves the last window's results into an owned
     /// [`crate::SimResult`], leaving the scratch reusable. The
     /// one-shot `simulate_*` drivers use this; campaign code reads the
     /// borrow accessors instead to stay allocation-free.
     pub fn take_sim_result(&mut self) -> crate::SimResult {
-        let n_outputs = self.n_outputs.max(1);
         let outputs_per_cycle = self
-            .outputs_flat
-            .chunks(n_outputs)
+            .outputs
+            .chunks(self.n_outputs.max(1))
             .map(<[bool]>::to_vec)
             .collect();
         crate::SimResult {
             trace: std::mem::take(&mut self.trace),
-            cycle_energy_fj: std::mem::take(&mut self.cycle_energy_fj),
+            cycle_energy_fj: std::mem::take(&mut self.cycle_energy),
             cycle_rises: std::mem::take(&mut self.cycle_rises),
             outputs_per_cycle,
             wddl_alarms: std::mem::take(&mut self.wddl_alarms),

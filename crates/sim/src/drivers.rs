@@ -1,12 +1,11 @@
-//! Cycle drivers: single-ended CMOS and two-phase WDDL simulation
-//! loops around the event engine.
+//! One-shot simulation entry points: single-ended CMOS and two-phase
+//! WDDL windows on the one-lane event kernel.
 //!
-//! These one-shot entry points compile the netlist
-//! ([`crate::CompiledSim::build`]) and run a single window. Campaign
-//! code that simulates many windows of the same netlist should compile
-//! once and call `CompiledSim::run_*` with a reused
-//! [`crate::EngineScratch`] instead — same results, no per-window
-//! setup.
+//! These compile the netlist ([`crate::CompiledSim::build`]) and run a
+//! single window. Campaign code that simulates many windows of the
+//! same netlist should compile once and call `CompiledSim::run_*` with
+//! a reused [`crate::EngineScratch`] instead — same results, no
+//! per-window setup.
 
 use secflow_cells::Library;
 use secflow_extract::Parasitics;
@@ -70,7 +69,8 @@ fn finish(mut result: SimResult, cfg: &SimConfig) -> SimResult {
 /// # Errors
 ///
 /// [`SimError::UnknownCell`] if a gate references a cell missing from
-/// `lib`; [`SimError::CombinationalCycle`] if the netlist is cyclic.
+/// `lib`; [`SimError::PinCount`] if a gate's pin count differs from its
+/// cell's; [`SimError::CombinationalCycle`] if the netlist is cyclic.
 ///
 /// # Panics
 ///
@@ -83,27 +83,7 @@ pub fn simulate_single_ended(
     input_vectors: &[Vec<bool>],
 ) -> Result<SimResult, SimError> {
     let load = LoadModel::try_build(nl, lib, parasitics)?;
-    simulate_single_ended_with_load(nl, lib, &load, cfg, input_vectors)
-}
-
-/// [`simulate_single_ended`] with a caller-built [`LoadModel`].
-///
-/// Building the load model walks every gate and net; callers that
-/// simulate the same netlist many times (trace campaigns) build it
-/// once and reuse it across runs — or better, compile a
-/// [`CompiledSim`] once and skip per-window setup entirely.
-///
-/// # Errors
-///
-/// See [`simulate_single_ended`].
-pub fn simulate_single_ended_with_load(
-    nl: &Netlist,
-    lib: &Library,
-    load: &LoadModel,
-    cfg: &SimConfig,
-    input_vectors: &[Vec<bool>],
-) -> Result<SimResult, SimError> {
-    let comp = CompiledSim::build(nl, lib, load, cfg)?;
+    let comp = CompiledSim::build(nl, lib, &load, cfg)?;
     let mut scratch = EngineScratch::new();
     comp.run_single_ended(&mut scratch, input_vectors, ..);
     Ok(finish(scratch.take_sim_result(), cfg))
@@ -134,74 +114,9 @@ pub fn simulate_wddl(
     input_vectors: &[Vec<bool>],
 ) -> Result<SimResult, SimError> {
     let load = LoadModel::try_build(nl, lib, parasitics)?;
-    simulate_wddl_with_load(nl, lib, &load, cfg, input_pairs, input_vectors)
-}
-
-/// [`simulate_wddl`] with a caller-built [`LoadModel`]; see
-/// [`simulate_single_ended_with_load`].
-///
-/// # Errors
-///
-/// See [`simulate_single_ended`].
-pub fn simulate_wddl_with_load(
-    nl: &Netlist,
-    lib: &Library,
-    load: &LoadModel,
-    cfg: &SimConfig,
-    input_pairs: &[(NetId, NetId)],
-    input_vectors: &[Vec<bool>],
-) -> Result<SimResult, SimError> {
-    let comp = CompiledSim::build(nl, lib, load, cfg)?;
+    let comp = CompiledSim::build(nl, lib, &load, cfg)?;
     let mut scratch = EngineScratch::new();
     comp.run_wddl(&mut scratch, input_pairs, input_vectors, ..);
-    Ok(finish(scratch.take_sim_result(), cfg))
-}
-
-/// Simulates a single-ended netlist with an idealized **glitch-free**
-/// power model: per cycle, every net settles directly to its final
-/// value and draws `C·Vdd` once if it rose — the power a designer
-/// might naively predict from switching activity alone. Comparing DPA
-/// outcomes against [`simulate_single_ended`] isolates how much
-/// leakage the glitches contribute (ablation of the inertial-delay
-/// model).
-///
-/// The whole cycle's charge is deposited uniformly over the first
-/// quarter of the cycle (temporal structure is not modelled).
-///
-/// # Errors
-///
-/// See [`simulate_single_ended`].
-///
-/// # Panics
-///
-/// Panics if vector lengths are inconsistent.
-pub fn simulate_single_ended_glitch_free(
-    nl: &Netlist,
-    lib: &Library,
-    parasitics: Option<&Parasitics>,
-    cfg: &SimConfig,
-    input_vectors: &[Vec<bool>],
-) -> Result<SimResult, SimError> {
-    let load = LoadModel::try_build(nl, lib, parasitics)?;
-    simulate_single_ended_glitch_free_with_load(nl, lib, &load, cfg, input_vectors)
-}
-
-/// [`simulate_single_ended_glitch_free`] with a caller-built
-/// [`LoadModel`]; see [`simulate_single_ended_with_load`].
-///
-/// # Errors
-///
-/// See [`simulate_single_ended`].
-pub fn simulate_single_ended_glitch_free_with_load(
-    nl: &Netlist,
-    lib: &Library,
-    load: &LoadModel,
-    cfg: &SimConfig,
-    input_vectors: &[Vec<bool>],
-) -> Result<SimResult, SimError> {
-    let comp = CompiledSim::build(nl, lib, load, cfg)?;
-    let mut scratch = EngineScratch::new();
-    comp.run_single_ended_glitch_free(&mut scratch, input_vectors, ..);
     Ok(finish(scratch.take_sim_result(), cfg))
 }
 
@@ -398,6 +313,21 @@ mod glitch_free_tests {
     use super::*;
     use secflow_netlist::GateKind;
 
+    /// A window of `nl` under the glitch-free power model, every cycle
+    /// measured.
+    fn glitch_free(
+        nl: &Netlist,
+        lib: &Library,
+        cfg: &SimConfig,
+        vectors: &[Vec<bool>],
+    ) -> SimResult {
+        let load = LoadModel::try_build(nl, lib, None).unwrap();
+        let comp = CompiledSim::build(nl, lib, &load, cfg).unwrap();
+        let mut scratch = EngineScratch::new();
+        comp.run_single_ended_glitch_free(&mut scratch, vectors, ..);
+        scratch.take_sim_result()
+    }
+
     #[test]
     fn glitch_free_matches_functional_outputs() {
         let mut nl = Netlist::new("gf");
@@ -420,7 +350,7 @@ mod glitch_free_tests {
             vec![false, true],
             vec![false, true],
         ];
-        let r = simulate_single_ended_glitch_free(&nl, &lib, None, &cfg, &vectors).unwrap();
+        let r = glitch_free(&nl, &lib, &cfg, &vectors);
         let qs: Vec<bool> = r.outputs_per_cycle.iter().map(|o| o[0]).collect();
         assert_eq!(qs, vec![false, true, false, true, true]);
         // Fully settled last cycle (inputs and state unchanged): zero
@@ -450,7 +380,7 @@ mod glitch_free_tests {
             .map(|i| vec![i & 1 == 1, i >> 1 & 1 == 1, i >> 2 & 1 == 1])
             .collect();
         let ev = simulate_single_ended(&nl, &lib, None, &cfg, &vectors).unwrap();
-        let gf = simulate_single_ended_glitch_free(&nl, &lib, None, &cfg, &vectors).unwrap();
+        let gf = glitch_free(&nl, &lib, &cfg, &vectors);
         let ev_total: f64 = ev.cycle_energy_fj.iter().sum();
         let gf_total: f64 = gf.cycle_energy_fj.iter().sum();
         assert!(ev_total >= gf_total * 0.999, "{ev_total} < {gf_total}");

@@ -12,6 +12,19 @@ pub enum SimError {
         /// The unresolved cell name.
         cell: String,
     },
+    /// A gate's input or output count differs from its cell's.
+    PinCount {
+        /// Instance name of the offending gate.
+        gate: String,
+        /// The gate's cell.
+        cell: String,
+        /// `"input"` or `"output"`.
+        pins: &'static str,
+        /// The gate's pin count.
+        got: usize,
+        /// The cell's pin count.
+        expected: usize,
+    },
     /// The netlist's combinational portion contains a cycle, so no
     /// evaluation order exists.
     CombinationalCycle {
@@ -34,6 +47,16 @@ impl fmt::Display for SimError {
             SimError::UnknownCell { gate, cell } => {
                 write!(f, "gate `{gate}` references unknown cell `{cell}`")
             }
+            SimError::PinCount {
+                gate,
+                cell,
+                pins,
+                got,
+                expected,
+            } => write!(
+                f,
+                "gate `{gate}` has {got} {pins}s but cell `{cell}` has {expected}"
+            ),
             SimError::CombinationalCycle { netlist } => {
                 write!(f, "netlist `{netlist}` has a combinational cycle")
             }

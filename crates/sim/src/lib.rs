@@ -22,9 +22,12 @@
 //! cycle at 125 MHz by default).
 
 //!
-//! For trace campaigns (thousands of short windows over one netlist),
-//! compile once with [`CompiledSim::build`] and reuse an
-//! [`EngineScratch`] per worker thread: the compiled kernel resolves
+//! The event simulator is one kernel ([`kernel`]), generic over a
+//! [`LaneWord`]: [`CompiledSim`]/[`EngineScratch`] run one window at a
+//! time (the scalar API, waveforms), [`BitSim`]/[`BitScratch`] 64
+//! windows per batch, byte-identical per lane. For trace campaigns
+//! (thousands of short windows over one netlist), compile once and
+//! reuse a scratch per worker thread: the compiled kernel resolves
 //! cells, fanout adjacency, loads and the topological order up front
 //! and performs zero heap allocations per steady-state window, while
 //! staying byte-identical to the one-shot `simulate_*` drivers.
@@ -33,23 +36,19 @@ pub mod bitslice;
 pub mod compiled;
 mod config;
 mod drivers;
-mod engine;
 mod error;
 pub mod functional;
+pub mod kernel;
 mod load;
 mod noise;
 pub mod sta;
 pub mod vcd;
 
 pub use bitslice::{BitScratch, BitSim, SimBackend};
-pub use compiled::{CompiledSim, EngineScratch};
+pub use compiled::{is_wddl_register, CompiledSim, EngineScratch, LaneSim};
 pub use config::SimConfig;
-pub use drivers::{
-    simulate_single_ended, simulate_single_ended_glitch_free,
-    simulate_single_ended_glitch_free_with_load, simulate_single_ended_with_load, simulate_wddl,
-    simulate_wddl_with_load, SimResult,
-};
-pub use engine::is_wddl_register;
+pub use drivers::{simulate_single_ended, simulate_wddl, SimResult};
 pub use error::SimError;
+pub use kernel::{CycleDriver, LaneScratch, LaneWord};
 pub use load::LoadModel;
 pub use noise::add_gaussian_noise;

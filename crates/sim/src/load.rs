@@ -1,8 +1,8 @@
 //! Per-net load and drive model.
 
-use secflow_cells::{CellFunction, Library};
+use secflow_cells::{CellFunction, LibCell, Library};
 use secflow_extract::Parasitics;
-use secflow_netlist::{NetId, Netlist};
+use secflow_netlist::{Gate, NetId, Netlist};
 
 use crate::error::SimError;
 
@@ -34,7 +34,8 @@ impl LoadModel {
     /// # Errors
     ///
     /// [`SimError::UnknownCell`] if a gate references a cell missing
-    /// from `lib`.
+    /// from `lib`; [`SimError::PinCount`] if a gate's pin count differs
+    /// from its cell's.
     pub fn try_build(
         nl: &Netlist,
         lib: &Library,
@@ -46,10 +47,12 @@ impl LoadModel {
         let mut couplings = vec![Vec::new(); n];
         let resolve = |gate: secflow_netlist::GateId| {
             let g = nl.gate(gate);
-            lib.by_name(&g.cell).ok_or_else(|| SimError::UnknownCell {
+            let cell = lib.by_name(&g.cell).ok_or_else(|| SimError::UnknownCell {
                 gate: g.name.clone(),
                 cell: g.cell.clone(),
-            })
+            })?;
+            check_pins(g, cell)?;
+            Ok(cell)
         };
 
         for id in nl.net_ids() {
@@ -94,6 +97,24 @@ impl LoadModel {
     /// linear delay model of `cell`.
     pub fn delay_ps(&self, intrinsic_ps: f64, drive_kohm: f64, net: NetId) -> f64 {
         intrinsic_ps + drive_kohm * self.c_eff_ff[net.index()]
+    }
+}
+
+/// Checks that `gate` has exactly as many inputs and outputs as `cell`.
+///
+/// # Errors
+///
+/// [`SimError::PinCount`] naming the first mismatch.
+pub(crate) fn check_pins(gate: &Gate, cell: &LibCell) -> Result<(), SimError> {
+    match cell.pin_mismatch(gate.inputs.len(), gate.outputs.len()) {
+        Some((pins, got, expected)) => Err(SimError::PinCount {
+            gate: gate.name.clone(),
+            cell: cell.name().to_string(),
+            pins,
+            got,
+            expected,
+        }),
+        None => Ok(()),
     }
 }
 

@@ -31,6 +31,21 @@ cargo run --release --offline -p secflow-bench --bin exp_fig3_decompose -- \
 python3 scripts/obs_schema_check.py --compare "$tmp/plain.out" "$tmp/obs.out"
 python3 scripts/obs_schema_check.py "$tmp/obs.json"
 
+echo "== tier-1: CLI answers a gate with the wrong pin count with a typed parse error =="
+printf '%s\n' 'module bad (a, b, c, y);' '  input a;' '  input b;' '  input c;' '  output y;' \
+    '  AND2 g0 (.A(a), .B(b), .C(c), .Y(y));' 'endmodule' > "$tmp/bad_pins.v"
+for flow in --regular --secure; do
+    rc=0
+    cargo run --release --offline -q -p secflow -- "$tmp/bad_pins.v" "$flow" \
+        --out "$tmp/bad_pins_out" > /dev/null 2> "$tmp/bad_pins.err" || rc=$?
+    errors=$(grep -c '^{"error":{"stage":"parse",' "$tmp/bad_pins.err" || true)
+    if [ "$rc" -ne 10 ] || [ "$errors" -ne 1 ] || grep -q panicked "$tmp/bad_pins.err"; then
+        echo "bad pin count $flow: exit $rc, $errors parse error lines (want 10 and 1, no panic)"
+        cat "$tmp/bad_pins.err"
+        exit 1
+    fi
+done
+
 echo "== tier-1: sim-backend stdout byte-identity (Fig. 6 smoke, event vs bitslice) =="
 cargo run --release --offline -p secflow-bench --bin exp_fig6_mtd -- --smoke \
     --sim-backend event > "$tmp/event.out"

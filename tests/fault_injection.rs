@@ -9,8 +9,8 @@ use std::collections::HashSet;
 
 use secflow::cells::Library;
 use secflow::flow::{
-    decompose, substitute, verify_rail_complementarity, FlowError, FlowOptions, Stage,
-    SubstituteError,
+    decompose, run_regular_backend, run_secure_backend, substitute, verify_rail_complementarity,
+    FlowError, FlowOptions, Stage, SubstituteError,
 };
 use secflow::lec::{check_equiv, LecError};
 use secflow::netlist::{parse_verilog, GateKind, Netlist, NetlistError};
@@ -305,4 +305,79 @@ fn failed_stage_does_not_poison_subsequent_flows() {
     let secure = secflow::flow::run_secure_flow(&d, &lib, &FlowOptions::default())
         .expect("valid flow after a fault");
     assert!(secure.report.die_area_um2 > 0.0);
+}
+
+/// Gates of a known cell with one input too many, one too few, and one
+/// output too many, as the CLI reads them from `rtl.v`.
+const BAD_PIN_NETLISTS: [(&str, &str); 3] = [
+    (
+        "three-input AND2",
+        "module bad (a, b, c, y);\n  input a;\n  input b;\n  input c;\n  output y;\n  \
+         AND2 g0 (.A(a), .B(b), .C(c), .Y(y));\nendmodule\n",
+    ),
+    (
+        "one-input AND2",
+        "module bad (a, y);\n  input a;\n  output y;\n  AND2 g0 (.A(a), .Y(y));\nendmodule\n",
+    ),
+    (
+        "two-output AND2",
+        "module bad (a, b, y, z);\n  input a;\n  input b;\n  output y;\n  output z;\n  \
+         AND2 g0 (.A(a), .B(b), .Y(y), .Y1(z));\nendmodule\n",
+    ),
+];
+
+fn parse_bad(src: &str, lib: &Library) -> Netlist {
+    parse_verilog(src, &lib.seq_cell_names()).expect("the netlist is syntactically valid")
+}
+
+/// A gate whose pin count differs from its cell's fails the parse stage
+/// of both backends with a typed error naming the gate, the cell and
+/// both counts, instead of panicking in placement or substitution.
+#[test]
+fn wrong_pin_counts_fail_the_parse_stage_of_both_backends() {
+    let lib = Library::lib180();
+    let opts = FlowOptions::default();
+    let want = [(3, 2, "inputs"), (1, 2, "inputs"), (2, 1, "outputs")];
+    for ((label, src), (got, expected, pins)) in BAD_PIN_NETLISTS.iter().zip(want) {
+        let detail = format!("gate `g0` has {got} {pins} but cell `AND2` has {expected}");
+        let errors = [
+            run_regular_backend(parse_bad(src, &lib), &lib, &opts, 0.0).map(|_| ()),
+            run_secure_backend(parse_bad(src, &lib), &lib, &opts, 0.0).map(|_| ()),
+        ];
+        for e in errors {
+            let e = e.expect_err(label);
+            assert!(
+                matches!(&e, FlowError::Parse(NetlistError::PinCount { gate, cell, .. })
+                    if gate == "g0" && cell == "AND2"),
+                "{label}: {e:?}"
+            );
+            assert!(e.to_string().contains(&detail), "{label}: {e}");
+            assert_flow_error(e, Stage::Parse);
+        }
+    }
+}
+
+/// The simulator's build path refuses the same netlists with a typed
+/// [`SimError`], in the load model as in the kernel itself.
+#[test]
+fn wrong_pin_counts_are_a_typed_sim_error() {
+    let lib = Library::lib180();
+    let cfg = SimConfig::default();
+    for (label, src) in BAD_PIN_NETLISTS {
+        let nl = parse_bad(src, &lib);
+        let vectors = vec![vec![false; nl.inputs().len()]];
+        let e = simulate_single_ended(&nl, &lib, None, &cfg, &vectors).expect_err(label);
+        assert!(
+            matches!(&e, SimError::PinCount { gate, cell, .. } if gate == "g0" && cell == "AND2"),
+            "{label}: {e:?}"
+        );
+        let load = LoadModel {
+            c_eff_ff: vec![0.0; nl.net_count()],
+            drive_kohm: vec![0.0; nl.net_count()],
+            couplings: vec![Vec::new(); nl.net_count()],
+        };
+        let e = BitSim::build(&nl, &lib, &load, &cfg).expect_err(label);
+        assert!(matches!(e, SimError::PinCount { .. }), "{label}: {e:?}");
+        assert_flow_error(e, Stage::Sim);
+    }
 }
