@@ -27,18 +27,23 @@
 //! continuous run drives the next one, and the input wires couple to
 //! switching nets (`tests/window_vs_full.rs`, DESIGN.md §7).
 //!
-//! Two consumption paths share the window simulators:
+//! One campaign loop serves every consumer: it draws the plaintexts,
+//! groups the lane batches into blocks of about `chunk` encryptions,
+//! simulates each block in one parallel region, and hands the blocks
+//! to a consumer in encryption order.
 //!
-//! * **Materialize** ([`collect_des_traces`]): every trace lands in a
-//!   [`TraceSet`], O(traces × points) memory, attacked afterwards
-//!   ([`analyze_trace_set`]).
-//! * **Streaming** ([`collect_des_analysis_streaming`]): windows are
-//!   simulated in bounded chunks and fed straight into the one-pass
-//!   accumulators of [`crate::streaming`]; memory is
-//!   O(chunk × points + points × classes) however many traces run,
-//!   and the resulting [`CampaignAnalysis`] is byte-identical to the
-//!   materialized path because the accumulators' statistics are a pure
-//!   function of the traces in input order, whatever the blocks.
+//! * [`collect_des_traces_with`] takes the whole campaign as one
+//!   block, a [`TraceSet`] of O(traces × points) memory.
+//! * [`collect_des_analysis_streaming`] feeds each block to the
+//!   one-pass accumulators of [`crate::streaming`] (and optionally a
+//!   [`crate::store`]) and drops it before the next one; memory is
+//!   O(chunk × points + points × classes) however many traces run.
+//!
+//! [`analyze_trace_set`] and [`analyze_trace_store`] feed the same
+//! accumulators an existing set as one block, or a store chunk by
+//! chunk. The accumulators' statistics are a pure function of the
+//! traces in input order, whatever the blocks, so every path returns
+//! the same [`CampaignAnalysis`] bit for bit.
 
 use std::path::Path;
 
@@ -55,10 +60,10 @@ use secflow_sim::{
     LoadModel, SimBackend, SimConfig, SimError,
 };
 
-use crate::attack::{dpa_attack, mtd_scan, DpaResult, MtdScan};
-use crate::cpa::{cpa_attack, cpa_mtd_scan, sbox_hamming_model, CpaMtdPoint, CpaResult};
+use crate::attack::{DpaResult, MtdScan};
+use crate::cpa::{sbox_hamming_model, CpaMtdPoint, CpaResult};
 use crate::error::{AnalysisError, CampaignError};
-use crate::store::{StoreWriter, TraceBlock, TraceStore};
+use crate::store::{StoreWriter, TraceStore};
 use crate::streaming::{check_correct_key, CpaStream, DpaStream};
 
 /// A simulated implementation of the DES DPA module.
@@ -163,13 +168,9 @@ impl CampaignProgram {
         }
     }
 
-    /// Simulates `batches` in parallel, one worker scratch per thread;
-    /// results in encryption order.
-    fn run_batches(
-        &self,
-        campaign: &Campaign<'_>,
-        batches: &[(usize, usize)],
-    ) -> Vec<(Vec<f64>, (u8, u8), f64)> {
+    /// Simulates `batches` in one parallel region, one worker scratch
+    /// per thread; the traces in encryption order.
+    fn run_batches(&self, campaign: &Campaign<'_>, batches: &[(usize, usize)]) -> TraceSet {
         match self {
             CampaignProgram::Event(sim) => run_batches(sim, campaign, batches),
             CampaignProgram::Bitslice(sim) => run_batches(sim, campaign, batches),
@@ -177,8 +178,10 @@ impl CampaignProgram {
     }
 }
 
-/// Collected measurement campaign.
-#[derive(Debug, Clone)]
+/// Collected measurement campaign, or one block of it: the unit the
+/// campaign loop hands its consumers and the trace store writes and
+/// replays.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSet {
     /// One supply-current trace per encryption (the cycle in which the
     /// S-box evaluates and the ciphertext registers capture).
@@ -261,35 +264,83 @@ pub fn collect_des_traces_with(
     n: usize,
     seed: u64,
 ) -> Result<TraceSet, SimError> {
-    assert!(key < 64);
-    cfg.validate_backend(program.backend())?;
+    let campaign = Campaign::new(program, target, cfg, key, n, seed)?;
     let _campaign = obs::span("dpa.campaign");
-    // Plaintexts are drawn sequentially up front — cheap, and it keeps
-    // the campaign identical to the serial harness for a given seed.
-    // Only the expensive per-encryption simulation is parallelised.
-    let plaintexts = draw_plaintexts(n, seed);
-    let campaign = Campaign {
-        target,
-        cfg,
-        key,
-        plaintexts: &plaintexts,
-    };
-    let block = into_block(program.run_batches(&campaign, &program.batches(n)));
-    obs::add(obs::Counter::DpaTraces, n as u64);
-    Ok(TraceSet {
-        traces: block.traces,
-        ciphertexts: block.ciphertexts,
-        energies: block.energies,
+    let mut set = TraceSet {
         samples_per_trace: cfg.samples_per_cycle,
-    })
+        ..TraceSet::default()
+    };
+    // One block: every batch runs in one parallel region.
+    campaign.run(usize::MAX, |block| {
+        set = block;
+        Ok::<(), SimError>(())
+    })?;
+    Ok(set)
 }
 
-/// What every window of one campaign shares.
+/// One campaign: what every window shares, and the loop that
+/// simulates them.
 struct Campaign<'a> {
+    program: &'a CampaignProgram,
     target: &'a DesTarget<'a>,
     cfg: &'a SimConfig,
     key: u8,
-    plaintexts: &'a [(u8, u8)],
+    plaintexts: Vec<(u8, u8)>,
+}
+
+impl<'a> Campaign<'a> {
+    /// Checks `cfg` against the program's backend and draws the
+    /// plaintexts.
+    fn new(
+        program: &'a CampaignProgram,
+        target: &'a DesTarget<'a>,
+        cfg: &'a SimConfig,
+        key: u8,
+        n: usize,
+        seed: u64,
+    ) -> Result<Self, SimError> {
+        assert!(key < 64);
+        cfg.validate_backend(program.backend())?;
+        // Plaintexts are drawn sequentially up front — cheap, and it
+        // keeps the campaign identical to the serial harness for a
+        // given seed. Only the per-encryption simulation is parallel.
+        Ok(Campaign {
+            program,
+            target,
+            cfg,
+            key,
+            plaintexts: draw_plaintexts(n, seed),
+        })
+    }
+
+    /// Simulates the campaign in blocks of about `chunk` encryptions,
+    /// one parallel region per block, and hands the blocks to
+    /// `consume` in encryption order.
+    fn run<E>(
+        &self,
+        chunk: usize,
+        mut consume: impl FnMut(TraceSet) -> Result<(), E>,
+    ) -> Result<(), E> {
+        // Group consecutive lane batches until ~chunk encryptions; the
+        // grouping is a pure function of (n, chunk), so blocks — and
+        // everything folded from them — are identical at any thread
+        // count.
+        let batches = self.program.batches(self.plaintexts.len());
+        let mut bi = 0usize;
+        while bi < batches.len() {
+            let mut end = bi;
+            let mut lanes = 0usize;
+            while end < batches.len() && (lanes == 0 || lanes + batches[end].1 <= chunk) {
+                lanes += batches[end].1;
+                end += 1;
+            }
+            let block = self.program.run_batches(self, &batches[bi..end]);
+            obs::add(obs::Counter::DpaTraces, lanes as u64);
+            consume(block)?;
+            bi = end;
+        }
+        Ok(())
+    }
 }
 
 /// The campaign's batch partition at `lanes` windows per batch:
@@ -313,15 +364,22 @@ fn run_batches<W: LaneWord>(
     sim: &LaneSim<W>,
     campaign: &Campaign<'_>,
     batches: &[(usize, usize)],
-) -> Vec<(Vec<f64>, (u8, u8), f64)> {
+) -> TraceSet {
     // Each pool worker keeps one scratch, reset per batch, so the
     // steady-state campaign allocates nothing in the simulator.
-    par_map_range_with(batches.len(), LaneScratch::new, |scratch, bi| {
+    let per_batch = par_map_range_with(batches.len(), LaneScratch::new, |scratch, bi| {
         run_batch(sim, scratch, campaign, batches[bi])
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    });
+    let mut set = TraceSet {
+        samples_per_trace: campaign.cfg.samples_per_cycle,
+        ..TraceSet::default()
+    };
+    for (trace, ct, energy) in per_batch.into_iter().flatten() {
+        set.traces.push(trace);
+        set.ciphertexts.push(ct);
+        set.energies.push(energy);
+    }
+    set
 }
 
 /// Simulates one lane batch — encryptions `start..start + count`, all
@@ -348,7 +406,8 @@ fn run_batch<W: LaneWord>(
         target,
         cfg,
         key,
-        plaintexts,
+        ref plaintexts,
+        ..
     } = *campaign;
     let h = start.min(2);
     let active = W::first(count);
@@ -469,9 +528,9 @@ impl AnalysisPlan {
     }
 }
 
-/// Attack statistics of one campaign, produced identically by the
-/// materialized ([`analyze_trace_set`]) and streaming
-/// ([`collect_des_analysis_streaming`]) paths.
+/// Attack statistics of one campaign, produced identically by every
+/// consumer of its traces: [`analyze_trace_set`],
+/// [`collect_des_analysis_streaming`] and [`analyze_trace_store`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignAnalysis {
     /// Traces analyzed.
@@ -491,71 +550,33 @@ pub struct CampaignAnalysis {
     pub cpa_mtd: Option<(Vec<CpaMtdPoint>, Option<usize>)>,
 }
 
-/// Runs the planned attacks over a materialized trace set — the
-/// classic path: each attack walks the full matrix.
+/// Runs the planned attacks over a materialized trace set: the
+/// streaming accumulators fed the whole set as one block.
 ///
 /// # Errors
 ///
-/// Propagates the typed input errors of the batch attacks; a plan
-/// whose `correct_key` is not below `n_keys` fails before any attack
-/// runs.
+/// The typed input errors of the accumulators; a plan whose
+/// `correct_key` is not below `n_keys` fails before any attack runs.
 pub fn analyze_trace_set(
     set: &TraceSet,
     plan: &AnalysisPlan,
 ) -> Result<CampaignAnalysis, AnalysisError> {
     plan.check()?;
-    let energy_sum = set.energies.iter().sum::<f64>();
-    let mut analysis = CampaignAnalysis {
-        n: set.traces.len(),
-        samples_per_trace: set.samples_per_trace,
-        energy_sum,
-        dpa: None,
-        dpa_mtd: None,
-        cpa: None,
-        cpa_mtd: None,
-    };
-    if plan.dpa {
-        analysis.dpa = Some(dpa_attack(&set.traces, plan.n_keys, set.selector())?);
-        if let Some(step) = plan.step {
-            analysis.dpa_mtd = Some(mtd_scan(
-                &set.traces,
-                plan.n_keys,
-                plan.correct_key,
-                step,
-                set.selector(),
-            )?);
-        }
-    }
-    if plan.cpa {
-        let model = |k: u8, i: usize| {
-            let (cl, cr) = set.ciphertexts[i];
-            sbox_hamming_model(k, cl, cr)
-        };
-        analysis.cpa = Some(cpa_attack(&set.traces, plan.n_keys, model)?);
-        if let Some(step) = plan.step {
-            analysis.cpa_mtd = Some(cpa_mtd_scan(
-                &set.traces,
-                plan.n_keys,
-                plan.correct_key,
-                step,
-                model,
-            )?);
-        }
-    }
-    Ok(analysis)
+    let mut sinks = StreamSinks::build(plan)?;
+    sinks.consume(set)?;
+    Ok(sinks.finish(plan, set.traces.len(), set.samples_per_trace))
 }
 
-/// Running accumulators of a streaming campaign analysis, fed one
-/// [`TraceBlock`] at a time.
+/// Running accumulators of a campaign analysis, fed one block of
+/// traces at a time.
 struct StreamSinks {
     dpa: Option<DpaStream>,
     cpa: Option<CpaStream>,
     energy_sum: f64,
-    writer: Option<StoreWriter>,
 }
 
 impl StreamSinks {
-    fn build(plan: &AnalysisPlan, writer: Option<StoreWriter>) -> Result<Self, AnalysisError> {
+    fn build(plan: &AnalysisPlan) -> Result<Self, AnalysisError> {
         let make_dpa = || match plan.step {
             Some(step) => DpaStream::with_step(plan.n_keys, step),
             None => DpaStream::new(plan.n_keys),
@@ -568,11 +589,10 @@ impl StreamSinks {
             dpa: if plan.dpa { Some(make_dpa()?) } else { None },
             cpa: if plan.cpa { Some(make_cpa()?) } else { None },
             energy_sum: 0.0,
-            writer,
         })
     }
 
-    fn consume(&mut self, block: &TraceBlock) -> Result<(), CampaignError> {
+    fn consume(&mut self, block: &TraceSet) -> Result<(), AnalysisError> {
         if let Some(dpa) = self.dpa.as_mut() {
             dpa.push_block(&block.traces, |k, j| {
                 let (cl, cr) = block.ciphertexts[j];
@@ -590,10 +610,6 @@ impl StreamSinks {
         for &e in &block.energies {
             self.energy_sum += e;
         }
-        obs::add(obs::Counter::DpaTraces, block.len() as u64);
-        if let Some(w) = self.writer.as_mut() {
-            w.append_block(block)?;
-        }
         Ok(())
     }
 
@@ -602,11 +618,8 @@ impl StreamSinks {
         plan: &AnalysisPlan,
         n: usize,
         samples_per_trace: usize,
-    ) -> Result<CampaignAnalysis, CampaignError> {
-        if let Some(w) = self.writer.take() {
-            w.finish()?;
-        }
-        Ok(CampaignAnalysis {
+    ) -> CampaignAnalysis {
+        CampaignAnalysis {
             n,
             samples_per_trace,
             energy_sum: self.energy_sum,
@@ -620,22 +633,8 @@ impl StreamSinks {
                 (Some(s), Some(_)) => Some(s.mtd(plan.correct_key)),
                 _ => None,
             },
-        })
+        }
     }
-}
-
-fn into_block(collected: Vec<(Vec<f64>, (u8, u8), f64)>) -> TraceBlock {
-    let mut block = TraceBlock {
-        traces: Vec::with_capacity(collected.len()),
-        ciphertexts: Vec::with_capacity(collected.len()),
-        energies: Vec::with_capacity(collected.len()),
-    };
-    for (trace, ct, energy) in collected {
-        block.traces.push(trace);
-        block.ciphertexts.push(ct);
-        block.energies.push(energy);
-    }
-    block
 }
 
 /// Runs the campaign and the planned attacks in one fused pass:
@@ -676,42 +675,25 @@ pub fn collect_des_analysis_streaming(
     chunk: usize,
     store_dir: Option<&Path>,
 ) -> Result<CampaignAnalysis, CampaignError> {
-    assert!(key < 64);
     plan.check()?;
-    cfg.validate_backend(program.backend())?;
+    let campaign = Campaign::new(program, target, cfg, key, n, seed)?;
     let _campaign = obs::span("dpa.campaign.stream");
-    let plaintexts = draw_plaintexts(n, seed);
-    let chunk = chunk.max(1);
-    let writer = match store_dir {
+    let mut sinks = StreamSinks::build(plan)?;
+    let mut writer = match store_dir {
         Some(dir) => Some(StoreWriter::create(dir, cfg.samples_per_cycle)?),
         None => None,
     };
-    let mut sinks = StreamSinks::build(plan, writer)?;
-
-    let campaign = Campaign {
-        target,
-        cfg,
-        key,
-        plaintexts: &plaintexts,
-    };
-    // Group consecutive lane batches until ~chunk encryptions; the
-    // grouping is a pure function of (n, chunk), so blocks — and
-    // everything folded from them — are identical at any thread count.
-    let batches = program.batches(n);
-    let mut bi = 0usize;
-    while bi < batches.len() {
-        let mut end = bi;
-        let mut lanes = 0usize;
-        while end < batches.len() && (lanes == 0 || lanes + batches[end].1 <= chunk) {
-            lanes += batches[end].1;
-            end += 1;
+    campaign.run(chunk, |block| {
+        sinks.consume(&block)?;
+        if let Some(w) = writer.as_mut() {
+            w.append_block(&block)?;
         }
-        let collected = program.run_batches(&campaign, &batches[bi..end]);
-        sinks.consume(&into_block(collected))?;
-        bi = end;
+        Ok::<(), CampaignError>(())
+    })?;
+    if let Some(w) = writer {
+        w.finish()?;
     }
-
-    sinks.finish(plan, n, cfg.samples_per_cycle)
+    Ok(sinks.finish(plan, n, cfg.samples_per_cycle))
 }
 
 /// Replays a committed trace store through the streaming accumulators
@@ -728,12 +710,13 @@ pub fn analyze_trace_store(
 ) -> Result<CampaignAnalysis, CampaignError> {
     plan.check()?;
     let _span = obs::span("dpa.campaign.replay");
-    let mut sinks = StreamSinks::build(plan, None)?;
+    let mut sinks = StreamSinks::build(plan)?;
     for block in store.blocks() {
-        sinks.consume(&block?)?;
+        let block = block?;
+        sinks.consume(&block)?;
+        obs::add(obs::Counter::DpaTraces, block.traces.len() as u64);
     }
-    let n = store.n_traces();
-    sinks.finish(plan, n, store.samples_per_trace())
+    Ok(sinks.finish(plan, store.n_traces(), store.samples_per_trace()))
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@
 //!   paper's §3 anticipates ("the more powerful an attacker is, the
 //!   better his results may be");
 //! * [`harness`] — end-to-end trace collection for the Fig. 4 DES
-//!   module on a simulated implementation (regular or WDDL), with a
-//!   fused streaming path that feeds simulator output straight into
-//!   the accumulators;
+//!   module on a simulated implementation (regular or WDDL): one
+//!   campaign loop whose blocks become a trace set or flow straight
+//!   into the accumulators;
 //! * [`streaming`] — one-pass DPA/CPA/MTD accumulators that sum each
 //!   trace once into the class of its predictions, with block-wise
 //!   input and incremental checkpoints, byte-identical to the batch

@@ -3,9 +3,10 @@
 //! The streaming campaign engine never needs the full trace matrix in
 //! memory, but some workloads still want *replay* — re-attacking a
 //! recorded campaign with a different model, or auditing individual
-//! traces. The store appends each campaign block as one chunk file
-//! and writes a small index at the end, so a 10⁶-trace campaign on
-//! disk costs O(block) memory to write and to read back.
+//! traces. The store appends each campaign block (a [`TraceSet`]) as
+//! one chunk file and writes a small index at the end, so a
+//! 10⁶-trace campaign on disk costs O(block) memory to write and to
+//! read back.
 //!
 //! # On-disk format (version 1)
 //!
@@ -27,31 +28,9 @@ use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
+use crate::harness::TraceSet;
+
 const MAGIC: &[u8; 8] = b"SECFTRC1";
-
-/// One contiguous block of campaign output: per-trace energy samples,
-/// the observed ciphertext bytes `(CL, CR)`, and the total energy.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TraceBlock {
-    /// Per-trace energy-per-cycle samples, equal lengths.
-    pub traces: Vec<Vec<f64>>,
-    /// Per-trace observed ciphertext `(CL, CR)`.
-    pub ciphertexts: Vec<(u8, u8)>,
-    /// Per-trace total switching energy.
-    pub energies: Vec<f64>,
-}
-
-impl TraceBlock {
-    /// Number of traces in the block.
-    pub fn len(&self) -> usize {
-        self.traces.len()
-    }
-
-    /// True when the block holds no traces.
-    pub fn is_empty(&self) -> bool {
-        self.traces.is_empty()
-    }
-}
 
 /// A typed trace-store failure (never a panic: store paths come from
 /// user input).
@@ -65,8 +44,9 @@ pub enum StoreError {
     },
     /// The on-disk bytes do not form a valid store.
     Corrupt { path: PathBuf, detail: String },
-    /// An appended block violates the store's shape (ragged trace,
-    /// mismatched ciphertext/energy counts).
+    /// An appended block violates the store's shape (samples per
+    /// trace other than the store's, ragged trace, mismatched
+    /// ciphertext/energy counts).
     Shape { detail: String },
 }
 
@@ -134,7 +114,15 @@ impl StoreWriter {
     }
 
     /// Appends one block as a new chunk file.
-    pub fn append_block(&mut self, block: &TraceBlock) -> Result<(), StoreError> {
+    pub fn append_block(&mut self, block: &TraceSet) -> Result<(), StoreError> {
+        if block.samples_per_trace != self.samples {
+            return Err(StoreError::Shape {
+                detail: format!(
+                    "block has {} samples per trace, store expects {}",
+                    block.samples_per_trace, self.samples
+                ),
+            });
+        }
         let n = block.traces.len();
         if block.ciphertexts.len() != n || block.energies.len() != n {
             return Err(StoreError::Shape {
@@ -253,7 +241,7 @@ impl TraceStore {
         self.chunk_counts.len()
     }
 
-    fn read_chunk(&self, i: usize) -> Result<TraceBlock, StoreError> {
+    fn read_chunk(&self, i: usize) -> Result<TraceSet, StoreError> {
         let path = chunk_path(&self.dir, i);
         let mut f = fs::File::open(&path).map_err(|e| io_err(&path, "open", e))?;
         let mut buf = Vec::new();
@@ -288,10 +276,11 @@ impl TraceStore {
                 self.samples
             )));
         }
-        let mut block = TraceBlock {
+        let mut block = TraceSet {
             traces: Vec::with_capacity(n),
             ciphertexts: Vec::with_capacity(n),
             energies: Vec::with_capacity(n),
+            samples_per_trace: self.samples,
         };
         let mut o = 4;
         for _ in 0..n {
@@ -315,7 +304,7 @@ impl TraceStore {
 
     /// Replays chunks lazily, in campaign order; holds one chunk in
     /// memory at a time.
-    pub fn blocks(&self) -> impl Iterator<Item = Result<TraceBlock, StoreError>> + '_ {
+    pub fn blocks(&self) -> impl Iterator<Item = Result<TraceSet, StoreError>> + '_ {
         (0..self.chunk_counts.len()).map(|i| self.read_chunk(i))
     }
 }
@@ -324,13 +313,14 @@ impl TraceStore {
 mod tests {
     use super::*;
 
-    fn block(n: usize, samples: usize, tag: f64) -> TraceBlock {
-        TraceBlock {
+    fn block(n: usize, samples: usize, tag: f64) -> TraceSet {
+        TraceSet {
             traces: (0..n)
                 .map(|i| (0..samples).map(|s| tag + i as f64 + s as f64 * 0.5).collect())
                 .collect(),
             ciphertexts: (0..n).map(|i| (i as u8, (i as u8) ^ 0x2a)).collect(),
             energies: (0..n).map(|i| tag * 10.0 + i as f64).collect(),
+            samples_per_trace: samples,
         }
     }
 
@@ -355,7 +345,7 @@ mod tests {
         assert_eq!(store.samples_per_trace(), 5);
         assert_eq!(store.n_traces(), 11);
         assert_eq!(store.n_chunks(), 3);
-        let got: Vec<TraceBlock> = store.blocks().map(|b| b.unwrap()).collect();
+        let got: Vec<TraceSet> = store.blocks().map(|b| b.unwrap()).collect();
         for (g, want) in got.iter().zip(&blocks) {
             assert_eq!(g, want);
             for (gt, wt) in g.traces.iter().zip(&want.traces) {

@@ -7,12 +7,12 @@
 //! This crate provides the one execution primitive that reconciles
 //! the two:
 //!
-//! * [`par_map`] / [`par_map_indexed`] / [`par_map_range`] — an
-//!   order-preserving parallel map on [`std::thread::scope`]. Workers
-//!   claim chunks of the index space from a shared [`AtomicUsize`]
-//!   (chunked work stealing), tag every result with its item index,
-//!   and the results are reassembled in input order. Item `i`'s value
-//!   therefore never depends on which worker computed it or when.
+//! * [`par_map`] / [`par_map_range`] — an order-preserving parallel
+//!   map on [`std::thread::scope`]. Workers claim chunks of the index
+//!   space from a shared [`AtomicUsize`] (chunked work stealing), tag
+//!   every result with its item index, and the results are
+//!   reassembled in input order. Item `i`'s value therefore never
+//!   depends on which worker computed it or when.
 //! * [`par_map_range_with`] — the same decomposition with a reusable
 //!   per-worker state (`init` once per worker, `f(&mut state, i)` per
 //!   item), for campaigns whose per-item work wants an expensive
@@ -149,43 +149,6 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
     par_map_range(items.len(), |i| f(&items[i]))
 }
 
-/// Order-preserving parallel map with the item index passed to `f`.
-pub fn par_map_indexed<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
-    par_map_range(items.len(), |i| f(i, &items[i]))
-}
-
-/// Fallible order-preserving parallel map over a slice.
-///
-/// Every item still runs (errors do not cancel in-flight work), then
-/// the error of the **lowest** failing index is returned — the same
-/// deterministic lowest-index rule the pool uses for panics, so the
-/// reported error is independent of the worker count. Panics remain
-/// the backstop for bugs; typed errors are the contract for bad input.
-///
-/// # Errors
-///
-/// Returns the first (lowest-index) `Err` produced by `f`.
-pub fn try_par_map<T: Sync, R: Send, E: Send>(
-    items: &[T],
-    f: impl Fn(&T) -> Result<R, E> + Sync,
-) -> Result<Vec<R>, E> {
-    try_par_map_range(items.len(), |i| f(&items[i]))
-}
-
-/// Fallible order-preserving parallel map over `0..n`; see
-/// [`try_par_map`] for the lowest-index error contract.
-///
-/// # Errors
-///
-/// Returns the first (lowest-index) `Err` produced by `f`.
-pub fn try_par_map_range<R: Send, E: Send>(
-    n: usize,
-    f: impl Fn(usize) -> Result<R, E> + Sync,
-) -> Result<Vec<R>, E> {
-    // Order preservation makes `collect` stop at the lowest index.
-    par_map_range(n, f).into_iter().collect()
-}
-
 /// Order-preserving parallel map over the index range `0..n`.
 ///
 /// `out[i] == f(i)` for every `i`, regardless of the worker count.
@@ -225,13 +188,6 @@ pub fn par_map_range_with<S, R: Send>(
         return (0..n).map(|i| f(&mut state, i)).collect();
     }
     run_pool_with(n, threads, &init, &f)
-}
-
-/// Deterministic `f64` sum over `0..n` of a parallel map: the values
-/// are computed in parallel and reduced with [`tree_sum`], so the
-/// result is bit-exact at any worker count.
-pub fn par_sum_range(n: usize, f: impl Fn(usize) -> f64 + Sync) -> f64 {
-    tree_sum(&par_map_range(n, f))
 }
 
 /// Fixed-shape pairwise tree reduction of a `f64` slice.
@@ -389,36 +345,6 @@ mod tests {
             let got = with_threads(t, || par_map(&items, |&x| x.wrapping_mul(x)));
             assert_eq!(got, expect, "threads = {t}");
         }
-    }
-
-    #[test]
-    fn indexed_map_sees_correct_indices() {
-        let items = vec!["a", "b", "c", "d"];
-        let out = with_threads(4, || par_map_indexed(&items, |i, s| format!("{i}{s}")));
-        assert_eq!(out, vec!["0a", "1b", "2c", "3d"]);
-    }
-
-    #[test]
-    fn try_map_returns_lowest_index_error_at_every_thread_count() {
-        for t in [1, 2, 4, 8] {
-            let got = with_threads(t, || {
-                try_par_map_range(100, |i| {
-                    if i % 7 == 3 {
-                        Err(i)
-                    } else {
-                        Ok(i * 2)
-                    }
-                })
-            });
-            assert_eq!(got, Err(3), "threads = {t}");
-        }
-    }
-
-    #[test]
-    fn try_map_collects_all_ok_values() {
-        let items: Vec<u64> = (0..50).collect();
-        let got = with_threads(4, || try_par_map(&items, |&x| Ok::<u64, ()>(x + 1)));
-        assert_eq!(got, Ok((1..=50).collect::<Vec<u64>>()));
     }
 
     #[test]
@@ -602,18 +528,6 @@ mod tests {
         assert_eq!(tree_sum(&xs).to_bits(), expect.to_bits());
         assert_eq!(tree_sum(&[]), 0.0);
         assert_eq!(tree_sum(&[42.5]), 42.5);
-    }
-
-    #[test]
-    fn par_sum_is_bit_exact_across_thread_counts() {
-        // Values chosen so a naive fold would round differently than
-        // the tree; the tree must agree with itself at any count.
-        let f = |i: usize| ((i as f64) * 0.1).sin() * 1e9 + 1.0 / (i + 1) as f64;
-        let serial = with_threads(1, || par_sum_range(10_000, f));
-        for t in [2, 5, 8] {
-            let par = with_threads(t, || par_sum_range(10_000, f));
-            assert_eq!(serial.to_bits(), par.to_bits(), "threads = {t}");
-        }
     }
 
     #[test]

@@ -3,13 +3,18 @@
 //! The engine mirrors `secflow_core`'s staged flow sequence, but with
 //! a cache lookup between every stage: parsed netlist → (substitute)
 //! → placement → routing → (decompose) → extraction → compiled
-//! simulation program → trace set → rendered response. Each artifact
-//! is keyed by `H(input ‖ options ‖ stage)` (see [`crate::key`]), so
-//! two jobs that share a prefix of the pipeline share the work: a
-//! campaign resubmitted with a different `n` reuses everything up to
-//! the compiled program, a `cpa` attack reuses the `dpa` job's trace
-//! set, and an identical resubmission is answered from the response
-//! cache without executing any stage at all.
+//! simulation program → campaign statistics → rendered response. Each
+//! artifact is keyed by `H(input ‖ options ‖ stage)` (see
+//! [`crate::key`]), so two jobs that share a prefix of the pipeline
+//! share the work: a campaign resubmitted with a different `n` reuses
+//! everything up to the compiled program, a `cpa` attack reuses the
+//! statistics of the `dpa` job on the same traces, and an identical
+//! resubmission is answered from the response cache without executing
+//! any stage at all.
+//!
+//! Every campaign runs one way: the fused streaming campaign with both
+//! attacks, whose finished [`CampaignAnalysis`] (a few KB) is cached in
+//! place of its traces. The request's `trace_path` selects nothing.
 //!
 //! Responses are split payload/envelope (see [`crate::proto`]): the
 //! payload rendered here contains only deterministic values — no
@@ -27,8 +32,7 @@ use secflow_core::{
 use secflow_crypto::dpa_module::des_dpa_design;
 use secflow_dpa::error::{AnalysisError, CampaignError, ANALYSIS_EXIT_CODE};
 use secflow_dpa::harness::{
-    analyze_trace_set, collect_des_analysis_streaming, collect_des_traces_with, AnalysisPlan,
-    CampaignAnalysis, CampaignProgram, DesTarget, TraceSet,
+    collect_des_analysis_streaming, AnalysisPlan, CampaignAnalysis, CampaignProgram, DesTarget,
 };
 use secflow_extract::{try_extract, Parasitics};
 use secflow_netlist::{parse_verilog, Netlist};
@@ -40,7 +44,7 @@ use secflow_synth::map_design;
 
 use crate::cache::{ArtifactCache, CacheStats};
 use crate::key::{flow_options_bytes, sim_config_bytes, stage_key, CacheStage, Enc};
-use crate::proto::{AttackKind, CampaignRequest, FlowRequest, Request, RequestError, TracePath};
+use crate::proto::{AttackKind, CampaignRequest, FlowRequest, Request, RequestError};
 
 /// A structured job failure: the `FlowError` taxonomy (stage name,
 /// variant kind, detail, stage exit code 10–19) plus the `request`
@@ -157,8 +161,12 @@ mod size {
         nl.gate_count() * 256 + cfg.samples_per_cycle * 8 + (16 << 10)
     }
 
-    pub fn traces(t: &TraceSet) -> usize {
-        t.traces.len() * (t.samples_per_trace * 8 + 64) + 1024
+    pub fn analysis(a: &CampaignAnalysis) -> usize {
+        let guesses = a.dpa.as_ref().map_or(0, |r| r.guesses.len())
+            + a.cpa.as_ref().map_or(0, |r| r.guesses.len());
+        let points = a.dpa_mtd.as_ref().map_or(0, |s| s.points.len())
+            + a.cpa_mtd.as_ref().map_or(0, |(p, _)| p.len());
+        (guesses + points) * 40 + 1024
     }
 }
 
@@ -384,44 +392,36 @@ impl Engine {
             |_| size::program(target.netlist, &c.cfg),
         )?;
 
-        let plan = AnalysisPlan {
-            n_keys: 64,
-            correct_key: c.key,
-            step: c.mtd.then(|| (c.n / 40).max(10)),
-            dpa: c.attack == AttackKind::Dpa,
-            cpa: c.attack == AttackKind::Cpa,
-        };
-        let analysis = match c.trace_path {
-            TracePath::Materialize => {
-                // The trace set depends on everything: options, full
-                // sim config (noise included), key, n, seed. The
-                // attack kind is deliberately *not* keyed — a CPA job
-                // reuses the DPA job's traces.
-                let mut campaign_opts = ob.clone();
-                campaign_opts.extend_from_slice(&sim_config_bytes(&c.cfg));
-                let mut e = Enc::new();
-                e.u64("key", u64::from(c.key))
-                    .u64("n", c.n as u64)
-                    .u64("seed", c.seed);
-                campaign_opts.extend_from_slice(&e.build());
-                let traces = self.cache.get_or_try(
-                    stage_key(&impl_input, &campaign_opts, CacheStage::Traces),
-                    || {
-                        collect_des_traces_with(&program, &target, &c.cfg, c.key, c.n, c.seed)
-                            .map_err(FlowError::Sim)
-                    },
-                    size::traces,
-                )?;
-                analyze_trace_set(&traces, &plan).map_err(JobError::from)?
-            }
-            // The streaming path never materializes the trace matrix,
-            // so there is nothing stage-sized to cache — equal requests
-            // still hit the response cache (trace_path is part of the
-            // canonical request).
-            TracePath::Streaming => collect_des_analysis_streaming(
-                &program, &target, &c.cfg, c.key, c.n, c.seed, &plan, STREAM_CHUNK, None,
-            )?,
-        };
+        // The campaign's statistics depend on everything its traces
+        // do: options, full sim config (noise included), key, n, seed.
+        // `mtd` is keyed too, so an attack-only job never pays for the
+        // MTD scans. The attack kind and `trace_path` are deliberately
+        // *not* keyed: both attacks are computed in one pass, so a CPA
+        // job reuses the DPA job's entry.
+        let mut campaign_opts = ob.clone();
+        campaign_opts.extend_from_slice(&sim_config_bytes(&c.cfg));
+        let mut e = Enc::new();
+        e.u64("key", u64::from(c.key))
+            .u64("n", c.n as u64)
+            .u64("seed", c.seed)
+            .bool("mtd", c.mtd);
+        campaign_opts.extend_from_slice(&e.build());
+        let analysis = self.cache.get_or_try(
+            stage_key(&impl_input, &campaign_opts, CacheStage::Traces),
+            || {
+                let plan = AnalysisPlan {
+                    n_keys: 64,
+                    correct_key: c.key,
+                    step: c.mtd.then(|| (c.n / 40).max(10)),
+                    dpa: true,
+                    cpa: true,
+                };
+                collect_des_analysis_streaming(
+                    &program, &target, &c.cfg, c.key, c.n, c.seed, &plan, STREAM_CHUNK, None,
+                )
+            },
+            size::analysis,
+        )?;
 
         Ok(render_campaign(c, &analysis))
     }
@@ -458,9 +458,9 @@ impl Engine {
 /// the binary, so its identity — not its bytes — is the input.
 const CAMPAIGN_INPUT: &[u8] = b"builtin:des_dpa";
 
-/// Traces simulated per accumulator block on the streaming path. Big
-/// enough to amortize the parallel fan-out, small enough that a block
-/// of 1 k-sample traces stays a few tens of MB.
+/// Traces simulated per accumulator block. Big enough to amortize the
+/// parallel fan-out, small enough that a block of 1 k-sample traces
+/// stays a few tens of MB.
 const STREAM_CHUNK: usize = 4096;
 
 fn render_stats(jobs: u64, s: CacheStats) -> Vec<u8> {
@@ -496,57 +496,64 @@ fn render_campaign(c: &CampaignRequest, a: &CampaignAnalysis) -> Vec<u8> {
         .u64("samples_per_trace", a.samples_per_trace as u64);
     let mean_energy = a.energy_sum / a.n as f64;
     o.f64("mean_energy_fj", mean_energy);
-    if let Some(r) = &a.dpa {
-        o.u64("best_key", u64::from(r.best_key)).f64("margin", r.margin);
-        let mut guesses = Arr::new();
-        for g in &r.guesses {
-            let mut go = Obj::new();
-            go.u64("key", u64::from(g.key)).f64("p2p", g.p2p);
-            guesses.raw(&go.build());
+    // The cached analysis holds both attacks; render the requested one.
+    match c.attack {
+        AttackKind::Dpa => {
+            if let Some(r) = &a.dpa {
+                o.u64("best_key", u64::from(r.best_key)).f64("margin", r.margin);
+                let mut guesses = Arr::new();
+                for g in &r.guesses {
+                    let mut go = Obj::new();
+                    go.u64("key", u64::from(g.key)).f64("p2p", g.p2p);
+                    guesses.raw(&go.build());
+                }
+                o.raw("guesses", &guesses.build());
+            }
+            if let Some(scan) = &a.dpa_mtd {
+                match scan.mtd {
+                    Some(m) => o.u64("mtd", m as u64),
+                    None => o.raw("mtd", "null"),
+                };
+                let mut points = Arr::new();
+                for p in &scan.points {
+                    let mut po = Obj::new();
+                    po.u64("traces", p.traces as u64)
+                        .raw("disclosed", if p.disclosed { "true" } else { "false" })
+                        .f64("correct_peak", p.correct_peak)
+                        .f64("best_wrong_peak", p.best_wrong_peak);
+                    points.raw(&po.build());
+                }
+                o.raw("points", &points.build());
+            }
         }
-        o.raw("guesses", &guesses.build());
-    }
-    if let Some(scan) = &a.dpa_mtd {
-        match scan.mtd {
-            Some(m) => o.u64("mtd", m as u64),
-            None => o.raw("mtd", "null"),
-        };
-        let mut points = Arr::new();
-        for p in &scan.points {
-            let mut po = Obj::new();
-            po.u64("traces", p.traces as u64)
-                .raw("disclosed", if p.disclosed { "true" } else { "false" })
-                .f64("correct_peak", p.correct_peak)
-                .f64("best_wrong_peak", p.best_wrong_peak);
-            points.raw(&po.build());
+        AttackKind::Cpa => {
+            if let Some(r) = &a.cpa {
+                o.u64("best_key", u64::from(r.best_key)).f64("margin", r.margin);
+                let mut guesses = Arr::new();
+                for g in &r.guesses {
+                    let mut go = Obj::new();
+                    go.u64("key", u64::from(g.key)).f64("peak_corr", g.peak_corr);
+                    guesses.raw(&go.build());
+                }
+                o.raw("guesses", &guesses.build());
+            }
+            if let Some((pts, mtd)) = &a.cpa_mtd {
+                match mtd {
+                    Some(m) => o.u64("mtd", *m as u64),
+                    None => o.raw("mtd", "null"),
+                };
+                let mut points = Arr::new();
+                for p in pts {
+                    let mut po = Obj::new();
+                    po.u64("traces", p.traces as u64)
+                        .raw("disclosed", if p.disclosed { "true" } else { "false" })
+                        .f64("correct_corr", p.correct_corr)
+                        .f64("best_wrong_corr", p.best_wrong_corr);
+                    points.raw(&po.build());
+                }
+                o.raw("points", &points.build());
+            }
         }
-        o.raw("points", &points.build());
-    }
-    if let Some(r) = &a.cpa {
-        o.u64("best_key", u64::from(r.best_key)).f64("margin", r.margin);
-        let mut guesses = Arr::new();
-        for g in &r.guesses {
-            let mut go = Obj::new();
-            go.u64("key", u64::from(g.key)).f64("peak_corr", g.peak_corr);
-            guesses.raw(&go.build());
-        }
-        o.raw("guesses", &guesses.build());
-    }
-    if let Some((pts, mtd)) = &a.cpa_mtd {
-        match mtd {
-            Some(m) => o.u64("mtd", *m as u64),
-            None => o.raw("mtd", "null"),
-        };
-        let mut points = Arr::new();
-        for p in pts {
-            let mut po = Obj::new();
-            po.u64("traces", p.traces as u64)
-                .raw("disclosed", if p.disclosed { "true" } else { "false" })
-                .f64("correct_corr", p.correct_corr)
-                .f64("best_wrong_corr", p.best_wrong_corr);
-            points.raw(&po.build());
-        }
-        o.raw("points", &points.build());
     }
     o.build().into_bytes()
 }

@@ -42,7 +42,9 @@ pub enum CacheStage {
     Extract,
     /// Compiled simulation program (event or bit-sliced kernel).
     Program,
-    /// Collected measurement campaign (trace set).
+    /// The statistics of one campaign's traces: both attacks and, for
+    /// `campaign` jobs, their MTD scans. Tagged `traces` because the
+    /// key names the campaign's traces, not the job's attack.
     Traces,
     /// Rendered response payload bytes for a whole request.
     Response,

@@ -12,8 +12,8 @@
 //! * [`cache`] — an in-memory + on-disk LRU artifact store keyed by a
 //!   128-bit content hash of `(input bytes, options, stage)`: parsed
 //!   and mapped netlists, WDDL substitutions, placements, routed
-//!   designs, parasitics, compiled simulation programs, trace sets
-//!   and whole response payloads;
+//!   designs, parasitics, compiled simulation programs, campaign
+//!   statistics (never trace sets) and whole response payloads;
 //! * [`hash`] / [`key`] — SipHash-2-4 (in-repo, the workspace is
 //!   hermetic) over canonical option encodings, floats pinned by
 //!   `f64::to_bits`;

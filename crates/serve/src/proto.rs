@@ -16,6 +16,11 @@
 //! run-dependent metrics. The `secflow submit` CLI prints the payload
 //! to stdout and the envelope to stderr, mirroring the workspace's
 //! stdout-determinism convention.
+//!
+//! Unknown request fields are refused. A campaign request accepts
+//! `trace_path` (`materialize` or `streaming`) so that existing
+//! clients' requests keep parsing; every campaign streams, so the
+//! field is validated and then ignored.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -104,28 +109,6 @@ impl AttackKind {
     }
 }
 
-/// How campaign traces flow from the simulator to the attacks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TracePath {
-    /// Materialize the full trace set (cached as a stage artifact,
-    /// O(traces × points) memory).
-    Materialize,
-    /// Stream simulator blocks straight into one-pass accumulators
-    /// (O(points × guesses) memory; no trace-set artifact). Results
-    /// are byte-identical to the materialized path.
-    Streaming,
-}
-
-impl TracePath {
-    /// Stable name used in requests.
-    pub fn name(self) -> &'static str {
-        match self {
-            TracePath::Materialize => "materialize",
-            TracePath::Streaming => "streaming",
-        }
-    }
-}
-
 /// A measurement campaign + attack job on the built-in Fig. 4 DES
 /// module.
 #[derive(Debug, Clone)]
@@ -134,8 +117,6 @@ pub struct CampaignRequest {
     pub secure: bool,
     /// Which attack to run on the collected traces.
     pub attack: AttackKind,
-    /// Materialized trace set or fused streaming accumulation.
-    pub trace_path: TracePath,
     /// Run the MTD scan in addition to the full-trace attack.
     pub mtd: bool,
     /// Number of encryptions.
@@ -433,15 +414,15 @@ impl Request {
                         return Err(bad(format!("`attack` must be dpa|cpa, got `{other}`")))
                     }
                 };
-                let trace_path = match get_str(&v, "trace_path")? {
-                    None | Some("materialize") => TracePath::Materialize,
-                    Some("streaming") => TracePath::Streaming,
+                // Validated, then ignored (see the module docs).
+                match get_str(&v, "trace_path")? {
+                    None | Some("materialize" | "streaming") => {}
                     Some(other) => {
                         return Err(bad(format!(
                             "`trace_path` must be materialize|streaming, got `{other}`"
                         )))
                     }
-                };
+                }
                 let n = get_u64(&v, "n")?.unwrap_or(2000) as usize;
                 if n == 0 {
                     return Err(bad("`n` must be at least 1"));
@@ -461,7 +442,6 @@ impl Request {
                 Ok(Request::Campaign(CampaignRequest {
                     secure: parse_implementation(&v)?,
                     attack,
-                    trace_path,
                     mtd: job == "campaign",
                     n,
                     seed: get_u64(&v, "seed")?.unwrap_or(1),

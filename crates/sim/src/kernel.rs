@@ -433,14 +433,6 @@ impl<W: LaneWord> LaneScratch<W> {
         self.outputs[cycle * self.n_outputs + j].bit(lane)
     }
 
-    /// One lane's WDDL DFA alarm count in `cycle` (0 for single-ended
-    /// runs).
-    pub fn wddl_alarm_count(&self, cycle: usize, lane: usize) -> u32 {
-        self.wddl_alarms
-            .get(cycle * W::LANES + lane)
-            .map_or(0, |&a| a as u32)
-    }
-
     /// Masked events drained in the last run (cancelled ones included).
     pub fn events_processed(&self) -> u64 {
         self.events_processed

@@ -79,14 +79,15 @@ cargo bench --offline -p secflow-bench --bench flow_stages -- obs_overhead --smo
 echo "== tier-1: serve cache bench smoke (warm-vs-cold byte-identity self-check) =="
 cargo bench --offline -p secflow-bench --bench flow_stages -- serve_cache --smoke
 
-echo "== tier-1: million-trace MTD smoke (fused streaming + trace-store replay) =="
+echo "== tier-1: million-trace MTD smoke (fused streaming + trace-store replay) matches the committed golden =="
 cargo run --release --offline -p secflow-bench --bin exp_mtd_1m -- --smoke \
-    --trace-store "$tmp/mtd1m_store" > /dev/null
+    --trace-store "$tmp/mtd1m_store" > "$tmp/mtd1m.out"
+cmp tests/golden/mtd_1m_smoke.txt "$tmp/mtd1m.out"
 
 echo "== tier-1: streaming pipeline bench smoke (stream-vs-batch byte-identity self-check) =="
 cargo bench --offline -p secflow-bench --bench flow_stages -- stream_1m --smoke
 
-echo "== tier-1: job-server smoke (daemon, warm cache hit, byte-identical payload) =="
+echo "== tier-1: job-server smoke (daemon, warm cache hit, payloads match the committed golden) =="
 cargo run --release --offline -p secflow -- serve --socket "$tmp/serve.sock" \
     --cache-bytes $((64 * 1024 * 1024)) &
 serve_pid=$!
@@ -100,8 +101,16 @@ cargo run --release --offline -p secflow -- submit --socket "$tmp/serve.sock" \
 cargo run --release --offline -p secflow -- submit --socket "$tmp/serve.sock" \
     --json "$req" > "$tmp/warm.out" 2> "$tmp/warm.env"
 cmp "$tmp/cold.out" "$tmp/warm.out"
+cmp tests/golden/serve_campaign_smoke.json "$tmp/cold.out"
 grep -q '"cached":false' "$tmp/cold.env"
 grep -q '"cached":true' "$tmp/warm.env"
+# `trace_path` selects nothing: the streaming request is a new job
+# with the same payload.
+stream_req='{"job":"campaign","attack":"dpa","n":150,"seed":1,"key":46,"trace_path":"streaming"}'
+cargo run --release --offline -p secflow -- submit --socket "$tmp/serve.sock" \
+    --json "$stream_req" > "$tmp/stream.out" 2> "$tmp/stream.env"
+cmp tests/golden/serve_campaign_smoke.json "$tmp/stream.out"
+grep -q '"cached":false' "$tmp/stream.env"
 cargo run --release --offline -p secflow -- submit --socket "$tmp/serve.sock" --shutdown \
     > /dev/null
 wait "$serve_pid"

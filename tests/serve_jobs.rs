@@ -61,6 +61,53 @@ fn warm_resubmission_executes_zero_stages() {
     assert_eq!(cold.payload, warm.payload, "cached payload must be byte-identical");
 }
 
+/// A campaign simulates once: a later job on the same traces, with
+/// the other attack or the other `trace_path`, is served from the
+/// campaign's cached statistics. It simulates no window, and only its
+/// own response key misses.
+#[test]
+fn one_campaign_simulates_once_whatever_the_attack_and_trace_path() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let engine = Engine::new(256 << 20, None);
+    let request = |attack: &str, path: &str| {
+        format!(
+            r#"{{"job":"campaign","attack":"{attack}","trace_path":"{path}","n":20,"seed":5,
+                "options":{{"anneal_moves_per_gate":4,"verify":false}},
+                "sim":{{"samples_per_cycle":40}}}}"#
+        )
+    };
+    let run = |req: &str| {
+        let parsed = Request::parse(req.as_bytes()).expect("request parses");
+        obs::capture(|| engine.execute(&canonical(req), &parsed).expect("job runs"))
+    };
+
+    let (first, first_report) = run(&request("dpa", "streaming"));
+    assert!(
+        first_report.counter(Counter::SimWindows) > 0,
+        "the first job simulated"
+    );
+    let mut later = Vec::new();
+    for (attack, path) in [("cpa", "streaming"), ("dpa", "materialize")] {
+        let (out, report) = run(&request(attack, path));
+        assert!(!out.cached_response, "{attack}/{path} is a new request");
+        assert_eq!(
+            report.counter(Counter::SimWindows),
+            0,
+            "{attack}/{path} re-simulated the campaign"
+        );
+        assert_eq!(
+            report.counter(Counter::ServeCacheMisses),
+            1,
+            "{attack}/{path} missed more than its response key"
+        );
+        later.push(out);
+    }
+    assert_eq!(
+        later[1].payload, first.payload,
+        "the materialize and streaming DPA payloads differ"
+    );
+}
+
 #[test]
 fn unix_socket_round_trip_serves_cached_second_response() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
