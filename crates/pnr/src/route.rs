@@ -1,10 +1,12 @@
-//! PathFinder-style negotiated-congestion routing on the two-layer
+//! PathFinder-style negotiated-congestion routing on the multi-layer
 //! track grid.
 //!
-//! Every net is routed by multi-source Dijkstra from its partial tree
-//! to each remaining pin; congestion is resolved by iteratively
-//! re-routing all nets with growing present- and history-cost
-//! penalties until no grid node is shared.
+//! Every net grows a tree from its first pin. The remaining pins join
+//! it nearest first, each by a multi-source A* search from the whole
+//! tree whose bound counts the vias a path must take (DESIGN.md §19).
+//! Congestion is resolved by iteratively re-routing all nets with
+//! growing present- and history-cost penalties until no grid node is
+//! shared.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -152,12 +154,14 @@ impl Eq for Open {}
 
 impl Ord for Open {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on f; ties pop the highest point first. Grid indices
-        // follow `Point` order, so the index stands in for the point.
+        // Min-heap on f; ties pop the deeper entry (larger g) first,
+        // then the highest point. Grid indices follow `Point` order,
+        // so the index stands in for the point.
         other
             .f
             .partial_cmp(&self.f)
             .unwrap_or(Ordering::Equal)
+            .then_with(|| self.g.partial_cmp(&other.g).unwrap_or(Ordering::Equal))
             .then_with(|| self.node.cmp(&other.node))
     }
 }
@@ -188,6 +192,30 @@ struct Router {
     in_tree: Vec<u32>,
     tree: u32,
     open: BinaryHeap<Open>,
+    /// Manhattan distance from each pin of the net being routed to its
+    /// tree, [`JOINED`] once the pin has been taken.
+    gap: Vec<i32>,
+}
+
+/// The `gap` of a pin that has joined its net's tree.
+const JOINED: i32 = i32::MAX;
+
+/// A*'s bound: the exact cost from a node on `layer`, `(dx, dy)` away
+/// from a pin, to the pin's access points on an empty grid. A wire
+/// step costs 1 and a via `via_cost`. Above layer 1 a path needs
+/// `layer - 1` vias to come down; on layer 0 (horizontal) or 1
+/// (vertical) it needs one only to travel the other direction. Real
+/// steps add congestion and history, and foreign pins only remove
+/// steps, so the bound is consistent and every search stays optimal.
+#[inline]
+fn via_bound(layer: u8, dx: i32, dy: i32, via_cost: f64) -> f64 {
+    let (dx, dy) = (dx.abs(), dy.abs());
+    let vias = match layer {
+        LAYER_H => u32::from(dy > 0),
+        LAYER_V => u32::from(dx > 0),
+        l => u32::from(l) - 1,
+    };
+    f64::from(dx + dy) + via_cost * f64::from(vias)
 }
 
 impl Router {
@@ -208,6 +236,7 @@ impl Router {
             in_tree: vec![0; n],
             tree: 0,
             open: BinaryHeap::new(),
+            gap: Vec::new(),
         }
     }
 
@@ -251,11 +280,13 @@ impl Router {
     /// Routes one net over the current grid state into the empty
     /// `out`. Returns `None` if a pin is unreachable.
     ///
-    /// Every search is multi-source A* from the partial tree to the
-    /// next pin. The open list pops the lowest f first and, on equal
-    /// f, the highest point; node costs are `g + step + congestion +
-    /// history` and priorities that plus `h`, evaluated in that order.
-    /// The layout depends on both, so they must not change.
+    /// The tree starts at the first pin. The remaining pin nearest to
+    /// it (Manhattan distance to any tree node, the earlier pin on
+    /// ties) joins next, by multi-source A* from the whole tree. The
+    /// open list pops the lowest f first, then the largest g, then the
+    /// highest point; node costs are `g + step + congestion + history`
+    /// and priorities that plus `h`, evaluated in that order. The
+    /// layout depends on all of these, so they must not change.
     fn route_net(
         &mut self,
         grid: &RoutingGrid,
@@ -266,7 +297,7 @@ impl Router {
         out: &mut NetTree,
     ) -> Option<()> {
         let NetTree { nodes: tree, edges } = out;
-        let (w, h, layers) = (grid.width(), grid.height(), u32::from(grid.layers()));
+        let (w, h, layers) = (grid.width(), grid.height(), grid.layers());
         let plane = (w * h) as u32;
         let pin_plane = 2 * plane;
         let node_at = |layer: u8, x: i32, y: i32| grid.index(Point::new(layer, x, y)) as u32;
@@ -279,8 +310,19 @@ impl Router {
         self.add_to_tree(s_h, tree);
         self.add_to_tree(s_v, tree);
         edges.push((s_h, s_v));
+        self.gap.clear();
+        self.gap
+            .extend(pins.iter().map(|&(x, y)| (x - x0).abs() + (y - y0).abs()));
+        self.gap[0] = JOINED;
 
-        for &(px, py) in &pins[1..] {
+        // Prim order: the pin nearest to the tree joins next, the
+        // earlier on ties (`min_by_key` keeps the first minimum).
+        while let Some(k) = (0..pins.len())
+            .filter(|&k| self.gap[k] != JOINED)
+            .min_by_key(|&k| self.gap[k])
+        {
+            self.gap[k] = JOINED;
+            let (px, py) = pins[k];
             let t_h = node_at(LAYER_H, px, py);
             let t_v = node_at(LAYER_V, px, py);
             if self.in_tree[t_h as usize] == self.tree || self.in_tree[t_v as usize] == self.tree {
@@ -290,17 +332,14 @@ impl Router {
             Self::next_stamp(&mut self.search, || {
                 self.nodes.iter_mut().for_each(|n| n.stamp = 0)
             });
-            // A*: an admissible heuristic (Manhattan distance to the
-            // sink; every wire step costs at least 1, vias cost extra
-            // but do not change x/y) keeps the search focused without
-            // affecting optimality.
-            let heuristic = |x: i32, y: i32| f64::from((x - px).abs() + (y - py).abs());
+            let heuristic =
+                |layer: u8, x: i32, y: i32| via_bound(layer, x - px, y - py, opts.via_cost);
             self.open.clear();
             for &i in tree.iter() {
                 self.set(i as usize, 0.0, i);
                 let p = grid.point(i as usize);
                 self.open.push(Open {
-                    f: heuristic(p.x, p.y),
+                    f: heuristic(p.layer, p.x, p.y),
                     g: 0.0,
                     node: i,
                 });
@@ -315,10 +354,10 @@ impl Router {
                     break;
                 }
                 let p = grid.point(node as usize);
-                let (layer, x, y) = (u32::from(p.layer), p.x, p.y);
+                let (layer, x, y) = (p.layer, p.x, p.y);
                 // Neighbours: along the layer direction, then the vias
                 // down and up.
-                let mut relax = |ni: u32, nx: i32, ny: i32, step: f64| {
+                let mut relax = |ni: u32, nl: u8, nx: i32, ny: i32, step: f64| {
                     let i = ni as usize;
                     // Foreign pin points are hard obstacles.
                     if ni < pin_plane && self.pin_owner[i] != NO_NET && self.pin_owner[i] != net.0 {
@@ -334,39 +373,46 @@ impl Router {
                     if nc < self.dist(i) {
                         self.set(i, nc, node);
                         self.open.push(Open {
-                            f: nc + heuristic(nx, ny),
+                            f: nc + heuristic(nl, nx, ny),
                             g: nc,
                             node: ni,
                         });
                     }
                 };
-                if is_horizontal(layer as u8) {
+                if is_horizontal(layer) {
                     if x > 0 {
-                        relax(node - h as u32, x - 1, y, 1.0);
+                        relax(node - h as u32, layer, x - 1, y, 1.0);
                     }
                     if x + 1 < w {
-                        relax(node + h as u32, x + 1, y, 1.0);
+                        relax(node + h as u32, layer, x + 1, y, 1.0);
                     }
                 } else {
                     if y > 0 {
-                        relax(node - 1, x, y - 1, 1.0);
+                        relax(node - 1, layer, x, y - 1, 1.0);
                     }
                     if y + 1 < h {
-                        relax(node + 1, x, y + 1, 1.0);
+                        relax(node + 1, layer, x, y + 1, 1.0);
                     }
                 }
                 if layer > 0 {
-                    relax(node - plane, x, y, opts.via_cost);
+                    relax(node - plane, layer - 1, x, y, opts.via_cost);
                 }
                 if layer + 1 < layers {
-                    relax(node + plane, x, y, opts.via_cost);
+                    relax(node + plane, layer + 1, x, y, opts.via_cost);
                 }
             }
-            // Backtrace to the tree.
+            // Backtrace to the tree, bringing every pending pin's gap
+            // up to date with the nodes that join it.
             let mut i = found?;
             loop {
                 let parent = self.nodes[i as usize].parent;
                 self.add_to_tree(i, tree);
+                let p = grid.point(i as usize);
+                for (d, &(qx, qy)) in self.gap.iter_mut().zip(pins) {
+                    if *d != JOINED {
+                        *d = (*d).min((qx - p.x).abs() + (qy - p.y).abs());
+                    }
+                }
                 if parent == i {
                     break;
                 }
@@ -635,86 +681,88 @@ mod tests {
         nl
     }
 
+    /// The grid points a net's segments cover.
+    fn segment_points(segments: &[Segment]) -> Vec<Point> {
+        let mut pts = Vec::new();
+        for s in segments {
+            if s.is_via() {
+                pts.extend([s.a, s.b]);
+            } else if is_horizontal(s.a.layer) {
+                let (x0, x1) = (s.a.x.min(s.b.x), s.a.x.max(s.b.x));
+                pts.extend((x0..=x1).map(|x| Point::new(s.a.layer, x, s.a.y)));
+            } else {
+                let (y0, y1) = (s.a.y.min(s.b.y), s.a.y.max(s.b.y));
+                pts.extend((y0..=y1).map(|y| Point::new(s.a.layer, s.a.x, y)));
+            }
+        }
+        pts
+    }
+
+    /// The points one step from `p`: along its layer's direction, then
+    /// through the vias. Callers drop the points outside their set.
+    fn neighbours(p: Point) -> Vec<Point> {
+        let mut out = if is_horizontal(p.layer) {
+            vec![
+                Point::new(p.layer, p.x - 1, p.y),
+                Point::new(p.layer, p.x + 1, p.y),
+            ]
+        } else {
+            vec![
+                Point::new(p.layer, p.x, p.y - 1),
+                Point::new(p.layer, p.x, p.y + 1),
+            ]
+        };
+        if p.layer > 0 {
+            out.push(Point::new(p.layer - 1, p.x, p.y));
+        }
+        out.push(Point::new(p.layer + 1, p.x, p.y));
+        out
+    }
+
+    /// Checks that one routed net forms a connected tree touching all
+    /// its pins.
+    fn check_net_connected(name: &str, segments: &[Segment], pins: &[(i32, i32)]) {
+        use std::collections::HashSet;
+        let pts: HashSet<Point> = segment_points(segments).into_iter().collect();
+        // All pins present on at least one layer.
+        for &(x, y) in pins {
+            assert!(
+                pts.contains(&Point::new(LAYER_H, x, y))
+                    || pts.contains(&Point::new(LAYER_V, x, y)),
+                "pin ({x},{y}) of net {name} not covered"
+            );
+        }
+        // Connectivity: BFS over adjacency within the point set.
+        let start = *pts.iter().next().expect("non-empty route");
+        let mut seen = HashSet::from([start]);
+        let mut stack = vec![start];
+        while let Some(p) = stack.pop() {
+            for q in neighbours(p) {
+                if pts.contains(&q) && seen.insert(q) {
+                    stack.push(q);
+                }
+            }
+        }
+        assert_eq!(seen.len(), pts.len(), "disconnected route of net {name}");
+    }
+
     /// Checks that every routed net forms a connected tree touching
     /// all its pins.
     fn check_connectivity(nl: &Netlist, lib: &Library, d: &RoutedDesign) {
-        use std::collections::HashSet;
         for rn in &d.nets {
-            // Expand segments back to points.
-            let mut pts: HashSet<Point> = HashSet::new();
-            for s in &rn.segments {
-                if s.is_via() {
-                    pts.insert(s.a);
-                    pts.insert(s.b);
-                } else if is_horizontal(s.a.layer) {
-                    let (x0, x1) = (s.a.x.min(s.b.x), s.a.x.max(s.b.x));
-                    for x in x0..=x1 {
-                        pts.insert(Point::new(s.a.layer, x, s.a.y));
-                    }
-                } else {
-                    let (y0, y1) = (s.a.y.min(s.b.y), s.a.y.max(s.b.y));
-                    for y in y0..=y1 {
-                        pts.insert(Point::new(s.a.layer, s.a.x, y));
-                    }
-                }
-            }
-            // All pins present on at least one layer.
-            for (x, y) in d.placed.net_pins(nl, lib, rn.net) {
-                assert!(
-                    pts.contains(&Point::new(LAYER_H, x, y))
-                        || pts.contains(&Point::new(LAYER_V, x, y)),
-                    "pin ({x},{y}) of net {} not covered",
-                    nl.net(rn.net).name
-                );
-            }
-            // Connectivity: BFS over adjacency within the point set.
-            let start = *pts.iter().next().expect("non-empty route");
-            let mut seen = HashSet::from([start]);
-            let mut stack = vec![start];
-            while let Some(p) = stack.pop() {
-                let mut neigh = vec![Point::new(p.layer + 1, p.x, p.y)];
-                if p.layer > 0 {
-                    neigh.push(Point::new(p.layer - 1, p.x, p.y));
-                }
-                if is_horizontal(p.layer) {
-                    neigh.push(Point::new(p.layer, p.x - 1, p.y));
-                    neigh.push(Point::new(p.layer, p.x + 1, p.y));
-                } else {
-                    neigh.push(Point::new(p.layer, p.x, p.y - 1));
-                    neigh.push(Point::new(p.layer, p.x, p.y + 1));
-                }
-                for q in neigh {
-                    if pts.contains(&q) && seen.insert(q) {
-                        stack.push(q);
-                    }
-                }
-            }
-            assert_eq!(seen.len(), pts.len(), "disconnected route");
+            let pins = d.placed.net_pins(nl, lib, rn.net);
+            check_net_connected(&nl.net(rn.net).name, &rn.segments, &pins);
         }
     }
 
     /// No two different nets may share a grid node.
-    fn check_no_shorts(d: &RoutedDesign) {
+    fn check_no_shorts(nets: &[RoutedNet]) {
         use std::collections::HashMap;
         let mut owner: HashMap<Point, NetId> = HashMap::new();
-        for rn in &d.nets {
-            for s in &rn.segments {
-                let pts: Vec<Point> = if s.is_via() {
-                    vec![s.a, s.b]
-                } else if is_horizontal(s.a.layer) {
-                    let (x0, x1) = (s.a.x.min(s.b.x), s.a.x.max(s.b.x));
-                    (x0..=x1).map(|x| Point::new(s.a.layer, x, s.a.y)).collect()
-                } else {
-                    let (y0, y1) = (s.a.y.min(s.b.y), s.a.y.max(s.b.y));
-                    (y0..=y1).map(|y| Point::new(s.a.layer, s.a.x, y)).collect()
-                };
-                for p in pts {
-                    if let Some(&o) = owner.get(&p) {
-                        assert_eq!(o, rn.net, "short at {p}");
-                    } else {
-                        owner.insert(p, rn.net);
-                    }
-                }
+        for rn in nets {
+            for p in segment_points(&rn.segments) {
+                let o = *owner.entry(p).or_insert(rn.net);
+                assert_eq!(o, rn.net, "short at {p}");
             }
         }
     }
@@ -727,7 +775,7 @@ mod tests {
         let routed = route(&nl, &lib, &placed, &RouteOptions::default()).unwrap();
         assert!(!routed.nets.is_empty());
         check_connectivity(&nl, &lib, &routed);
-        check_no_shorts(&routed);
+        check_no_shorts(&routed.nets);
         assert!(routed.total_wirelength() > 0);
     }
 
@@ -758,7 +806,7 @@ mod tests {
         let lib = Library::lib180();
         let placed = place(&nl, &lib, &PlaceOptions::default()).unwrap();
         let routed = route(&nl, &lib, &placed, &RouteOptions::default()).unwrap();
-        check_no_shorts(&routed);
+        check_no_shorts(&routed.nets);
         check_connectivity(&nl, &lib, &routed);
     }
 
@@ -770,5 +818,153 @@ mod tests {
         assert_eq!(wires.len(), 2);
         assert!(wires.iter().any(|s| s.len() == 3));
         assert!(wires.iter().any(|s| s.len() == 1));
+    }
+
+    /// Plain Dijkstra without a bound: every node's cheapest cost from
+    /// `sources`, where `step(from, to)` prices a step and `None`
+    /// forbids it. The quadratic selection keeps it obviously right.
+    fn dijkstra(
+        grid: &RoutingGrid,
+        sources: &[usize],
+        step: impl Fn(usize, usize) -> Option<f64>,
+    ) -> Vec<f64> {
+        let n = grid.width() as usize * grid.height() as usize * usize::from(grid.layers());
+        let mut dist = vec![f64::INFINITY; n];
+        let mut done = vec![false; n];
+        for &s in sources {
+            dist[s] = 0.0;
+        }
+        while let Some(u) = (0..n)
+            .filter(|&i| !done[i] && dist[i].is_finite())
+            .min_by(|&a, &b| dist[a].total_cmp(&dist[b]))
+        {
+            done[u] = true;
+            for q in neighbours(grid.point(u)) {
+                if !grid.contains(q) {
+                    continue;
+                }
+                let v = grid.index(q);
+                if let Some(c) = step(u, v) {
+                    dist[v] = dist[v].min(dist[u] + c);
+                }
+            }
+        }
+        dist
+    }
+
+    /// On random small grids with random usage, history and foreign
+    /// pins: the A* bound equals the empty-grid distance to the pin
+    /// from every node, a two-pin search costs what a search without
+    /// the bound finds, and a multi-pin net covers every pin with a
+    /// connected tree that crosses no foreign pin. All costs are
+    /// dyadic, so f64 sums are exact and compare with `==`.
+    #[test]
+    fn prop_searches_are_optimal_and_the_bound_is_exact() {
+        secflow_testkit::prop_check!(cases: 96, seed: 0x20A7_B0D5, |g| {
+            let (w, h) = (g.random_range(2..9u32) as i32, g.random_range(2..9u32) as i32);
+            let opts = RouteOptions {
+                layers: g.random_range(2..7u8),
+                via_cost: *g.choose(&[0.0, 0.5, 1.0, 3.0, 4.25]),
+                ..Default::default()
+            };
+            let present_factor = *g.choose(&[0.0, 0.5, 0.75, 2.0, 8.0]);
+            let mut grid = RoutingGrid::new_with_layers(w, h, opts.layers);
+            let n = w as usize * h as usize * usize::from(opts.layers);
+            for _ in 0..g.random_range(0..4usize) {
+                for _ in 0..g.random_range(0..n) {
+                    grid.occupy_at(g.random_range(0..n));
+                }
+                grid.accrue_history(*g.choose(&[0.25f32, 0.5, 1.0]));
+            }
+
+            // Distinct pin sites: the routed net's pins, then foreign
+            // ones.
+            let mut sites: Vec<(i32, i32)> =
+                (0..w).flat_map(|x| (0..h).map(move |y| (x, y))).collect();
+            for k in (1..sites.len()).rev() {
+                sites.swap(k, g.random_range(0..k + 1));
+            }
+            let own = g.random_range(2..7usize).min(sites.len());
+            let foreign = g.random_range(0..(sites.len() - own) / 2 + 1);
+            let (pins, others) = sites.split_at(own);
+            let others = &others[..foreign];
+            let net = NetId(0);
+            let access = |(x, y): (i32, i32)| {
+                [LAYER_H, LAYER_V].map(|layer| grid.index(Point::new(layer, x, y)))
+            };
+            let mut router = Router::new(&grid);
+            for (k, &site) in pins.iter().chain(others).enumerate() {
+                let owner = if k < own { net.0 } else { k as u32 };
+                for i in access(site) {
+                    router.pin_owner[i] = owner;
+                }
+            }
+
+            // The bound is the empty grid's exact distance to pin 1.
+            let (px, py) = pins[1];
+            let wire_or_via = |a: usize, b: usize| {
+                if grid.point(a).layer == grid.point(b).layer {
+                    1.0
+                } else {
+                    opts.via_cost
+                }
+            };
+            let empty = dijkstra(&grid, &access(pins[1]), |a, b| Some(wire_or_via(a, b)));
+            for (i, &d) in empty.iter().enumerate() {
+                let p = grid.point(i);
+                assert_eq!(via_bound(p.layer, p.x - px, p.y - py, opts.via_cost), d, "bound at {p}");
+            }
+
+            // A two-pin search costs what plain Dijkstra finds.
+            let (usage, history) = grid.costs();
+            let pin_owner = router.pin_owner.clone();
+            let step_cost = |a: usize, b: usize| {
+                if b < pin_owner.len() && pin_owner[b] != NO_NET && pin_owner[b] != net.0 {
+                    return None;
+                }
+                let used = f64::from(usage[b]);
+                let congestion = if used > 0.0 { present_factor * used } else { 0.0 };
+                Some(wire_or_via(a, b) + congestion + f64::from(history[b]))
+            };
+            let reach = dijkstra(&grid, &access(pins[0]), step_cost);
+            let cheapest = |site| access(site).map(|t| reach[t]).into_iter().fold(f64::INFINITY, f64::min);
+            let mut tree = NetTree::default();
+            match router.route_net(&grid, &pins[..2], &opts, present_factor, net, &mut tree) {
+                Some(()) => {
+                    // The first edge joins pin 0's access points at no
+                    // cost.
+                    let cost: f64 = tree.edges[1..]
+                        .iter()
+                        .map(|&(a, b)| step_cost(a as usize, b as usize).expect("path crosses a foreign pin"))
+                        .sum();
+                    assert_eq!(cost, cheapest(pins[1]), "two-pin path cost");
+                }
+                None => assert!(cheapest(pins[1]).is_infinite(), "search missed a path"),
+            }
+
+            // A multi-pin net covers every pin and shorts nothing.
+            let mut tree = NetTree::default();
+            match router.route_net(&grid, pins, &opts, present_factor, net, &mut tree) {
+                Some(()) => {
+                    let unit: Vec<(Point, Point)> = tree
+                        .edges
+                        .iter()
+                        .map(|&(a, b)| (grid.point(a as usize), grid.point(b as usize)))
+                        .collect();
+                    let segments = merge_edges(&unit);
+                    check_net_connected("n0", &segments, pins);
+                    let mut nets = vec![RoutedNet { net, segments }];
+                    nets.extend(others.iter().enumerate().map(|(k, &(x, y))| RoutedNet {
+                        net: NetId(k as u32 + 1),
+                        segments: vec![Segment::new(Point::new(LAYER_H, x, y), Point::new(LAYER_V, x, y))],
+                    }));
+                    check_no_shorts(&nets);
+                }
+                None => assert!(
+                    pins.iter().any(|&p| cheapest(p).is_infinite()),
+                    "a net whose pins are all reachable failed"
+                ),
+            }
+        });
     }
 }

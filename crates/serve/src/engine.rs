@@ -15,6 +15,8 @@
 //! Every campaign runs one way: the fused streaming campaign with both
 //! attacks, whose finished [`CampaignAnalysis`] (a few KB) is cached in
 //! place of its traces. The request's `trace_path` selects nothing.
+//! Its key depends only on the request, so a campaign job looks the
+//! analysis up first and walks the stages only on a miss.
 //!
 //! Responses are split payload/envelope (see [`crate::proto`]): the
 //! payload rendered here contains only deterministic values — no
@@ -252,10 +254,10 @@ impl Engine {
     }
 
     /// Runs a measurement campaign + attack on the built-in DES
-    /// module, caching every stage artifact along the way.
+    /// module, caching every stage artifact along the way. The
+    /// statistics entry is looked up first: a hit needs no stage.
     fn campaign(&self, c: &CampaignRequest) -> Result<Vec<u8>, JobError> {
         let ob = flow_options_bytes(&c.opts);
-        let mapped = self.des_mapped(&ob, c)?;
         // Downstream stage keys carry the implementation tag: the
         // secure pipeline's placement must never alias the regular
         // one's.
@@ -264,6 +266,27 @@ impl Engine {
             if c.secure { b"/secure" } else { b"/regular" },
         ]
         .concat();
+
+        // The campaign's statistics depend on everything its traces
+        // do: options, full sim config (noise included), key, n, seed.
+        // `mtd` is keyed too, so an attack-only job never pays for the
+        // MTD scans. The attack kind and `trace_path` are deliberately
+        // *not* keyed: both attacks are computed in one pass, so a CPA
+        // job reuses the DPA job's entry.
+        let mut campaign_opts = ob.clone();
+        campaign_opts.extend_from_slice(&sim_config_bytes(&c.cfg));
+        let mut e = Enc::new();
+        e.u64("key", u64::from(c.key))
+            .u64("n", c.n as u64)
+            .u64("seed", c.seed)
+            .bool("mtd", c.mtd);
+        campaign_opts.extend_from_slice(&e.build());
+        let campaign_key = stage_key(&impl_input, &campaign_opts, CacheStage::Traces);
+        if let Some(analysis) = self.cache.get::<CampaignAnalysis>(campaign_key) {
+            return Ok(render_campaign(c, &analysis));
+        }
+
+        let mapped = self.des_mapped(&ob, c)?;
         let key_of = |stage| stage_key(&impl_input, &ob, stage);
 
         // Build (or recall) the implementation's artifacts, then the
@@ -392,36 +415,21 @@ impl Engine {
             |_| size::program(target.netlist, &c.cfg),
         )?;
 
-        // The campaign's statistics depend on everything its traces
-        // do: options, full sim config (noise included), key, n, seed.
-        // `mtd` is keyed too, so an attack-only job never pays for the
-        // MTD scans. The attack kind and `trace_path` are deliberately
-        // *not* keyed: both attacks are computed in one pass, so a CPA
-        // job reuses the DPA job's entry.
-        let mut campaign_opts = ob.clone();
-        campaign_opts.extend_from_slice(&sim_config_bytes(&c.cfg));
-        let mut e = Enc::new();
-        e.u64("key", u64::from(c.key))
-            .u64("n", c.n as u64)
-            .u64("seed", c.seed)
-            .bool("mtd", c.mtd);
-        campaign_opts.extend_from_slice(&e.build());
-        let analysis = self.cache.get_or_try(
-            stage_key(&impl_input, &campaign_opts, CacheStage::Traces),
-            || {
-                let plan = AnalysisPlan {
-                    n_keys: 64,
-                    correct_key: c.key,
-                    step: c.mtd.then(|| (c.n / 40).max(10)),
-                    dpa: true,
-                    cpa: true,
-                };
-                collect_des_analysis_streaming(
-                    &program, &target, &c.cfg, c.key, c.n, c.seed, &plan, STREAM_CHUNK, None,
-                )
-            },
-            size::analysis,
-        )?;
+        let plan = AnalysisPlan {
+            n_keys: 64,
+            correct_key: c.key,
+            step: c.mtd.then(|| (c.n / 40).max(10)),
+            dpa: true,
+            cpa: true,
+        };
+        let analysis = Arc::new(collect_des_analysis_streaming(
+            &program, &target, &c.cfg, c.key, c.n, c.seed, &plan, STREAM_CHUNK, None,
+        )?);
+        self.cache.put(
+            campaign_key,
+            Arc::clone(&analysis),
+            size::analysis(&analysis),
+        );
 
         Ok(render_campaign(c, &analysis))
     }
@@ -679,9 +687,10 @@ mod tests {
         let parsed = Request::parse(cpa.as_bytes()).unwrap();
         engine.execute(&canonical(&cpa), &parsed).unwrap();
         let s2 = engine.cache.stats();
-        // The CPA job missed only on its response key; every pipeline
-        // stage (map..traces) was a hit.
+        // The CPA job missed only on its response key and was answered
+        // from the DPA job's statistics entry without any stage lookup.
         assert_eq!(s2.misses - s1.misses, 1, "stats {s2:?} vs {s1:?}");
+        assert_eq!(s2.hits - s1.hits, 1, "stats {s2:?} vs {s1:?}");
     }
 
     #[test]

@@ -63,8 +63,9 @@ fn warm_resubmission_executes_zero_stages() {
 
 /// A campaign simulates once: a later job on the same traces, with
 /// the other attack or the other `trace_path`, is served from the
-/// campaign's cached statistics. It simulates no window, and only its
-/// own response key misses.
+/// campaign's cached statistics. It simulates no window, only its own
+/// response key misses, and the statistics entry is its one hit: no
+/// pipeline stage is looked up.
 #[test]
 fn one_campaign_simulates_once_whatever_the_attack_and_trace_path() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -99,6 +100,11 @@ fn one_campaign_simulates_once_whatever_the_attack_and_trace_path() {
             report.counter(Counter::ServeCacheMisses),
             1,
             "{attack}/{path} missed more than its response key"
+        );
+        assert_eq!(
+            report.counter(Counter::ServeCacheHits),
+            1,
+            "{attack}/{path} looked up more than the statistics entry"
         );
         later.push(out);
     }
