@@ -1,6 +1,7 @@
 //! The cell library container and the default 180 nm-flavoured library.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::cell::{CellFunction, LibCell};
 use crate::lef::LefMacro;
@@ -31,6 +32,108 @@ pub struct MatchedCell {
 pub struct Library {
     cells: Vec<LibCell>,
     by_name: HashMap<String, usize>,
+    /// [`MatchTable`] per variable count, built on first use.
+    match_tables: [OnceLock<MatchTable>; TruthTable::MAX_VARS as usize + 1],
+}
+
+/// One way a library cell realizes a function: cell pin `i` is fed by
+/// variable `perms[perm][i]`, through an inverter where bit `i` of
+/// `mask` is set, and the output is inverted if `inverted` is set.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    /// Index into [`Library::cells`].
+    cell: u32,
+    /// Index into [`MatchTable::perms`].
+    perm: u16,
+    mask: u8,
+    inverted: bool,
+}
+
+/// Every candidate of every `n`-input cell, grouped by the function it
+/// realizes. Within a group the candidates are in enumeration order:
+/// cells in library order, then [`permutations`], then phase masks in
+/// ascending order. [`Library::find_match`] keeps the first candidate
+/// of the smallest area, so this order decides its ties.
+#[derive(Debug, Clone)]
+struct MatchTable {
+    /// `permutations(n)`.
+    perms: Vec<Vec<u8>>,
+    /// The realized truth tables' bits, ascending.
+    keys: Vec<u64>,
+    /// `cands[start[k]..start[k + 1]]` realize `keys[k]`.
+    start: Vec<u32>,
+    cands: Vec<Candidate>,
+}
+
+impl MatchTable {
+    fn build(cells: &[LibCell], n: u8) -> Self {
+        let perms = permutations(n);
+        let assignments = 1u32 << n;
+        let all = TruthTable::one(n).bits();
+        let mut entries: Vec<(u64, Candidate)> = Vec::new();
+        for (ci, cell) in cells.iter().enumerate() {
+            let CellFunction::Comb(tt) = cell.function() else {
+                continue;
+            };
+            if tt.vars() != n {
+                continue;
+            }
+            for (pi, perm) in perms.iter().enumerate() {
+                // Pin assignment `a` reads the target at `orig[a]`.
+                let orig: Vec<u32> = (0..assignments)
+                    .map(|a| {
+                        perm.iter()
+                            .enumerate()
+                            .filter(|&(i, _)| a >> i & 1 == 1)
+                            .fold(0, |o, (_, &p)| o | 1 << p)
+                    })
+                    .collect();
+                for mask in 0..assignments {
+                    // The cell under this phase matches the target iff
+                    // target(orig[a ^ mask]) == cell(a) for every `a`;
+                    // the inverted cell matches the complement.
+                    let mut bits = 0u64;
+                    for a in (0..assignments).filter(|&a| tt.eval(a)) {
+                        bits |= 1 << orig[(a ^ mask) as usize];
+                    }
+                    for (bits, inverted) in [(bits, false), (!bits & all, true)] {
+                        let cand = Candidate {
+                            cell: ci as u32,
+                            perm: pi as u16,
+                            mask: mask as u8,
+                            inverted,
+                        };
+                        entries.push((bits, cand));
+                    }
+                }
+            }
+        }
+        // A stable sort keeps each group in enumeration order.
+        entries.sort_by_key(|&(bits, _)| bits);
+        let mut table = MatchTable {
+            perms,
+            keys: Vec::new(),
+            start: Vec::new(),
+            cands: Vec::with_capacity(entries.len()),
+        };
+        for (bits, cand) in entries {
+            if table.keys.last() != Some(&bits) {
+                table.keys.push(bits);
+                table.start.push(table.cands.len() as u32);
+            }
+            table.cands.push(cand);
+        }
+        table.start.push(table.cands.len() as u32);
+        table
+    }
+
+    /// The candidates realizing the function with truth table `bits`.
+    fn candidates(&self, bits: u64) -> &[Candidate] {
+        match self.keys.binary_search(&bits) {
+            Ok(k) => &self.cands[self.start[k] as usize..self.start[k + 1] as usize],
+            Err(_) => &[],
+        }
+    }
 }
 
 impl Library {
@@ -48,7 +151,11 @@ impl Library {
                 c.name()
             );
         }
-        Library { cells, by_name }
+        Library {
+            cells,
+            by_name,
+            match_tables: Default::default(),
+        }
     }
 
     /// Looks up a cell by name.
@@ -105,64 +212,40 @@ impl Library {
     /// `allowed` restricts candidates to the named cells — this is the
     /// paper's synthesis `script` constraint mechanism (inverters for
     /// phase assignment require `INV` to be allowed too).
+    ///
+    /// The candidates come from a table of every cell's realizations,
+    /// built once per variable count on first use. Among the usable
+    /// ones the first of the smallest area wins, in the order of cells,
+    /// then [`permutations`], then phase masks.
     pub fn find_match(
         &self,
         target: &TruthTable,
         allowed: Option<&dyn Fn(&str) -> bool>,
     ) -> Option<MatchedCell> {
-        let inv_allowed = allowed.is_none_or(|f| f("INV"));
-        let inv_area = self.by_name("INV").map(|c| c.area_um2());
-        let mut best: Option<MatchedCell> = None;
-        let mut consider = |cand: MatchedCell| {
-            if best.as_ref().is_none_or(|b| cand.area_um2 < b.area_um2) {
-                best = Some(cand);
-            }
-        };
         let n = target.vars();
-        for (cell, tt) in self.comb_cells() {
-            if let Some(f) = allowed {
-                if !f(cell.name()) {
-                    continue;
-                }
-            }
-            if tt.vars() != n {
+        let table =
+            self.match_tables[usize::from(n)].get_or_init(|| MatchTable::build(&self.cells, n));
+        let inv_area = self.by_name("INV").map(|c| c.area_um2());
+        let inv_usable = inv_area.is_some() && allowed.is_none_or(|f| f("INV"));
+        let mut best: Option<(f64, Candidate)> = None;
+        for &cand in table.candidates(target.bits()) {
+            let cell = &self.cells[cand.cell as usize];
+            let extra = cand.mask.count_ones() + u32::from(cand.inverted);
+            if (extra > 0 && !inv_usable) || allowed.is_some_and(|f| !f(cell.name())) {
                 continue;
             }
-            for perm in permutations(n) {
-                // Cell pin i is fed by target variable perm[i]; the
-                // realized function equals target iff
-                // cell_tt == target.permute(perm).phase(mask)
-                // (optionally complemented).
-                let permuted = target.permute(&perm);
-                for mask in 0..(1u32 << n) {
-                    let negs = mask.count_ones();
-                    if negs > 0 && (!inv_allowed || inv_area.is_none()) {
-                        continue;
-                    }
-                    let shifted = permuted.phase(mask);
-                    let (inverted, matches) = if shifted == *tt {
-                        (false, true)
-                    } else if shifted == tt.not() {
-                        (true, true)
-                    } else {
-                        (false, false)
-                    };
-                    if !matches || (inverted && (!inv_allowed || inv_area.is_none())) {
-                        continue;
-                    }
-                    let extra = negs + inverted as u32;
-                    let area = cell.area_um2() + f64::from(extra) * inv_area.unwrap_or(0.0);
-                    consider(MatchedCell {
-                        cell: cell.name().to_string(),
-                        perm: perm.clone(),
-                        input_neg: (0..n).map(|i| mask >> i & 1 == 1).collect(),
-                        inverted,
-                        area_um2: area,
-                    });
-                }
+            let area = cell.area_um2() + f64::from(extra) * inv_area.unwrap_or(0.0);
+            if best.is_none_or(|(b, _)| area < b) {
+                best = Some((area, cand));
             }
         }
-        best
+        best.map(|(area_um2, cand)| MatchedCell {
+            cell: self.cells[cand.cell as usize].name().to_string(),
+            perm: table.perms[usize::from(cand.perm)].clone(),
+            input_neg: (0..n).map(|i| cand.mask >> i & 1 == 1).collect(),
+            inverted: cand.inverted,
+            area_um2,
+        })
     }
 
     /// Builds the default 0.18 µm / 1.8 V flavoured library used by the
@@ -480,6 +563,105 @@ mod tests {
         assert!(lib
             .find_match(&TruthTable::and2(), Some(&allowed))
             .is_none());
+    }
+
+    /// An allowlist as [`Library::find_match`] takes it.
+    type Allowed<'a> = Option<&'a dyn Fn(&str) -> bool>;
+
+    /// `find_match` as a search: every cell of the target's width,
+    /// every permutation, every phase mask. The table must answer
+    /// exactly what this answers.
+    fn enumerate_match(lib: &Library, target: &TruthTable, allowed: Allowed) -> Option<MatchedCell> {
+        let inv_allowed = allowed.is_none_or(|f| f("INV"));
+        let inv_area = lib.by_name("INV").map(|c| c.area_um2());
+        let mut best: Option<MatchedCell> = None;
+        let n = target.vars();
+        for (cell, tt) in lib.comb_cells() {
+            if allowed.is_some_and(|f| !f(cell.name())) || tt.vars() != n {
+                continue;
+            }
+            for perm in permutations(n) {
+                let permuted = target.permute(&perm);
+                for mask in 0..(1u32 << n) {
+                    let negs = mask.count_ones();
+                    if negs > 0 && (!inv_allowed || inv_area.is_none()) {
+                        continue;
+                    }
+                    let shifted = permuted.phase(mask);
+                    let inverted = if shifted == *tt {
+                        false
+                    } else if shifted == tt.not() {
+                        true
+                    } else {
+                        continue;
+                    };
+                    if inverted && (!inv_allowed || inv_area.is_none()) {
+                        continue;
+                    }
+                    let extra = negs + inverted as u32;
+                    let area = cell.area_um2() + f64::from(extra) * inv_area.unwrap_or(0.0);
+                    if best.as_ref().is_none_or(|b| area < b.area_um2) {
+                        best = Some(MatchedCell {
+                            cell: cell.name().to_string(),
+                            perm: perm.clone(),
+                            input_neg: (0..n).map(|i| mask >> i & 1 == 1).collect(),
+                            inverted,
+                            area_um2: area,
+                        });
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    /// On every function of 0–3 variables, on random NPN images of
+    /// every library function of 1–5 variables and on random 4- and
+    /// 5-variable functions, under no allowlist, one without `INV` and
+    /// one without the NAND and AOI cells, the table's match equals
+    /// the enumeration's, area bits included.
+    #[test]
+    fn table_matches_equal_enumerated_matches() {
+        let lib = Library::lib180();
+        let mut g = secflow_testkit::Gen::new(0x7AB1_E021, 1.0);
+        let mut targets: Vec<TruthTable> = (0..=3u8)
+            .flat_map(|n| (0..1u64 << (1 << n)).map(move |bits| TruthTable::from_bits(n, bits)))
+            .collect();
+        for (_, tt) in lib
+            .comb_cells()
+            .filter(|(_, tt)| (1..=5).contains(&tt.vars()))
+        {
+            let n = tt.vars();
+            for _ in 0..16 {
+                let mut perm: Vec<u8> = (0..n).collect();
+                for k in (1..perm.len()).rev() {
+                    perm.swap(k, g.random_range(0..k + 1));
+                }
+                let image = tt.permute(&perm).phase(g.random_range(0..1u32 << n));
+                let invert = g.random_bool(0.5);
+                targets.push(if invert { image.not() } else { image });
+            }
+        }
+        for n in [4, 5] {
+            targets.extend((0..24).map(|_| TruthTable::from_bits(n, g.random())));
+        }
+
+        let no_inv = |c: &str| c != "INV";
+        let no_nand_aoi = |c: &str| !c.starts_with("NAND") && !c.starts_with("AOI");
+        let allowlists: [Allowed; 3] = [None, Some(&no_inv), Some(&no_nand_aoi)];
+        let bits = |m: Option<MatchedCell>| {
+            m.map(|m| (m.cell, m.perm, m.input_neg, m.inverted, m.area_um2.to_bits()))
+        };
+        let mut matched = 0;
+        for target in &targets {
+            for allowed in allowlists {
+                let want = enumerate_match(&lib, target, allowed);
+                matched += usize::from(want.is_some());
+                let got = lib.find_match(target, allowed);
+                assert_eq!(bits(got), bits(want), "{target:?}");
+            }
+        }
+        assert!(matched > targets.len(), "too few matches: {matched}");
     }
 
     #[test]

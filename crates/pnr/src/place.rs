@@ -105,6 +105,7 @@ fn check_options(opts: &PlaceOptions) -> Result<(), PlaceError> {
 /// Per-row cell sequences plus derived x coordinates.
 struct RowState {
     rows: Vec<Vec<GateId>>,
+    /// The summed cell width of each row.
     widths: Vec<u32>,
     cap: u32,
 }
@@ -112,14 +113,22 @@ struct RowState {
 impl RowState {
     fn repack(&self, gw: &[u32], out: &mut [PlacedCell]) {
         for r in 0..self.rows.len() {
-            self.repack_row(gw, r, out);
+            self.repack_row(gw, r, out, |_, _| {});
         }
     }
 
-    fn repack_row(&self, gw: &[u32], r: usize, out: &mut [PlacedCell]) {
+    /// Spreads row `r`'s whitespace evenly between its cells, calling
+    /// `moved` with every cell whose [`PlacedCell`] changes and its
+    /// previous position.
+    fn repack_row(
+        &self,
+        gw: &[u32],
+        r: usize,
+        out: &mut [PlacedCell],
+        mut moved: impl FnMut(GateId, PlacedCell),
+    ) {
         let row = &self.rows[r];
-        let used: u32 = row.iter().map(|&g| gw[g.index()]).sum();
-        let slack = self.cap.saturating_sub(used);
+        let slack = self.cap.saturating_sub(self.widths[r]);
         let gap = if row.is_empty() {
             0
         } else {
@@ -127,9 +136,19 @@ impl RowState {
         };
         let mut x = gap as i32;
         for &g in row {
-            out[g.index()] = PlacedCell { x, row: r as u32 };
+            let cell = PlacedCell { x, row: r as u32 };
+            let old = std::mem::replace(&mut out[g.index()], cell);
+            if old != cell {
+                moved(g, old);
+            }
             x += gw[g.index()] as i32 + gap as i32;
         }
+    }
+
+    /// Moves `w` tracks of cell width from row `from` to row `to`.
+    fn shift_width(&mut self, w: u32, from: usize, to: usize) {
+        self.widths[from] -= w;
+        self.widths[to] += w;
     }
 }
 
@@ -319,13 +338,18 @@ impl PinArrays {
 /// Simulated annealing over row swaps and relocations.
 ///
 /// Every net's HPWL is cached. A move touches rows `r1` and `r2`, and
-/// repacking redistributes the whitespace of both, so the nets of
-/// every cell in the two rows are collected (deduplicated by a
-/// per-move stamp), recomputed after the move and committed to the
-/// cache only if the move is accepted. The cache always equals
-/// [`PlacedDesign::net_hpwl`] of the current cells, so `delta` is the
-/// exact integer a full recomputation would give and the RNG draws,
-/// and with them every accept decision, depend on nothing else.
+/// repacking redistributes the whitespace of both, but only some of
+/// their cells end up elsewhere. The nets of the cells whose
+/// [`PlacedCell`] changed are collected (deduplicated by a per-move
+/// stamp), recomputed after the move and committed to the cache only
+/// if the move is accepted. A net with no moved cell keeps its HPWL,
+/// so leaving it out of both sides leaves `delta` unchanged. The cache
+/// always equals [`PlacedDesign::net_hpwl`] of the current cells, so
+/// `delta` is the exact integer a full recomputation would give and
+/// the RNG draws, and with them every accept decision, depend on
+/// nothing else. The cells always sit where repacking their rows puts
+/// them, so a rejected move restores the moved cells' old positions
+/// instead of repacking again.
 fn anneal(
     nl: &Netlist,
     lib: &Library,
@@ -345,9 +369,11 @@ fn anneal(
     let mut total: i64 = cache.iter().sum();
     let mut best = total;
     let mut best_cells = design.cells.clone();
-    // Per-move scratch: the touched nets and their recomputed HPWL.
+    // Per-move scratch: the moved cells with their old positions, the
+    // touched nets and their recomputed HPWL.
     let mut stamp = vec![0u32; nl.net_count()];
     let mut epoch = 0u32;
+    let mut moved: Vec<(GateId, PlacedCell)> = Vec::new();
     let mut touched: Vec<u32> = Vec::new();
     let mut fresh: Vec<i64> = Vec::new();
     // Initial temperature scaled to typical net span.
@@ -396,29 +422,28 @@ fn anneal(
             _ => {}
         }
 
-        // Affected nets: repacking redistributes whitespace across the
-        // whole touched rows, so every net incident to rows r1/r2 may
-        // change.
+        // Apply the move; the affected nets are those of the cells it
+        // shifted.
         if epoch == u32::MAX {
             stamp.fill(0);
             epoch = 0;
         }
         epoch += 1;
+        moved.clear();
         touched.clear();
-        for &g in state.rows[r1].iter().chain(&state.rows[r2]) {
+        let undo = apply_move(state, gw, r1, i1, r2, swap_target.map(|(i2, _)| i2));
+        let mut collect = |g: GateId, old: PlacedCell| {
+            moved.push((g, old));
             for &n in pins.gate_nets(g) {
                 if stamp[n as usize] != epoch {
                     stamp[n as usize] = epoch;
                     touched.push(n);
                 }
             }
-        }
+        };
+        state.repack_row(gw, r1, &mut design.cells, &mut collect);
+        state.repack_row(gw, r2, &mut design.cells, &mut collect);
         let before: i64 = touched.iter().map(|&n| cache[n as usize]).sum();
-
-        // Apply the move.
-        let undo = apply_move(state, r1, i1, r2, swap_target.map(|(i2, _)| i2));
-        state.repack_row(gw, r1, &mut design.cells);
-        state.repack_row(gw, r2, &mut design.cells);
         fresh.clear();
         fresh.extend(
             touched
@@ -430,16 +455,14 @@ fn anneal(
         let delta = (after - before) as f64;
         let accept = delta <= 0.0 || rng.random_bool((-delta / temp.max(1e-9)).exp().min(1.0));
         if !accept {
-            undo_move(state, undo);
-            state.repack_row(gw, r1, &mut design.cells);
-            state.repack_row(gw, r2, &mut design.cells);
+            undo_move(state, gw, undo);
+            for &(g, old) in moved.iter().rev() {
+                design.cells[g.index()] = old;
+            }
         } else {
             accepted += 1;
             for (&n, &h) in touched.iter().zip(&fresh) {
                 cache[n as usize] = h;
-            }
-            for r in [r1, r2] {
-                state.widths[r] = state.rows[r].iter().map(|&g| gw[g.index()]).sum();
             }
             total += after - before;
             if total < best {
@@ -458,6 +481,10 @@ fn anneal(
             );
         }
         assert_eq!(total, design.total_hpwl(nl, lib), "stale HPWL total");
+        for (row, &width) in state.rows.iter().zip(&state.widths) {
+            let sum: u32 = row.iter().map(|&g| gw[g.index()]).sum();
+            assert_eq!(width, sum, "stale row width");
+        }
     }
     // Annealing may end uphill; keep the best placement seen.
     if best < total {
@@ -485,6 +512,7 @@ enum Undo {
 
 fn apply_move(
     state: &mut RowState,
+    gw: &[u32],
     r1: usize,
     i1: usize,
     r2: usize,
@@ -496,11 +524,14 @@ fn apply_move(
             let g2 = state.rows[r2][i2];
             state.rows[r1][i1] = g2;
             state.rows[r2][i2] = g1;
+            state.shift_width(gw[g1.index()], r1, r2);
+            state.shift_width(gw[g2.index()], r2, r1);
             Undo::Swap { r1, i1, r2, i2 }
         }
         None => {
             let g = state.rows[r1].remove(i1);
             state.rows[r2].push(g);
+            state.shift_width(gw[g.index()], r1, r2);
             Undo::Relocate {
                 from: r1,
                 to: r2,
@@ -511,13 +542,15 @@ fn apply_move(
     }
 }
 
-fn undo_move(state: &mut RowState, undo: Undo) {
+fn undo_move(state: &mut RowState, gw: &[u32], undo: Undo) {
     match undo {
         Undo::Swap { r1, i1, r2, i2 } => {
             let g1 = state.rows[r2][i2];
             let g2 = state.rows[r1][i1];
             state.rows[r1][i1] = g1;
             state.rows[r2][i2] = g2;
+            state.shift_width(gw[g1.index()], r2, r1);
+            state.shift_width(gw[g2.index()], r1, r2);
         }
         Undo::Relocate {
             from,
@@ -527,6 +560,7 @@ fn undo_move(state: &mut RowState, undo: Undo) {
         } => {
             let g = state.rows[to].remove(to_idx);
             state.rows[from].insert(orig_idx, g);
+            state.shift_width(gw[g.index()], to, from);
         }
     }
 }

@@ -80,8 +80,9 @@ pub enum RouteError {
         /// Name of the failing net.
         net: String,
     },
-    /// Router options are degenerate (fewer than two layers: pins
-    /// need a horizontal and a vertical layer).
+    /// Router options are degenerate: fewer than two layers (pins
+    /// need a horizontal and a vertical layer), or a via cost or
+    /// history increment that is negative or not finite.
     InvalidOptions {
         /// Human-readable description of the bad option.
         detail: String,
@@ -139,30 +140,36 @@ struct Node {
     stamp: u32,
 }
 
-/// An entry of the A* open list.
-#[derive(PartialEq)]
+/// An entry of the A* open list. Costs are kept as their `f64` bit
+/// patterns: for non-negative finite floats (the only costs
+/// [`route`] accepts options for) the bit patterns order as the
+/// values do, so entries compare as integers.
+#[derive(PartialEq, Eq)]
 struct Open {
-    /// Priority: g + heuristic.
-    f: f64,
-    /// Path cost from the tree.
-    g: f64,
+    /// Priority: g + heuristic, as `f64::to_bits`.
+    f: u64,
+    /// Path cost from the tree, as `f64::to_bits`.
+    g: u64,
     /// Grid index.
     node: u32,
 }
 
-impl Eq for Open {}
+impl Open {
+    fn new(f: f64, g: f64, node: u32) -> Self {
+        Open {
+            f: f.to_bits(),
+            g: g.to_bits(),
+            node,
+        }
+    }
+}
 
 impl Ord for Open {
     fn cmp(&self, other: &Self) -> Ordering {
         // Min-heap on f; ties pop the deeper entry (larger g) first,
         // then the highest point. Grid indices follow `Point` order,
         // so the index stands in for the point.
-        other
-            .f
-            .partial_cmp(&self.f)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.g.partial_cmp(&other.g).unwrap_or(Ordering::Equal))
-            .then_with(|| self.node.cmp(&other.node))
+        (other.f, self.g, self.node).cmp(&(self.f, other.g, other.node))
     }
 }
 
@@ -186,6 +193,9 @@ struct Router {
     /// Owning net of each node on layers 0 and 1 that is a pin access
     /// point, [`NO_NET`] for the others; foreign pins are obstacles.
     pin_owner: Vec<u32>,
+    /// One bit per node of layers 0 and 1, set at pin access points,
+    /// so that a search reads `pin_owner` only at pins.
+    is_pin: Vec<u64>,
     nodes: Vec<Node>,
     search: u32,
     /// `in_tree[i] == tree` marks the nodes of the net being routed.
@@ -224,6 +234,7 @@ impl Router {
         let pin_plane = grid.width() as usize * grid.height() as usize * 2;
         Router {
             pin_owner: vec![NO_NET; pin_plane],
+            is_pin: vec![0; pin_plane.div_ceil(64)],
             nodes: vec![
                 Node {
                     dist: f64::INFINITY,
@@ -238,6 +249,20 @@ impl Router {
             open: BinaryHeap::new(),
             gap: Vec::new(),
         }
+    }
+
+    /// Reserves access point `i` (layer 0 or 1) for `net`.
+    fn claim_pin(&mut self, i: usize, net: u32) {
+        self.pin_owner[i] = net;
+        self.is_pin[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Whether `i` is another net's pin access point.
+    #[inline]
+    fn foreign_pin(&self, i: usize, net: u32) -> bool {
+        i < self.pin_owner.len()
+            && self.is_pin[i / 64] >> (i % 64) & 1 == 1
+            && self.pin_owner[i] != net
     }
 
     #[inline]
@@ -299,7 +324,6 @@ impl Router {
         let NetTree { nodes: tree, edges } = out;
         let (w, h, layers) = (grid.width(), grid.height(), grid.layers());
         let plane = (w * h) as u32;
-        let pin_plane = 2 * plane;
         let node_at = |layer: u8, x: i32, y: i32| grid.index(Point::new(layer, x, y)) as u32;
         let (usage, history) = grid.costs();
         Self::next_stamp(&mut self.tree, || self.in_tree.fill(0));
@@ -338,14 +362,12 @@ impl Router {
             for &i in tree.iter() {
                 self.set(i as usize, 0.0, i);
                 let p = grid.point(i as usize);
-                self.open.push(Open {
-                    f: heuristic(p.layer, p.x, p.y),
-                    g: 0.0,
-                    node: i,
-                });
+                let f = heuristic(p.layer, p.x, p.y);
+                self.open.push(Open::new(f, 0.0, i));
             }
             let mut found = None;
             while let Some(Open { f: _, g, node }) = self.open.pop() {
+                let g = f64::from_bits(g);
                 if g > self.dist(node as usize) {
                     continue; // stale entry
                 }
@@ -360,7 +382,7 @@ impl Router {
                 let mut relax = |ni: u32, nl: u8, nx: i32, ny: i32, step: f64| {
                     let i = ni as usize;
                     // Foreign pin points are hard obstacles.
-                    if ni < pin_plane && self.pin_owner[i] != NO_NET && self.pin_owner[i] != net.0 {
+                    if self.foreign_pin(i, net.0) {
                         return;
                     }
                     let used = f64::from(usage[i]);
@@ -372,11 +394,8 @@ impl Router {
                     let nc = g + step + congestion + f64::from(history[i]);
                     if nc < self.dist(i) {
                         self.set(i, nc, node);
-                        self.open.push(Open {
-                            f: nc + heuristic(nl, nx, ny),
-                            g: nc,
-                            node: ni,
-                        });
+                        let f = nc + heuristic(nl, nx, ny);
+                        self.open.push(Open::new(f, nc, ni));
                     }
                 };
                 if is_horizontal(layer) {
@@ -429,7 +448,8 @@ impl Router {
 /// # Errors
 ///
 /// Returns [`RouteError`] if the options are degenerate (fewer than
-/// two layers), a gate's cell is missing from `lib`, the placement is
+/// two layers, or a negative or non-finite via cost or history
+/// increment), a gate's cell is missing from `lib`, the placement is
 /// degenerate (off-die or colliding pins), some pin is unreachable, or
 /// congestion cannot be negotiated away within
 /// [`RouteOptions::max_iterations`].
@@ -446,6 +466,18 @@ pub fn route(
                 opts.layers
             ),
         });
+    }
+    // The open list orders costs by their bit patterns, which follow
+    // the values only for non-negative finite costs.
+    for (name, value) in [
+        ("via cost", opts.via_cost),
+        ("history increment", f64::from(opts.history_increment)),
+    ] {
+        if !(value.is_finite() && value >= 0.0) {
+            return Err(RouteError::InvalidOptions {
+                detail: format!("{name} {value} is not a finite non-negative number"),
+            });
+        }
     }
     // Resolve every cell upfront so pin lookups below cannot fail.
     for g in nl.gates() {
@@ -486,7 +518,7 @@ pub fn route(
                         y,
                     });
                 }
-                router.pin_owner[i] = net.0;
+                router.claim_pin(i, net.0);
             }
         }
         net_pins.push(pins);
@@ -810,6 +842,35 @@ mod tests {
         check_connectivity(&nl, &lib, &routed);
     }
 
+    /// The open list's order computed on the `f64` costs, which the
+    /// integer keys must reproduce.
+    fn float_order(a: (f64, f64, u32), b: (f64, f64, u32)) -> Ordering {
+        b.0.partial_cmp(&a.0)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))
+            .then_with(|| a.2.cmp(&b.2))
+    }
+
+    /// Integer keys order entries exactly as the float comparator does
+    /// on non-negative costs. The costs come from a few dyadic values,
+    /// so equal f and equal g are common.
+    #[test]
+    fn prop_integer_keys_order_as_float_costs() {
+        const COSTS: [f64; 8] = [0.0, 0.25, 0.5, 1.0, 3.0, 4.25, 6.5, 1024.0];
+        let (mut equal_f, mut equal_fg) = (0, 0);
+        secflow_testkit::prop_check!(cases: 512, seed: 0x0E4D_F0A7, |g| {
+            let entry = |g: &mut secflow_testkit::Gen| {
+                (*g.choose(&COSTS), *g.choose(&COSTS), g.random_range(0..4u32))
+            };
+            let (a, b) = (entry(g), entry(g));
+            let key = |(f, g, node): (f64, f64, u32)| Open::new(f, g, node);
+            assert_eq!(key(a).cmp(&key(b)), float_order(a, b), "{a:?} vs {b:?}");
+            equal_f += usize::from(a.0 == b.0);
+            equal_fg += usize::from(a.0 == b.0 && a.1 == b.1);
+        });
+        assert!(equal_f > 0 && equal_fg > 0, "no ties drawn");
+    }
+
     #[test]
     fn merge_produces_maximal_segments() {
         let e = |x0: i32, x1: i32| (Point::new(LAYER_H, x0, 3), Point::new(LAYER_H, x1, 3));
@@ -896,7 +957,7 @@ mod tests {
             for (k, &site) in pins.iter().chain(others).enumerate() {
                 let owner = if k < own { net.0 } else { k as u32 };
                 for i in access(site) {
-                    router.pin_owner[i] = owner;
+                    router.claim_pin(i, owner);
                 }
             }
 

@@ -70,8 +70,6 @@ struct Mapper<'a> {
     opts: &'a MapOptions,
     /// Kept cuts per node.
     cuts: Vec<Vec<Cut>>,
-    /// Match cache keyed by (vars, tt bits).
-    match_cache: HashMap<(u8, u64), Option<MatchedCell>>,
     /// Chosen (cut, match) per AND node.
     chosen: Vec<Option<(Cut, MatchedCell)>>,
     /// Area-flow value per node.
@@ -87,7 +85,6 @@ impl<'a> Mapper<'a> {
             lib,
             opts,
             cuts: vec![Vec::new(); n],
-            match_cache: HashMap::new(),
             chosen: vec![None; n],
             aflow: vec![0.0; n],
             refs: aig.reference_counts(roots),
@@ -131,21 +128,15 @@ impl<'a> Mapper<'a> {
         t
     }
 
-    /// Looks up (with caching) the best library match for `tt`.
-    fn find_match(&mut self, tt: &TruthTable) -> Option<MatchedCell> {
-        let key = (tt.vars(), tt.bits());
-        if let Some(m) = self.match_cache.get(&key) {
-            return m.clone();
-        }
-        let m = match self.opts.allowed_cells.as_ref() {
+    /// The best library match for `tt` under the allowlist.
+    fn find_match(&self, tt: &TruthTable) -> Option<MatchedCell> {
+        match self.opts.allowed_cells.as_ref() {
             Some(set) => {
                 let f = |name: &str| set.contains(name);
                 self.lib.find_match(tt, Some(&f))
             }
             None => self.lib.find_match(tt, None),
-        };
-        self.match_cache.insert(key, m.clone());
-        m
+        }
     }
 
     /// Enumerates cuts and runs the area-flow DP for one AND node.

@@ -5,7 +5,11 @@
 //! Each line holds a content hash of the `write_def` text of the
 //! routed design (`RegularFlowResult::routed`,
 //! `SecureFlowResult::fat_routed`) plus the flow's `place.accepted`,
-//! `route.iterations` and `route.ripups` counter totals.
+//! `route.iterations` and `route.ripups` counter totals. A last line,
+//! labelled `synth600`, holds the same for the secure flow at seed 1
+//! on a synthetic design of about 600 AND nodes (8 inputs, 8
+//! registers), large enough that 5-input cuts are matched and the fat
+//! die has 20 rows.
 //! `tests/pnr_golden.rs` pins them at 1, 2 and 8 threads, so a placer
 //! or router change that moves a single cell or wire fails there and
 //! must be reviewed via this diff.
@@ -17,6 +21,7 @@ use std::fs;
 use std::path::Path;
 
 use secflow::cells::Library;
+use secflow::crypto::bench_gen::synthetic_design;
 use secflow::crypto::dpa_module::des_dpa_design;
 use secflow::flow::{run_regular_flow, run_secure_flow, FlowOptions};
 use secflow::obs::{self, Counter, Report};
@@ -25,6 +30,9 @@ use secflow::serve::ContentHash;
 
 /// The `(seed, place_restarts)` cases the goldens cover.
 const CASES: [(u64, usize); 3] = [(1, 1), (7, 1), (1, 4)];
+
+/// The synthetic design's `(AND nodes, inputs and registers, seed)`.
+const SYNTH: (usize, usize, u64) = (600, 8, 1);
 
 fn line(flow: &str, seed: u64, restarts: usize, def: &str, report: &Report) -> String {
     format!(
@@ -59,6 +67,19 @@ fn main() {
         out.push_str(&line("secure", seed, restarts, &def, &report));
         out.push('\n');
     }
+    let (ands, width, design_seed) = SYNTH;
+    let design = synthetic_design("synth600", ands, width, design_seed);
+    let opts = FlowOptions {
+        seed: 1,
+        verify: false,
+        ..Default::default()
+    };
+    let (secure, report) = obs::capture(|| run_secure_flow(&design, &lib, &opts));
+    let secure = secure.expect("secure flow");
+    let def = write_def(&secure.fat_routed, &secure.substitution.fat);
+    out.push_str("synth600 ");
+    out.push_str(&line("secure", 1, 1, &def, &report));
+    out.push('\n');
     let path = Path::new("tests/golden/pnr.txt");
     fs::write(path, &out).expect("write tests/golden/pnr.txt");
     print!("{out}");

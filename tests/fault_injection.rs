@@ -153,19 +153,24 @@ fn run_battery() {
     );
     assert_flow_error(e, Stage::Route);
     // Route: pins need a horizontal and a vertical layer, so fewer
-    // than two layers is refused before the grid is built.
-    for layers in [0, 1] {
-        let e = route(
-            &nl,
-            &lib,
-            &placed,
-            &RouteOptions {
-                layers,
-                ..Default::default()
-            },
-        )
-        .expect_err("fewer than two layers must not route");
-        assert!(matches!(e, RouteError::InvalidOptions { .. }), "{e:?}");
+    // than two layers is refused before the grid is built, and so are
+    // negative or non-finite costs, which the search's cost order does
+    // not cover.
+    let layer_cases = [0, 1].map(|layers| RouteOptions {
+        layers,
+        ..Default::default()
+    });
+    let via_cases = [-1.0, f64::NAN, f64::INFINITY].map(|via_cost| RouteOptions {
+        via_cost,
+        ..Default::default()
+    });
+    let history_cases = [-0.5, f32::NAN, f32::INFINITY].map(|history_increment| RouteOptions {
+        history_increment,
+        ..Default::default()
+    });
+    for opts in layer_cases.iter().chain(&via_cases).chain(&history_cases) {
+        let e = route(&nl, &lib, &placed, opts).expect_err("degenerate options must not route");
+        assert!(matches!(e, RouteError::InvalidOptions { .. }), "{opts:?}: {e:?}");
         assert_flow_error(e, Stage::Route);
     }
 

@@ -5,9 +5,11 @@
 //! of each routed design plus the flow's `place.accepted`,
 //! `route.iterations` and `route.ripups` counter totals. Placement and
 //! routing must reproduce every line at 1, 2 and 8 threads and with
-//! four placement restarts. The differential-pair geometry is the
-//! secure flow's security argument, so a change made for speed must
-//! not move a single cell or wire. Regenerate with
+//! four placement restarts. Its `synth600` line pins the secure flow
+//! at seed 1 on a synthetic design of about 600 AND nodes, whose
+//! mapping matches 5-input cuts and whose fat die has 20 rows. The
+//! differential-pair geometry is the secure flow's security argument,
+//! so a change made for speed must not move a single cell or wire. Regenerate with
 //! `cargo run --release --example gen_golden_pnr` only when a layout
 //! change is intended, and review the diff.
 
@@ -15,6 +17,7 @@ use std::fs;
 use std::path::Path;
 
 use secflow::cells::Library;
+use secflow::crypto::bench_gen::synthetic_design;
 use secflow::crypto::dpa_module::des_dpa_design;
 use secflow::exec::with_threads;
 use secflow::flow::{run_regular_flow, run_secure_flow, FlowOptions};
@@ -71,9 +74,29 @@ fn lines(seed: u64, restarts: usize) -> Vec<String> {
     vec![reg_line, sec_line]
 }
 
+/// The `synth600` golden line: the secure flow at seed 1 on the
+/// synthetic design `examples/gen_golden_pnr.rs` builds.
+fn synth_line() -> String {
+    let design = synthetic_design("synth600", 600, 8, 1);
+    let lib = Library::lib180();
+    let opts = FlowOptions {
+        seed: 1,
+        verify: false,
+        ..Default::default()
+    };
+    let (secure, report) = obs::capture(|| run_secure_flow(&design, &lib, &opts));
+    let secure = secure.expect("secure flow");
+    let def = write_def(&secure.fat_routed, &secure.substitution.fat);
+    format!("synth600 {}", line("secure", 1, 1, &def, &report))
+}
+
+/// The DES golden lines of one `(seed, place_restarts)` case.
 fn expected(seed: u64, restarts: usize) -> Vec<String> {
     let key = format!(" seed={seed} restarts={restarts} ");
-    let found: Vec<String> = golden().into_iter().filter(|l| l.contains(&key)).collect();
+    let found: Vec<String> = golden()
+        .into_iter()
+        .filter(|l| !l.starts_with("synth600 ") && l.contains(&key))
+        .collect();
     assert_eq!(found.len(), 2, "golden lines for{key}");
     found
 }
@@ -86,6 +109,18 @@ fn layouts_match_golden_at_1_2_and_8_threads() {
             let got = with_threads(threads, || lines(seed, 1));
             assert_eq!(got, want, "seed {seed} at {threads} threads");
         }
+    }
+}
+
+#[test]
+fn synthetic_layout_matches_golden_at_1_2_and_8_threads() {
+    let want: Vec<String> = golden()
+        .into_iter()
+        .filter(|l| l.starts_with("synth600 "))
+        .collect();
+    assert_eq!(want.len(), 1, "one synth600 golden line");
+    for threads in [1, 2, 8] {
+        assert_eq!(with_threads(threads, synth_line), want[0], "at {threads} threads");
     }
 }
 
