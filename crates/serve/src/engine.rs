@@ -643,7 +643,7 @@ pub fn render_envelope(
 mod tests {
     use super::*;
     use crate::proto::canonical_json;
-    use crate::value::Value;
+    use secflow_obs::json::Value;
 
     fn canonical(req: &str) -> String {
         canonical_json(&Value::parse(req).unwrap())

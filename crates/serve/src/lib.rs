@@ -35,7 +35,6 @@ pub mod hash;
 pub mod key;
 pub mod proto;
 pub mod server;
-pub mod value;
 
 pub use cache::{ArtifactCache, CacheStats};
 pub use client::{submit, Response};
@@ -43,5 +42,5 @@ pub use engine::{Engine, JobError, JobOutcome};
 pub use hash::ContentHash;
 pub use key::{flow_options_bytes, sim_config_bytes, stage_key, CacheStage};
 pub use proto::{read_frame, write_frame, Request, RequestError};
+pub use secflow_obs::json::Value;
 pub use server::{serve, Bind, ServerOptions};
-pub use value::Value;

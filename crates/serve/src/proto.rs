@@ -17,19 +17,24 @@
 //! to stdout and the envelope to stderr, mirroring the workspace's
 //! stdout-determinism convention.
 //!
+//! A request frame is read by the workspace's one JSON codec,
+//! `secflow_obs::json`: it must be UTF-8 and one JSON object, nested
+//! at most `json::MAX_DEPTH` deep, with finite numbers and integer
+//! fields below 2^53. The server parses each frame once, then takes
+//! both the [`Request`] and its [`canonical_json`] text, which keys the
+//! response cache, from that one [`Value`].
+//!
 //! Unknown request fields are refused. A campaign request accepts
 //! `trace_path` (`materialize` or `streaming`) so that existing
 //! clients' requests keep parsing; every campaign streams, so the
 //! field is validated and then ignored.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::io::{self, Read, Write};
 
 use secflow_core::{DecomposeStyle, FlowOptions};
+use secflow_obs::json::Value;
 use secflow_sim::SimConfig;
-
-use crate::value::Value;
 
 /// Upper bound on a frame body; a length above this is a protocol
 /// error, not an allocation request.
@@ -159,54 +164,40 @@ pub enum Request {
 
 fn known_keys(obj: &Value, allowed: &[&str], ctx: &str) -> Result<(), RequestError> {
     if let Value::Obj(m) = obj {
-        let allow: HashSet<&str> = allowed.iter().copied().collect();
-        for k in m.keys() {
-            if !allow.contains(k.as_str()) {
-                return Err(bad(format!("unknown {ctx} field `{k}`")));
-            }
+        if let Some(k) = m.keys().find(|k| !allowed.contains(&k.as_str())) {
+            return Err(bad(format!("unknown {ctx} field `{k}`")));
         }
     }
     Ok(())
 }
 
+/// Reads an optional field with `read`; a field of another type is
+/// refused as not being `what`.
+fn field<'v, T>(
+    obj: &'v Value,
+    key: &str,
+    read: fn(&'v Value) -> Option<T>,
+    what: &str,
+) -> Result<Option<T>, RequestError> {
+    obj.get(key)
+        .map(|v| read(v).ok_or_else(|| bad(format!("`{key}` must be {what}"))))
+        .transpose()
+}
+
 fn get_u64(obj: &Value, key: &str) -> Result<Option<u64>, RequestError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| bad(format!("`{key}` must be a non-negative integer"))),
-    }
+    field(obj, key, Value::as_u64, "a non-negative integer")
 }
 
 fn get_f64(obj: &Value, key: &str) -> Result<Option<f64>, RequestError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| bad(format!("`{key}` must be a number"))),
-    }
+    field(obj, key, Value::as_f64, "a number")
 }
 
 fn get_bool(obj: &Value, key: &str) -> Result<Option<bool>, RequestError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_bool()
-            .map(Some)
-            .ok_or_else(|| bad(format!("`{key}` must be a boolean"))),
-    }
+    field(obj, key, Value::as_bool, "a boolean")
 }
 
 fn get_str<'v>(obj: &'v Value, key: &str) -> Result<Option<&'v str>, RequestError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(Some)
-            .ok_or_else(|| bad(format!("`{key}` must be a string"))),
-    }
+    field(obj, key, Value::as_str, "a string")
 }
 
 /// Applies the request's `options` object onto [`FlowOptions`]
@@ -361,39 +352,42 @@ impl Request {
     /// [`RequestError`] on malformed JSON, unknown fields or jobs,
     /// out-of-range values, or unsupported option combinations.
     pub fn parse(frame: &[u8]) -> Result<Request, RequestError> {
-        let text = std::str::from_utf8(frame).map_err(|_| bad("request is not UTF-8"))?;
-        let v = Value::parse(text).map_err(|e| bad(e.to_string()))?;
+        Request::from_value(&parse_frame(frame)?)
+    }
+
+    /// Validates a request frame already read by [`parse_frame`].
+    pub(crate) fn from_value(v: &Value) -> Result<Request, RequestError> {
         if !matches!(v, Value::Obj(_)) {
             return Err(bad("request must be a JSON object"));
         }
-        let job = get_str(&v, "job")?.ok_or_else(|| bad("missing `job` field"))?;
+        let job = get_str(v, "job")?.ok_or_else(|| bad("missing `job` field"))?;
         match job {
             "stats" => {
-                known_keys(&v, &["job"], "request")?;
+                known_keys(v, &["job"], "request")?;
                 Ok(Request::Stats)
             }
             "shutdown" => {
-                known_keys(&v, &["job"], "request")?;
+                known_keys(v, &["job"], "request")?;
                 Ok(Request::Shutdown)
             }
             "flow" => {
                 known_keys(
-                    &v,
+                    v,
                     &["job", "implementation", "netlist", "options"],
                     "request",
                 )?;
-                let netlist = get_str(&v, "netlist")?
+                let netlist = get_str(v, "netlist")?
                     .ok_or_else(|| bad("flow job requires a `netlist` field"))?
                     .to_string();
                 Ok(Request::Flow(FlowRequest {
-                    secure: parse_implementation(&v)?,
+                    secure: parse_implementation(v)?,
                     netlist,
-                    opts: parse_flow_options(&v)?,
+                    opts: parse_flow_options(v)?,
                 }))
             }
             "campaign" | "attack" => {
                 known_keys(
-                    &v,
+                    v,
                     &[
                         "job",
                         "implementation",
@@ -407,7 +401,7 @@ impl Request {
                     ],
                     "request",
                 )?;
-                let attack = match get_str(&v, "attack")? {
+                let attack = match get_str(v, "attack")? {
                     None | Some("dpa") => AttackKind::Dpa,
                     Some("cpa") => AttackKind::Cpa,
                     Some(other) => {
@@ -415,7 +409,7 @@ impl Request {
                     }
                 };
                 // Validated, then ignored (see the module docs).
-                match get_str(&v, "trace_path")? {
+                match get_str(v, "trace_path")? {
                     None | Some("materialize" | "streaming") => {}
                     Some(other) => {
                         return Err(bad(format!(
@@ -423,28 +417,27 @@ impl Request {
                         )))
                     }
                 }
-                let n = get_u64(&v, "n")?.unwrap_or(2000) as usize;
+                let n = get_u64(v, "n")?.unwrap_or(2000) as usize;
                 if n == 0 {
                     return Err(bad("`n` must be at least 1"));
                 }
-                let key = get_u64(&v, "key")?.unwrap_or(u64::from(
-                    secflow_crypto::dpa_module::PAPER_KEY,
-                ));
+                let key =
+                    get_u64(v, "key")?.unwrap_or(u64::from(secflow_crypto::dpa_module::PAPER_KEY));
                 if key >= 64 {
                     return Err(bad("`key` must be in 0..64"));
                 }
-                let opts = parse_flow_options(&v)?;
-                let cfg = parse_sim_config(&v)?;
+                let opts = parse_flow_options(v)?;
+                let cfg = parse_sim_config(v)?;
                 // Satellite-2 contract: unsupported backend/config
                 // combinations die here, not mid-campaign.
                 cfg.validate_backend(opts.sim_backend)
                     .map_err(|e| bad(e.to_string()))?;
                 Ok(Request::Campaign(CampaignRequest {
-                    secure: parse_implementation(&v)?,
+                    secure: parse_implementation(v)?,
                     attack,
                     mtd: job == "campaign",
                     n,
-                    seed: get_u64(&v, "seed")?.unwrap_or(1),
+                    seed: get_u64(v, "seed")?.unwrap_or(1),
                     key: key as u8,
                     opts,
                     cfg,
@@ -457,57 +450,17 @@ impl Request {
     }
 }
 
-/// Renders a parsed [`Value`] back to canonical JSON: object keys
-/// sorted (`Value::Obj` is a `BTreeMap`), no whitespace, shortest
-/// round-trip float formatting. Two requests that parse to the same
-/// value — regardless of field order or whitespace — render to the
-/// same bytes, which is what the response cache hashes.
-pub fn canonical_json(v: &Value) -> String {
-    let mut out = String::new();
-    render(v, &mut out);
-    out
+/// Reads a request frame as JSON: one UTF-8 check, one [`Value::parse`].
+pub(crate) fn parse_frame(frame: &[u8]) -> Result<Value, RequestError> {
+    let text = std::str::from_utf8(frame).map_err(|_| bad("request is not UTF-8"))?;
+    Value::parse(text).map_err(|e| bad(e.to_string()))
 }
 
-fn render(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                out.push_str(&format!("{}", *n as i64));
-            } else {
-                out.push_str(&format!("{n}"));
-            }
-        }
-        Value::Str(s) => {
-            out.push('"');
-            out.push_str(&secflow_obs::json::escape(s));
-            out.push('"');
-        }
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render(item, out);
-            }
-            out.push(']');
-        }
-        Value::Obj(map) => {
-            out.push('{');
-            for (i, (k, val)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(&secflow_obs::json::escape(k));
-                out.push_str("\":");
-                render(val, out);
-            }
-            out.push('}');
-        }
-    }
+/// The canonical JSON of a request, which the response cache hashes:
+/// two requests that parse to the same value, whatever their field
+/// order or whitespace, render to the same bytes ([`Value::render`]).
+pub fn canonical_json(v: &Value) -> String {
+    v.render()
 }
 
 #[cfg(test)]

@@ -24,8 +24,7 @@ use std::time::Duration;
 use secflow_obs as obs;
 
 use crate::engine::{render_envelope, Engine};
-use crate::proto::{read_frame, write_frame, Request};
-use crate::value::Value;
+use crate::proto::{canonical_json, parse_frame, read_frame, write_frame, Request};
 
 /// Where the server listens (or a client connects).
 #[derive(Debug, Clone)]
@@ -217,15 +216,13 @@ fn handle_connection(engine: &Engine, queue: &Queue, mut stream: Stream, depth: 
         Ok(f) => f,
         Err(_) => return, // client went away before sending a request
     };
-    let parsed = Request::parse(&frame);
-    let canonical = std::str::from_utf8(&frame)
-        .ok()
-        .and_then(|t| Value::parse(t).ok())
-        .map(|v| crate::proto::canonical_json(&v))
-        .unwrap_or_default();
+    // One parse per frame: the request and the canonical text that
+    // keys the response cache both come from the same `Value`.
+    let parsed =
+        parse_frame(&frame).and_then(|v| Ok((Request::from_value(&v)?, canonical_json(&v))));
     let before = engine.cache.stats();
     let result = match &parsed {
-        Ok(req) => engine.execute(&canonical, req),
+        Ok((req, canonical)) => engine.execute(canonical, req),
         Err(e) => Err(e.clone().into()),
     };
     let after = engine.cache.stats();
@@ -236,7 +233,7 @@ fn handle_connection(engine: &Engine, queue: &Queue, mut stream: Stream, depth: 
     };
     let _ = write_frame(&mut stream, envelope.as_bytes())
         .and_then(|()| write_frame(&mut stream, payload));
-    if matches!(parsed, Ok(Request::Shutdown)) {
+    if matches!(parsed, Ok((Request::Shutdown, _))) {
         queue.stop.store(true, Ordering::SeqCst);
         queue.ready.notify_all();
     }

@@ -87,13 +87,27 @@ cmp tests/golden/mtd_1m_smoke.txt "$tmp/mtd1m.out"
 echo "== tier-1: streaming pipeline bench smoke (stream-vs-batch byte-identity self-check) =="
 cargo bench --offline -p secflow-bench --bench flow_stages -- stream_1m --smoke
 
-echo "== tier-1: job-server smoke (daemon, warm cache hit, payloads match the committed golden) =="
+echo "== tier-1: job-server smoke (daemon survives hostile frames, warm cache hit, payloads match the committed golden) =="
 cargo run --release --offline -p secflow -- serve --socket "$tmp/serve.sock" \
     --cache-bytes $((64 * 1024 * 1024)) &
 serve_pid=$!
 for _ in $(seq 1 100); do
     [ -S "$tmp/serve.sock" ] && break
     sleep 0.1
+done
+# Hostile frames are refused as bad requests (exit 2) and the daemon
+# survives them: the cold, warm and golden checks below run on it.
+head -c 100000 /dev/zero | tr '\0' '[' > "$tmp/deep.json"
+printf '%s' '{"job":"campaign","n":6,"sim":{"noise_sigma":1e999}}' > "$tmp/inf.json"
+for hostile in deep inf; do
+    rc=0
+    cargo run --release --offline -q -p secflow -- submit --socket "$tmp/serve.sock" \
+        --file "$tmp/$hostile.json" > /dev/null 2> "$tmp/$hostile.env" || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -q '"kind":"BadRequest"' "$tmp/$hostile.env"; then
+        echo "hostile frame $hostile.json: exit $rc (want 2 and a BadRequest envelope)"
+        cat "$tmp/$hostile.env"
+        exit 1
+    fi
 done
 req='{"job":"campaign","attack":"dpa","n":150,"seed":1,"key":46}'
 cargo run --release --offline -p secflow -- submit --socket "$tmp/serve.sock" \
