@@ -548,8 +548,10 @@ fn bench_obs_overhead(filter: &str, smoke: bool) {
 /// Warm-vs-cold latency of the persistent job server's
 /// content-addressed cache (`secflow-serve`), on the fig6 smoke
 /// campaign (secure DES implementation, DPA, 150 traces). The cold
-/// submission executes the whole map → substitute → place → route →
-/// decompose → extract → compile → simulate → attack pipeline; the
+/// submission maps the design, runs the secure flow backend on it
+/// (substitute → place → route → decompose → extract, then the
+/// verification steps unless the request turns `verify` off), and
+/// compiles, simulates and attacks; the
 /// warm resubmission of the *same* request is answered from the
 /// response cache. The payloads must be byte-identical — the speedup
 /// is only meaningful if the cache returns exactly what the pipeline

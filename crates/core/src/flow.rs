@@ -50,8 +50,9 @@ pub struct FlowOptions {
     /// BDDs to random simulation.
     pub bdd_gate_limit: usize,
     /// Simulation kernel for downstream trace campaigns run against
-    /// this flow's netlists (`--sim-backend` on the CLI and the
-    /// experiment binaries). Both backends are byte-identical; see
+    /// this flow's netlists (`--sim-backend` on the experiment
+    /// binaries, `sim_backend` in a serve campaign job); no flow stage
+    /// reads it. Both backends are byte-identical; see
     /// `secflow_sim::SimBackend`.
     pub sim_backend: SimBackend,
 }

@@ -100,7 +100,8 @@ impl std::error::Error for AnalysisError {}
 /// optional trace store: each leg keeps its own typed error.
 #[derive(Debug)]
 pub enum CampaignError {
-    /// The simulation kernel rejected the target or configuration.
+    /// The simulation kernel rejected the target or configuration, or
+    /// a simulated ciphertext disagreed with the model.
     Sim(secflow_sim::SimError),
     /// An analysis input contract was violated.
     Analysis(AnalysisError),

@@ -169,8 +169,13 @@ impl CampaignProgram {
     }
 
     /// Simulates `batches` in one parallel region, one worker scratch
-    /// per thread; the traces in encryption order.
-    fn run_batches(&self, campaign: &Campaign<'_>, batches: &[(usize, usize)]) -> TraceSet {
+    /// per thread; the traces in encryption order, or the mismatch of
+    /// the lowest failing encryption.
+    fn run_batches(
+        &self,
+        campaign: &Campaign<'_>,
+        batches: &[(usize, usize)],
+    ) -> Result<TraceSet, SimError> {
         match self {
             CampaignProgram::Event(sim) => run_batches(sim, campaign, batches),
             CampaignProgram::Bitslice(sim) => run_batches(sim, campaign, batches),
@@ -223,13 +228,15 @@ fn draw_plaintexts(n: usize, seed: u64) -> Vec<(u8, u8)> {
 /// # Errors
 ///
 /// Returns [`SimError`] if the target netlist is cyclic or references
-/// cells missing from its library.
+/// cells missing from its library, and
+/// [`SimError::CiphertextMismatch`] for the lowest encryption whose
+/// simulated ciphertext disagrees with the model (a clock or
+/// precharge phase the implementation cannot meet, or a substitution
+/// or simulation bug).
 ///
 /// # Panics
 ///
-/// Panics if `key >= 64` (caller contract), or if the simulated
-/// hardware disagrees with the reference model (a substitution or
-/// simulation bug, not an input error).
+/// Panics if `key >= 64` (caller contract).
 pub fn collect_des_traces(
     target: &DesTarget<'_>,
     cfg: &SimConfig,
@@ -250,12 +257,12 @@ pub fn collect_des_traces(
 /// # Errors
 ///
 /// Returns [`SimError`] if `cfg` requests a feature `program`'s
-/// backend does not support.
+/// backend does not support, and [`SimError::CiphertextMismatch`] as
+/// [`collect_des_traces`] does.
 ///
 /// # Panics
 ///
-/// Panics if `key >= 64` (caller contract), or if the simulated
-/// hardware disagrees with the reference model.
+/// Panics if `key >= 64` (caller contract).
 pub fn collect_des_traces_with(
     program: &CampaignProgram,
     target: &DesTarget<'_>,
@@ -315,8 +322,10 @@ impl<'a> Campaign<'a> {
 
     /// Simulates the campaign in blocks of about `chunk` encryptions,
     /// one parallel region per block, and hands the blocks to
-    /// `consume` in encryption order.
-    fn run<E>(
+    /// `consume` in encryption order. A ciphertext mismatch ends the
+    /// campaign in the block that holds it, so the error names the
+    /// lowest failing encryption at any thread count.
+    fn run<E: From<SimError>>(
         &self,
         chunk: usize,
         mut consume: impl FnMut(TraceSet) -> Result<(), E>,
@@ -334,7 +343,7 @@ impl<'a> Campaign<'a> {
                 lanes += batches[end].1;
                 end += 1;
             }
-            let block = self.program.run_batches(self, &batches[bi..end]);
+            let block = self.program.run_batches(self, &batches[bi..end])?;
             obs::add(obs::Counter::DpaTraces, lanes as u64);
             consume(block)?;
             bi = end;
@@ -364,7 +373,7 @@ fn run_batches<W: LaneWord>(
     sim: &LaneSim<W>,
     campaign: &Campaign<'_>,
     batches: &[(usize, usize)],
-) -> TraceSet {
+) -> Result<TraceSet, SimError> {
     // Each pool worker keeps one scratch, reset per batch, so the
     // steady-state campaign allocates nothing in the simulator.
     let per_batch = par_map_range_with(batches.len(), LaneScratch::new, |scratch, bi| {
@@ -374,13 +383,20 @@ fn run_batches<W: LaneWord>(
         samples_per_trace: campaign.cfg.samples_per_cycle,
         ..TraceSet::default()
     };
-    for (trace, ct, energy) in per_batch.into_iter().flatten() {
-        set.traces.push(trace);
-        set.ciphertexts.push(ct);
-        set.energies.push(energy);
+    // Batches are in encryption order, so the first error is the
+    // lowest failing encryption's.
+    for batch in per_batch {
+        for (trace, ct, energy) in batch? {
+            set.traces.push(trace);
+            set.ciphertexts.push(ct);
+            set.energies.push(energy);
+        }
     }
-    set
+    Ok(set)
 }
+
+/// One encryption's leak-cycle trace, ciphertext `(CL, CR)` and energy.
+type Measured = (Vec<f64>, (u8, u8), f64);
 
 /// Simulates one lane batch — encryptions `start..start + count`, all
 /// sharing a window length, one per lane — measuring its leakage cycle
@@ -395,13 +411,14 @@ fn run_batches<W: LaneWord>(
 /// where the window is the campaign prefix itself. Its charge equals
 /// the continuous campaign's bit for bit unless crosstalk couples the
 /// (flush, not next) plaintext inputs into it; the window defines the
-/// trace either way.
+/// trace either way. A lane whose ciphertext disagrees with the model
+/// fails the batch with the lowest such encryption.
 fn run_batch<W: LaneWord>(
     sim: &LaneSim<W>,
     scratch: &mut LaneScratch<W>,
     campaign: &Campaign<'_>,
     (start, count): (usize, usize),
-) -> Vec<(Vec<f64>, (u8, u8), f64)> {
+) -> Result<Vec<Measured>, SimError> {
     let Campaign {
         target,
         cfg,
@@ -480,23 +497,26 @@ fn run_batch<W: LaneWord>(
     (0..count)
         .map(|l| {
             let i = start + l;
-            let mut trace = scratch.lane_cycle_trace(leak_cycle, l);
-            if cfg.noise_sigma > 0.0 {
-                let seed = split_seed(cfg.noise_seed, i as u64);
-                add_gaussian_noise(&mut trace, cfg.noise_sigma, seed);
-            }
             let bit = |j: usize| u8::from(scratch.output_bit(leak_cycle + 1, stride * j, l));
             let ct = (
                 (0..4).fold(0u8, |a, j| a | bit(j) << j),
                 (0..6).fold(0u8, |a, j| a | bit(4 + j) << j),
             );
             let (pl, pr) = plaintexts[i];
-            assert_eq!(
-                ct,
-                encrypt(pl, pr, key),
-                "simulated ciphertext disagrees with the model at encryption {i}"
-            );
-            (trace, ct, scratch.lane_energy_fj(leak_cycle, l))
+            let expected = encrypt(pl, pr, key);
+            if ct != expected {
+                return Err(SimError::CiphertextMismatch {
+                    encryption: i,
+                    simulated: ct,
+                    expected,
+                });
+            }
+            let mut trace = scratch.lane_cycle_trace(leak_cycle, l);
+            if cfg.noise_sigma > 0.0 {
+                let seed = split_seed(cfg.noise_seed, i as u64);
+                add_gaussian_noise(&mut trace, cfg.noise_sigma, seed);
+            }
+            Ok((trace, ct, scratch.lane_energy_fj(leak_cycle, l)))
         })
         .collect()
 }
@@ -655,14 +675,14 @@ impl StreamSinks {
 ///
 /// # Errors
 ///
-/// [`CampaignError`] on simulation, analysis-input, or store
-/// failures; a plan whose `correct_key` is not below `n_keys` fails
-/// before any simulation or store write.
+/// [`CampaignError`] on simulation (a ciphertext mismatch included,
+/// as in [`collect_des_traces`]), analysis-input, or store failures;
+/// a plan whose `correct_key` is not below `n_keys` fails before any
+/// simulation or store write.
 ///
 /// # Panics
 ///
-/// Panics if `key >= 64` (caller contract), or if the simulated
-/// hardware disagrees with the reference model.
+/// Panics if `key >= 64` (caller contract).
 #[allow(clippy::too_many_arguments)]
 pub fn collect_des_analysis_streaming(
     program: &CampaignProgram,
@@ -936,5 +956,71 @@ mod tests {
         let err = analyze_trace_store(&store, &bad).unwrap_err();
         assert!(matches!(err, CampaignError::Analysis(ref e) if *e == out_of_range));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A clock too short for the DES datapath to settle makes some
+    /// encryptions capture a wrong ciphertext. The campaign fails with
+    /// the lowest of them, the same error at every thread count, on
+    /// both backends and on the streaming path, and every encryption
+    /// before it simulates correctly.
+    #[test]
+    fn a_ciphertext_mismatch_names_the_lowest_failing_encryption() {
+        let design = des_dpa_design();
+        let lib = Library::lib180();
+        let nl = map_design(&design, &lib, &MapOptions::default()).unwrap();
+        let cfg = SimConfig {
+            period_ps: 1000,
+            samples_per_cycle: 20,
+            ..Default::default()
+        };
+        let plan = AnalysisPlan {
+            n_keys: 64,
+            correct_key: 46,
+            step: None,
+            dpa: true,
+            cpa: false,
+        };
+        let mut seen = Vec::new();
+        for backend in [SimBackend::Event, SimBackend::Bitslice] {
+            let target = DesTarget {
+                netlist: &nl,
+                lib: &lib,
+                parasitics: None,
+                wddl_inputs: None,
+                glitch_free: false,
+                backend,
+            };
+            let program = CampaignProgram::build(&target, &cfg).unwrap();
+            for threads in [1, 2, 8] {
+                let (batch, streamed) = secflow_exec::with_threads(threads, || {
+                    (
+                        collect_des_traces_with(&program, &target, &cfg, 46, 200, 7).unwrap_err(),
+                        collect_des_analysis_streaming(
+                            &program, &target, &cfg, 46, 200, 7, &plan, 17, None,
+                        )
+                        .unwrap_err(),
+                    )
+                });
+                assert!(
+                    matches!(streamed, CampaignError::Sim(ref e) if *e == batch),
+                    "{streamed:?} vs {batch:?}"
+                );
+                seen.push(batch);
+            }
+            let SimError::CiphertextMismatch {
+                encryption,
+                simulated,
+                expected,
+            } = seen[0]
+            else {
+                panic!("not a ciphertext mismatch: {:?}", seen[0]);
+            };
+            assert!(encryption > 2, "the first failure is past the reset batches");
+            assert_ne!(simulated, expected);
+            let prefix =
+                collect_des_traces_with(&program, &target, &cfg, 46, encryption, 7).unwrap();
+            assert_eq!(prefix.ciphertexts.len(), encryption);
+        }
+        assert!(seen.iter().all(|e| *e == seen[0]), "{seen:?}");
     }
 }

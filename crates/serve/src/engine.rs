@@ -1,12 +1,15 @@
 //! Job execution over the content-addressed cache.
 //!
-//! The engine mirrors `secflow_core`'s staged flow sequence, but with
-//! a cache lookup between every stage: parsed netlist → (substitute)
-//! → placement → routing → (decompose) → extraction → compiled
-//! simulation program → campaign statistics → rendered response. Each
-//! artifact is keyed by `H(input ‖ options ‖ stage)` (see
-//! [`crate::key`]), so two jobs that share a prefix of the pipeline
-//! share the work: a campaign resubmitted with a different `n` reuses
+//! A campaign job builds its implementation with the flow's own
+//! backend (`secflow_core::run_{regular,secure}_backend`, as flow jobs
+//! and the CLI do, verification included when `verify` is set), with a
+//! cache lookup at each artifact another job can reuse: mapped netlist
+//! → implementation (the backend's whole result) → compiled simulation
+//! program → campaign statistics → rendered response. Each artifact is
+//! keyed by `H(input ‖ options ‖ stage)` (see [`crate::key`]), so two
+//! jobs that share a prefix of the pipeline share the work: the secure
+//! and the regular implementation of one option set share the mapped
+//! netlist, a campaign resubmitted with a different `n` reuses
 //! everything up to the compiled program, a `cpa` attack reuses the
 //! statistics of the `dpa` job on the same traces, and an identical
 //! resubmission is answered from the response cache without executing
@@ -28,19 +31,19 @@ use std::sync::Arc;
 
 use secflow_cells::Library;
 use secflow_core::{
-    decompose_styled, run_regular_backend, run_secure_backend, substitute, FlowError, FlowReport,
-    Substitution,
+    run_regular_backend, run_secure_backend, FlowError, FlowReport, RegularFlowResult,
+    SecureFlowResult,
 };
 use secflow_crypto::dpa_module::des_dpa_design;
 use secflow_dpa::error::{AnalysisError, CampaignError, ANALYSIS_EXIT_CODE};
 use secflow_dpa::harness::{
     collect_des_analysis_streaming, AnalysisPlan, CampaignAnalysis, CampaignProgram, DesTarget,
 };
-use secflow_extract::{try_extract, Parasitics};
+use secflow_extract::Parasitics;
 use secflow_netlist::{parse_verilog, Netlist};
 use secflow_obs as obs;
 use secflow_obs::json::{Arr, Obj};
-use secflow_pnr::{place_best_of, route, GridPitch, PlaceOptions, PlacedDesign, RoutedDesign};
+use secflow_pnr::RoutedDesign;
 use secflow_sim::SimConfig;
 use secflow_synth::map_design;
 
@@ -139,24 +142,31 @@ mod size {
         nl.gate_count() * 128 + 4096
     }
 
-    pub fn substitution(s: &Substitution) -> usize {
-        netlist(&s.fat) + netlist(&s.differential) + s.pairs.len() * 64 + (64 << 10)
-    }
-
-    pub fn placed(p: &PlacedDesign) -> usize {
-        p.cells.len() * 32 + (p.input_pads.len() + p.output_pads.len()) * 16 + 1024
-    }
-
-    pub fn routed(r: &RoutedDesign) -> usize {
-        placed(&r.placed) + r.total_wirelength().unsigned_abs() as usize * 16 + 1024
-    }
-
-    pub fn parasitics(p: &Parasitics) -> usize {
-        p.nets
+    /// Routed layouts (placements included) and their parasitics.
+    fn layouts(routed: &[&RoutedDesign], p: &Parasitics) -> usize {
+        let wires: usize = routed
             .iter()
-            .map(|n| 32 + n.couplings.len() * 16)
-            .sum::<usize>()
-            + 1024
+            .map(|r| r.placed.cells.len() * 32 + r.total_wirelength().unsigned_abs() as usize * 16)
+            .sum();
+        let couplings: usize = p.nets.iter().map(|n| 32 + n.couplings.len() * 16).sum();
+        wires + couplings + 4096
+    }
+
+    pub fn regular(r: &RegularFlowResult) -> usize {
+        netlist(&r.netlist) + layouts(&[&r.routed], &r.parasitics)
+    }
+
+    pub fn secure(r: &SecureFlowResult) -> usize {
+        let s = &r.substitution;
+        let netlists: usize = [&r.mapped, &s.fat, &s.differential]
+            .into_iter()
+            .map(netlist)
+            .sum();
+        // 64 KiB for the derived fat, differential and WDDL libraries.
+        netlists
+            + s.pairs.len() * 64
+            + (64 << 10)
+            + layouts(&[&r.fat_routed, &r.decomposed], &r.parasitics)
     }
 
     pub fn program(nl: &Netlist, cfg: &SimConfig) -> usize {
@@ -196,7 +206,8 @@ impl Engine {
     /// # Errors
     ///
     /// Returns the structured [`JobError`] for the first failing
-    /// stage; nothing is cached for failed jobs.
+    /// stage; a failed job caches no response and no statistics (the
+    /// artifacts of the stages before the failure stay cached).
     pub fn execute(&self, canonical: &str, req: &Request) -> Result<JobOutcome, JobError> {
         self.jobs.fetch_add(1, Ordering::Relaxed);
         obs::add(obs::Counter::ServeJobs, 1);
@@ -243,24 +254,14 @@ impl Engine {
         )
     }
 
-    fn place_opts(c: &CampaignRequest, pitch: GridPitch) -> PlaceOptions {
-        PlaceOptions {
-            fill_factor: c.opts.fill_factor,
-            aspect_ratio: c.opts.aspect_ratio,
-            anneal_moves_per_gate: c.opts.anneal_moves_per_gate,
-            seed: c.opts.seed,
-            pitch,
-        }
-    }
-
     /// Runs a measurement campaign + attack on the built-in DES
-    /// module, caching every stage artifact along the way. The
-    /// statistics entry is looked up first: a hit needs no stage.
+    /// module, caching its mapped netlist, implementation, program and
+    /// statistics. The statistics entry is looked up first: a hit
+    /// needs no stage.
     fn campaign(&self, c: &CampaignRequest) -> Result<Vec<u8>, JobError> {
         let ob = flow_options_bytes(&c.opts);
-        // Downstream stage keys carry the implementation tag: the
-        // secure pipeline's placement must never alias the regular
-        // one's.
+        // Downstream keys carry the implementation tag: the secure
+        // backend's entry must never alias the regular one's.
         let impl_input: Vec<u8> = [
             CAMPAIGN_INPUT,
             if c.secure { b"/secure" } else { b"/regular" },
@@ -286,114 +287,41 @@ impl Engine {
             return Ok(render_campaign(c, &analysis));
         }
 
+        // The implementation: the flow's own backend on the mapped
+        // netlist, cached whole. The secure and the regular
+        // implementation of one option set share the Map entry.
         let mapped = self.des_mapped(&ob, c)?;
-        let key_of = |stage| stage_key(&impl_input, &ob, stage);
-
-        // Build (or recall) the implementation's artifacts, then the
-        // campaign target borrowing from them. The intermediate
-        // placement/routing Arcs are dropped once extraction has run —
-        // the cache keeps them alive if they are retained at all.
-        let sub_opt: Option<Arc<Substitution>>;
-        let parasitics: Arc<Parasitics>;
-        if c.secure {
-            let sub = self.cache.get_or_try(
-                key_of(CacheStage::Substitute),
-                || {
-                    let _s = obs::span("substitute");
-                    substitute(&mapped, &self.lib).map_err(FlowError::from)
-                },
-                size::substitution,
+        let backend_key = stage_key(&impl_input, &ob, CacheStage::Backend);
+        // The result that is built owns what the target borrows.
+        let (secure, regular);
+        let target = if c.secure {
+            secure = self.cache.get_or_try(
+                backend_key,
+                || run_secure_backend((*mapped).clone(), &self.lib, &c.opts, 0.0),
+                size::secure,
             )?;
-            let placed = self.cache.get_or_try(
-                key_of(CacheStage::Place),
-                || {
-                    let _s = obs::span("place");
-                    place_best_of(
-                        &sub.fat,
-                        &sub.fat_lib,
-                        &Self::place_opts(c, GridPitch::Fat),
-                        c.opts.place_restarts,
-                    )
-                    .map_err(FlowError::from)
-                },
-                size::placed,
-            )?;
-            let routed = self.cache.get_or_try(
-                key_of(CacheStage::Route),
-                || {
-                    let _s = obs::span("route");
-                    route(&sub.fat, &sub.fat_lib, &placed, &c.opts.route).map_err(FlowError::from)
-                },
-                size::routed,
-            )?;
-            let decomposed = self.cache.get_or_try(
-                key_of(CacheStage::Decompose),
-                || {
-                    let _s = obs::span("decompose");
-                    decompose_styled(&routed, &sub, c.opts.decompose_style).map_err(FlowError::from)
-                },
-                size::routed,
-            )?;
-            parasitics = self.cache.get_or_try(
-                key_of(CacheStage::Extract),
-                || {
-                    let _s = obs::span("extract");
-                    try_extract(&decomposed, &sub.differential, &c.opts.tech)
-                        .map_err(FlowError::from)
-                },
-                size::parasitics,
-            )?;
-            sub_opt = Some(sub);
-        } else {
-            let placed = self.cache.get_or_try(
-                key_of(CacheStage::Place),
-                || {
-                    let _s = obs::span("place");
-                    place_best_of(
-                        &mapped,
-                        &self.lib,
-                        &Self::place_opts(c, GridPitch::Normal),
-                        c.opts.place_restarts,
-                    )
-                    .map_err(FlowError::from)
-                },
-                size::placed,
-            )?;
-            let routed = self.cache.get_or_try(
-                key_of(CacheStage::Route),
-                || {
-                    let _s = obs::span("route");
-                    route(&mapped, &self.lib, &placed, &c.opts.route).map_err(FlowError::from)
-                },
-                size::routed,
-            )?;
-            parasitics = self.cache.get_or_try(
-                key_of(CacheStage::Extract),
-                || {
-                    let _s = obs::span("extract");
-                    try_extract(&routed, &mapped, &c.opts.tech).map_err(FlowError::from)
-                },
-                size::parasitics,
-            )?;
-            sub_opt = None;
-        }
-        let target = match &sub_opt {
-            Some(sub) => DesTarget {
-                netlist: &sub.differential,
-                lib: &sub.diff_lib,
-                parasitics: Some(&parasitics),
-                wddl_inputs: Some(&sub.input_pairs),
+            DesTarget {
+                netlist: &secure.substitution.differential,
+                lib: &secure.substitution.diff_lib,
+                parasitics: Some(&secure.parasitics),
+                wddl_inputs: Some(&secure.substitution.input_pairs),
                 glitch_free: false,
                 backend: c.opts.sim_backend,
-            },
-            None => DesTarget {
-                netlist: &mapped,
+            }
+        } else {
+            regular = self.cache.get_or_try(
+                backend_key,
+                || run_regular_backend((*mapped).clone(), &self.lib, &c.opts, 0.0),
+                size::regular,
+            )?;
+            DesTarget {
+                netlist: &regular.netlist,
                 lib: &self.lib,
-                parasitics: Some(&parasitics),
+                parasitics: Some(&regular.parasitics),
                 wddl_inputs: None,
                 glitch_free: false,
                 backend: c.opts.sim_backend,
-            },
+            }
         };
 
         // The compiled program ignores the noise parameters (windows
@@ -450,8 +378,8 @@ impl Engine {
             size::netlist,
         )?;
         // Flow options participate via the response-cache key; the
-        // backend run below is not stage-cached (its verification
-        // steps are checks, not artifacts).
+        // backend result is not cached, because only its report
+        // reaches the payload and the response cache keeps that.
         if f.secure {
             let r = run_secure_backend((*parsed).clone(), &self.lib, &f.opts, 0.0)?;
             Ok(render_flow("secure", &r.report))

@@ -11,11 +11,15 @@
 //! change therefore changes the key (`tests/cache_key.rs` pins this
 //! property and a golden hash).
 //!
-//! Keys are deliberately coarse: each stage is keyed on the *whole*
+//! Keys are deliberately coarse: each artifact is keyed on the *whole*
 //! option struct, not the subset of fields it reads. A `via_cost` edit
-//! thus also misses on the placement artifact — a small amount of
+//! thus also misses on the mapped netlist — a small amount of
 //! redundant recompute, in exchange for a derivation that cannot
-//! silently go stale when a stage grows a new option dependency.
+//! silently go stale when a stage grows a new option dependency. For
+//! the same reason an implementation is one [`CacheStage::Backend`]
+//! entry, not one entry per flow stage: every stage of it would be
+//! keyed on the same bytes, so per-stage entries could only hit
+//! together.
 
 use secflow_core::{DecomposeStyle, FlowOptions};
 use secflow_sim::{SimBackend, SimConfig};
@@ -30,16 +34,10 @@ pub enum CacheStage {
     Parse,
     /// Technology-mapped netlist of the built-in campaign design.
     Map,
-    /// WDDL cell-substitution artifacts (fat + differential netlists).
-    Substitute,
-    /// Placement (of the mapped or fat netlist).
-    Place,
-    /// Routed design.
-    Route,
-    /// Decomposed differential design.
-    Decompose,
-    /// Extracted parasitics.
-    Extract,
+    /// One implementation of the built-in campaign design: the flow
+    /// backend's whole result (layout, parasitics and, for the secure
+    /// flow, the substitution), as the CLI and flow jobs compute it.
+    Backend,
     /// Compiled simulation program (event or bit-sliced kernel).
     Program,
     /// The statistics of one campaign's traces: both attacks and, for
@@ -56,11 +54,7 @@ impl CacheStage {
         match self {
             CacheStage::Parse => "parse",
             CacheStage::Map => "map",
-            CacheStage::Substitute => "substitute",
-            CacheStage::Place => "place",
-            CacheStage::Route => "route",
-            CacheStage::Decompose => "decompose",
-            CacheStage::Extract => "extract",
+            CacheStage::Backend => "backend",
             CacheStage::Program => "program",
             CacheStage::Traces => "traces",
             CacheStage::Response => "response",
@@ -235,8 +229,8 @@ mod tests {
     #[test]
     fn stage_tag_separates_keys() {
         let opts = flow_options_bytes(&FlowOptions::default());
-        let a = stage_key(b"x", &opts, CacheStage::Place);
-        let b = stage_key(b"x", &opts, CacheStage::Route);
+        let a = stage_key(b"x", &opts, CacheStage::Map);
+        let b = stage_key(b"x", &opts, CacheStage::Backend);
         assert_ne!(a, b);
     }
 

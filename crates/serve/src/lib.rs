@@ -11,9 +11,9 @@
 //!   pool (stages parallelise internally via `secflow-exec`);
 //! * [`cache`] — an in-memory + on-disk LRU artifact store keyed by a
 //!   128-bit content hash of `(input bytes, options, stage)`: parsed
-//!   and mapped netlists, WDDL substitutions, placements, routed
-//!   designs, parasitics, compiled simulation programs, campaign
-//!   statistics (never trace sets) and whole response payloads;
+//!   and mapped netlists, implementations (one flow-backend result
+//!   each), compiled simulation programs, campaign statistics (never
+//!   trace sets) and whole response payloads;
 //! * [`hash`] / [`key`] — SipHash-2-4 (in-repo, the workspace is
 //!   hermetic) over canonical option encodings, floats pinned by
 //!   `f64::to_bits`;

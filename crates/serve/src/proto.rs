@@ -306,6 +306,9 @@ fn parse_sim_config(obj: &Value) -> Result<SimConfig, RequestError> {
         "sim",
     )?;
     if let Some(v) = get_u64(o, "period_ps")? {
+        if v == 0 {
+            return Err(bad("`period_ps` must be positive"));
+        }
         cfg.period_ps = v;
     }
     if let Some(v) = get_u64(o, "samples_per_cycle")? {
@@ -321,6 +324,10 @@ fn parse_sim_config(obj: &Value) -> Result<SimConfig, RequestError> {
         cfg.noise_seed = v;
     }
     if let Some(v) = get_f64(o, "precharge_fraction")? {
+        // The evaluation phase is the rest of the cycle.
+        if !(0.0..1.0).contains(&v) {
+            return Err(bad("`precharge_fraction` must be in [0, 1)"));
+        }
         cfg.precharge_fraction = v;
     }
     if let Some(v) = get_bool(o, "record_waveform")? {
@@ -521,6 +528,28 @@ mod tests {
             br#"{"job":"campaign","options":{"sim_backend":"event"},"sim":{"record_waveform":true}}"#,
         )
         .is_ok());
+    }
+
+    #[test]
+    fn sim_timing_outside_its_range_is_refused() {
+        for (sim, field) in [
+            (r#"{"period_ps":0}"#, "period_ps"),
+            (r#"{"precharge_fraction":-0.1}"#, "precharge_fraction"),
+            (r#"{"precharge_fraction":1}"#, "precharge_fraction"),
+            (r#"{"precharge_fraction":7}"#, "precharge_fraction"),
+        ] {
+            let req = format!(r#"{{"job":"campaign","n":6,"sim":{sim}}}"#);
+            let e = Request::parse(req.as_bytes()).expect_err(&req);
+            assert!(e.0.contains(field), "{req}: {e}");
+        }
+        for sim in [
+            r#"{"period_ps":1}"#,
+            r#"{"precharge_fraction":0}"#,
+            r#"{"precharge_fraction":0.95}"#,
+        ] {
+            let req = format!(r#"{{"job":"campaign","n":6,"sim":{sim}}}"#);
+            assert!(Request::parse(req.as_bytes()).is_ok(), "{req}");
+        }
     }
 
     #[test]

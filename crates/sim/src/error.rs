@@ -39,6 +39,18 @@ pub enum SimError {
         /// What is unsupported, and which backend to use instead.
         detail: String,
     },
+    /// A campaign's simulated ciphertext disagrees with the reference
+    /// model: under this configuration the implementation does not
+    /// compute its function (e.g. the evaluation phase is too short
+    /// for the logic to settle before the registers capture).
+    CiphertextMismatch {
+        /// Index of the lowest failing encryption of the campaign.
+        encryption: usize,
+        /// The simulated ciphertext `(CL, CR)`.
+        simulated: (u8, u8),
+        /// The model's ciphertext `(CL, CR)`.
+        expected: (u8, u8),
+    },
 }
 
 impl fmt::Display for SimError {
@@ -63,6 +75,15 @@ impl fmt::Display for SimError {
             SimError::UnsupportedConfig { backend, detail } => {
                 write!(f, "sim backend `{backend}` does not support this config: {detail}")
             }
+            SimError::CiphertextMismatch {
+                encryption,
+                simulated,
+                expected,
+            } => write!(
+                f,
+                "simulated ciphertext {simulated:?} disagrees with the model's {expected:?} \
+                 at encryption {encryption}"
+            ),
         }
     }
 }

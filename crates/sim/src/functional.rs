@@ -1,6 +1,7 @@
-//! Zero-delay functional simulation of mapped netlists, used for
-//! verification (and by the logic equivalence checker's random-vector
-//! mode).
+//! Zero-delay functional simulation of mapped netlists, the reference
+//! that `tests/sim_cross_check.rs` checks the event kernel against.
+//! The logic equivalence checker's random-vector mode does not use it:
+//! it compiles its own evaluator (`secflow_lec`'s `CompiledComb`).
 
 use secflow_cells::{CellFunction, Library};
 use secflow_netlist::{GateKind, NetId, Netlist};

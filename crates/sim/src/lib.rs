@@ -3,8 +3,9 @@
 //!
 //! Two simulators are provided:
 //!
-//! * [`functional`] — zero-delay cycle-based evaluation, used for
-//!   verification;
+//! * [`functional`] — zero-delay cycle-based evaluation, the reference
+//!   the event kernel is cross-checked against (LEC compiles its own
+//!   evaluator);
 //! * the **event-driven power simulator** ([`simulate_single_ended`],
 //!   [`simulate_wddl`]) — inertial gate delays (so single-ended CMOS
 //!   logic *glitches*, a first-order DPA leakage source), a

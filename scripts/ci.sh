@@ -87,7 +87,7 @@ cmp tests/golden/mtd_1m_smoke.txt "$tmp/mtd1m.out"
 echo "== tier-1: streaming pipeline bench smoke (stream-vs-batch byte-identity self-check) =="
 cargo bench --offline -p secflow-bench --bench flow_stages -- stream_1m --smoke
 
-echo "== tier-1: job-server smoke (daemon survives hostile frames, warm cache hit, payloads match the committed golden) =="
+echo "== tier-1: job-server smoke (daemon survives hostile frames and a failing campaign, warm cache hit, payloads match the committed golden) =="
 cargo run --release --offline -p secflow -- serve --socket "$tmp/serve.sock" \
     --cache-bytes $((64 * 1024 * 1024)) &
 serve_pid=$!
@@ -99,7 +99,8 @@ done
 # survives them: the cold, warm and golden checks below run on it.
 head -c 100000 /dev/zero | tr '\0' '[' > "$tmp/deep.json"
 printf '%s' '{"job":"campaign","n":6,"sim":{"noise_sigma":1e999}}' > "$tmp/inf.json"
-for hostile in deep inf; do
+printf '%s' '{"job":"campaign","n":6,"sim":{"period_ps":0}}' > "$tmp/period0.json"
+for hostile in deep inf period0; do
     rc=0
     cargo run --release --offline -q -p secflow -- submit --socket "$tmp/serve.sock" \
         --file "$tmp/$hostile.json" > /dev/null 2> "$tmp/$hostile.env" || rc=$?
@@ -109,6 +110,18 @@ for hostile in deep inf; do
         exit 1
     fi
 done
+# A legal campaign whose implementation cannot meet its timing (the
+# precharge phase leaves 5 % of the cycle to evaluate) fails with a
+# typed sim error (exit 19) and the daemon keeps answering.
+timing_req='{"job":"attack","n":6,"sim":{"precharge_fraction":0.95,"samples_per_cycle":40},"options":{"anneal_moves_per_gate":4,"verify":false}}'
+rc=0
+cargo run --release --offline -q -p secflow -- submit --socket "$tmp/serve.sock" \
+    --json "$timing_req" > /dev/null 2> "$tmp/timing.env" || rc=$?
+if [ "$rc" -ne 19 ] || ! grep -q '"stage":"sim"' "$tmp/timing.env"; then
+    echo "failing-timing campaign: exit $rc (want 19 and a sim-stage envelope)"
+    cat "$tmp/timing.env"
+    exit 1
+fi
 req='{"job":"campaign","attack":"dpa","n":150,"seed":1,"key":46}'
 cargo run --release --offline -p secflow -- submit --socket "$tmp/serve.sock" \
     --json "$req" > "$tmp/cold.out" 2> "$tmp/cold.env"

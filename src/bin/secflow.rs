@@ -23,9 +23,7 @@
 //! cores), `--restarts <n>` (independent placement-annealing
 //! restarts, best HPWL wins), `--obs <path>` (write observability
 //! metrics JSON there plus a chrome-trace next to it; `SECFLOW_OBS`
-//! sets the same path from the environment), `--sim-backend
-//! event|bitslice` (simulation kernel for downstream trace campaigns;
-//! both are byte-identical).
+//! sets the same path from the environment).
 //!
 //! Two subcommands wrap the persistent job server (`secflow-serve`):
 //!
@@ -75,7 +73,6 @@ fn usage() -> ! {
         "usage: secflow <rtl.v> [--secure|--regular] [--out DIR] [--fill F] [--aspect R]\n\
          \x20              [--layers N] [--seed N] [--spaced|--shielded] [--no-verify]\n\
          \x20              [--threads N] [--restarts N] [--obs PATH]\n\
-         \x20              [--sim-backend event|bitslice]\n\
          \x20      secflow serve  [--socket PATH | --listen ADDR] [--cache-bytes N]\n\
          \x20                     [--cache-dir DIR] [--job-workers N] [--threads N]\n\
          \x20      secflow submit [--socket PATH | --connect ADDR]\n\
@@ -132,12 +129,6 @@ fn parse_args() -> Args {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&n: &usize| n >= 1)
-                    .unwrap_or_else(|| usage())
-            }
-            "--sim-backend" => {
-                opts.sim_backend = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
             }
             "--obs" => obs = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),

@@ -84,11 +84,11 @@ fn every_flow_option_field_changes_the_key() {
     let base = stage_key(
         b"in",
         &flow_options_bytes(&FlowOptions::default()),
-        CacheStage::Place,
+        CacheStage::Backend,
     );
     let mut seen = vec![("base", base)];
     for (name, opts) in flow_option_mutations() {
-        let key = stage_key(b"in", &flow_options_bytes(&opts), CacheStage::Place);
+        let key = stage_key(b"in", &flow_options_bytes(&opts), CacheStage::Backend);
         for (other, prior) in &seen {
             assert_ne!(
                 key, *prior,
@@ -167,8 +167,8 @@ fn golden_pinned_hashes() {
         "d284fe521026ed6fdbb7393c7ef7db75",
     );
     assert_eq!(
-        stage_key(b"builtin:des_dpa/secure", &opts, CacheStage::Place).to_hex(),
-        "106d171c996efae197648b5f37fc30f0",
+        stage_key(b"builtin:des_dpa/secure", &opts, CacheStage::Backend).to_hex(),
+        "562d3e3b55b3d956e581e8cc2714bcf9",
     );
     let cfg = sim_config_bytes(&SimConfig::default());
     assert_eq!(

@@ -114,6 +114,100 @@ fn one_campaign_simulates_once_whatever_the_attack_and_trace_path() {
     );
 }
 
+/// A campaign on an implementation that an earlier job built runs
+/// none of the backend: it places, routes and checks nothing, but
+/// simulates its own traces. Its response and statistics keys miss;
+/// the mapped netlist, the one backend entry and the compiled program
+/// hit.
+#[test]
+fn a_new_campaign_on_a_built_implementation_runs_no_backend_stage() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let engine = Engine::new(256 << 20, None);
+    let request = |n: usize, seed: u64| {
+        format!(
+            r#"{{"job":"campaign","n":{n},"seed":{seed},
+                "options":{{"anneal_moves_per_gate":4}},
+                "sim":{{"samples_per_cycle":40}}}}"#
+        )
+    };
+    let run = |req: &str| {
+        let parsed = Request::parse(req.as_bytes()).expect("request parses");
+        obs::capture(|| engine.execute(&canonical(req), &parsed).expect("job runs"))
+    };
+
+    let (_, first) = run(&request(6, 3));
+    assert!(first.counter(Counter::RouteNets) > 0, "the first job routed");
+    let (out, second) = run(&request(8, 4));
+    assert!(!out.cached_response, "a new `n` and `seed` is a new request");
+    for (counter, what) in [
+        (Counter::PlaceMoves, "placed"),
+        (Counter::RouteNets, "routed"),
+        (Counter::LecOutputs, "checked equivalence"),
+    ] {
+        assert_eq!(second.counter(counter), 0, "the second job {what}");
+    }
+    assert!(second.counter(Counter::SimWindows) > 0, "the second job simulated");
+    assert_eq!(
+        second.counter(Counter::ServeCacheMisses),
+        2,
+        "misses other than the response and statistics keys"
+    );
+    assert_eq!(
+        second.counter(Counter::ServeCacheHits),
+        3,
+        "hits other than the map, backend and program entries"
+    );
+}
+
+/// A campaign builds its implementation with the flow's own backend,
+/// so `verify` means what it means to a flow job: a cold secure
+/// campaign runs the equivalence check when it is set, and only then.
+#[test]
+fn a_cold_campaign_verifies_its_implementation_when_verify_is_set() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for verify in [true, false] {
+        let engine = Engine::new(256 << 20, None);
+        let req = format!(
+            r#"{{"job":"campaign","n":6,"seed":3,
+                "options":{{"anneal_moves_per_gate":4,"verify":{verify}}},
+                "sim":{{"samples_per_cycle":40}}}}"#
+        );
+        let parsed = Request::parse(req.as_bytes()).expect("request parses");
+        let (_, report) =
+            obs::capture(|| engine.execute(&canonical(&req), &parsed).expect("job runs"));
+        assert_eq!(
+            report.counter(Counter::LecOutputs) > 0,
+            verify,
+            "verify {verify}: lec.outputs {}",
+            report.counter(Counter::LecOutputs)
+        );
+    }
+}
+
+/// A campaign whose implementation cannot meet the requested timing
+/// (here a precharge phase that leaves the evaluation 5 % of the
+/// cycle) fails with a typed `sim` error, exit 19, instead of a panic,
+/// and the same engine then runs a valid job.
+#[test]
+fn a_campaign_that_fails_timing_is_a_typed_sim_error() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let engine = Engine::new(256 << 20, None);
+    let bad = r#"{"job":"attack","n":6,"sim":{"precharge_fraction":0.95,"samples_per_cycle":40},"options":{"anneal_moves_per_gate":4,"verify":false}}"#;
+    let parsed = Request::parse(bad.as_bytes()).expect("0.95 is a legal fraction");
+    let e = engine
+        .execute(&canonical(bad), &parsed)
+        .expect_err("the simulated ciphertexts disagree with the model");
+    assert_eq!((e.stage.as_str(), e.exit_code), ("sim", 19), "{e:?}");
+    assert_eq!(e.kind, "CiphertextMismatch", "{e:?}");
+    assert!(e.detail.contains("at encryption 0"), "{}", e.detail);
+
+    let parsed = Request::parse(CAMPAIGN.as_bytes()).expect("request parses");
+    let out = engine
+        .execute(&canonical(CAMPAIGN), &parsed)
+        .expect("a valid job after the failed one");
+    assert!(!out.payload.is_empty());
+}
+
 #[test]
 fn unix_socket_round_trip_serves_cached_second_response() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
