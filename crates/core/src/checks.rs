@@ -1,11 +1,14 @@
 //! WDDL-specific verification: the precharge wave and dual-rail
-//! complementarity of the differential netlist.
+//! complementarity of the differential netlist, on the zero-delay
+//! evaluator of `secflow_sim::functional`.
 
 use std::fmt;
 
-use secflow_cells::{CellFunction, Library};
-use secflow_netlist::{GateKind, NetId, Netlist};
+use secflow_cells::{Library, TruthTable};
+use secflow_netlist::{NetId, Netlist};
 use secflow_rand::SplitMix;
+use secflow_sim::functional::{registers, Bools, Logic, Program};
+use secflow_sim::SimError;
 
 use crate::substitute::Substitution;
 use crate::wddl::WDDL_REGISTER;
@@ -32,18 +35,11 @@ pub enum RailCheckError {
         /// Index of the original primary output.
         index: usize,
     },
-    /// A netlist under check has a combinational cycle.
-    Cyclic {
-        /// Name of the cyclic netlist.
-        netlist: String,
-    },
-    /// A gate references a cell missing from the library under check.
-    UnknownCell {
-        /// Gate instance name.
-        gate: String,
-        /// Unresolved cell name.
-        cell: String,
-    },
+    /// A netlist under check cannot be evaluated: it has a
+    /// combinational cycle, a gate references a cell missing from the
+    /// library under check, or a gate's pin count differs from its
+    /// cell's.
+    BadNetlist(SimError),
     /// The original and differential netlists disagree on register
     /// count, so no rail correspondence exists.
     RegisterCountMismatch {
@@ -66,12 +62,7 @@ impl fmt::Display for RailCheckError {
             RailCheckError::OutputMismatch { index } => {
                 write!(f, "differential output {index} disagrees with the original")
             }
-            RailCheckError::Cyclic { netlist } => {
-                write!(f, "netlist `{netlist}` has a combinational cycle")
-            }
-            RailCheckError::UnknownCell { gate, cell } => {
-                write!(f, "gate `{gate}` references unknown cell `{cell}`")
-            }
+            RailCheckError::BadNetlist(e) => e.fmt(f),
             RailCheckError::RegisterCountMismatch {
                 original,
                 differential,
@@ -87,48 +78,29 @@ impl fmt::Display for RailCheckError {
 
 impl std::error::Error for RailCheckError {}
 
-/// Zero-delay evaluation of a netlist's combinational portion with
-/// forced source values; tie outputs are forced to `tie_value`
-/// when given (the precharge check models constants as precharged).
-fn eval(
-    nl: &Netlist,
-    lib: &Library,
-    forced: &[(NetId, bool)],
-    tie_override: Option<bool>,
-) -> Result<Vec<bool>, RailCheckError> {
-    let mut values = vec![false; nl.net_count()];
-    for &(n, v) in forced {
-        values[n.index()] = v;
+impl From<SimError> for RailCheckError {
+    fn from(e: SimError) -> Self {
+        RailCheckError::BadNetlist(e)
     }
-    let order = secflow_netlist::topo_order(nl).ok_or_else(|| RailCheckError::Cyclic {
-        netlist: nl.name.clone(),
-    })?;
-    for gid in order {
-        let g = nl.gate(gid);
-        if g.kind == GateKind::Seq {
-            continue;
-        }
-        let cell = lib.by_name(&g.cell).ok_or_else(|| RailCheckError::UnknownCell {
-            gate: g.name.clone(),
-            cell: g.cell.clone(),
-        })?;
-        match cell.function() {
-            CellFunction::Comb(tt) => {
-                let mut idx = 0u32;
-                for (i, &inp) in g.inputs.iter().enumerate() {
-                    if values[inp.index()] {
-                        idx |= 1 << i;
-                    }
-                }
-                values[g.outputs[0].index()] = tt.eval(idx);
-            }
-            CellFunction::Tie(v) => {
-                values[g.outputs[0].index()] = tie_override.unwrap_or(*v);
-            }
-            CellFunction::Dff | CellFunction::WddlDff => {}
-        }
+}
+
+/// The precharge phase: tie cells are precharged like every other net.
+struct Precharge;
+
+impl Logic for Precharge {
+    type Value = bool;
+    fn constant(&mut self, v: bool) -> bool {
+        v
     }
-    Ok(values)
+    fn ite(&mut self, s: bool, hi: bool, lo: bool) -> bool {
+        Bools.ite(s, hi, lo)
+    }
+    fn gate(&mut self, tt: TruthTable, ins: &[bool]) -> bool {
+        Bools.gate(tt, ins)
+    }
+    fn tie(&mut self, _: bool) -> bool {
+        false
+    }
 }
 
 /// Verifies the pre-discharge wave: with every primary-input rail and
@@ -143,15 +115,13 @@ fn eval(
 /// stays high.
 pub fn verify_precharge_wave(sub: &Substitution) -> Result<(), RailCheckError> {
     let nl = &sub.differential;
-    let values = eval(nl, &sub.diff_lib, &[], Some(false))?;
-    for id in nl.net_ids() {
-        if values[id.index()] {
-            return Err(RailCheckError::PrechargeLeak {
-                net: nl.net(id).name.clone(),
-            });
-        }
+    let values = Program::compile(nl, &sub.diff_lib)?.eval(&mut Precharge, false, []);
+    match nl.net_ids().find(|id| values[id.index()]) {
+        Some(id) => Err(RailCheckError::PrechargeLeak {
+            net: nl.net(id).name.clone(),
+        }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Verifies dual-rail complementarity and output correctness of the
@@ -174,17 +144,11 @@ pub fn verify_rail_complementarity(
 
     // Register correspondences: original DFFs in order vs WDDL
     // registers in order.
-    let orig_regs: Vec<(NetId, NetId)> = original
-        .gates()
-        .iter()
-        .filter(|g| g.kind == GateKind::Seq)
-        .map(|g| (g.inputs[0], g.outputs[0]))
-        .collect();
-    let diff_regs: Vec<(NetId, NetId, NetId, NetId)> = diff
-        .gates()
-        .iter()
+    let orig_regs = registers(original);
+    // The WDDL registers' true D rail and (true, false) Q rails.
+    let diff_regs: Vec<(NetId, (NetId, NetId))> = (diff.gates().iter())
         .filter(|g| g.cell == WDDL_REGISTER)
-        .map(|g| (g.inputs[0], g.inputs[1], g.outputs[0], g.outputs[1]))
+        .map(|g| (g.inputs[0], (g.outputs[0], g.outputs[1])))
         .collect();
     if orig_regs.len() != diff_regs.len() {
         return Err(RailCheckError::RegisterCountMismatch {
@@ -192,37 +156,27 @@ pub fn verify_rail_complementarity(
             differential: diff_regs.len(),
         });
     }
+    let orig_prog = Program::compile(original, base_lib)?;
+    let diff_prog = Program::compile(diff, &sub.diff_lib)?;
+    // Source nets in draw order: the primary inputs, then the registers.
+    let orig_sources: Vec<NetId> = (original.inputs().iter().copied())
+        .chain(orig_regs.iter().map(|&(_, q)| q))
+        .collect();
+    let n_out = original.outputs().len();
 
     for _ in 0..rounds {
         // Random source assignment.
-        let pi_vals: Vec<bool> = original
-            .inputs()
-            .iter()
-            .map(|_| rng.next() & 1 == 1)
-            .collect();
-        let reg_vals: Vec<bool> = orig_regs.iter().map(|_| rng.next() & 1 == 1).collect();
-
-        let mut orig_forced: Vec<(NetId, bool)> = original
-            .inputs()
-            .iter()
-            .copied()
-            .zip(pi_vals.iter().copied())
-            .collect();
-        for ((_, q), &v) in orig_regs.iter().zip(&reg_vals) {
-            orig_forced.push((*q, v));
-        }
-        let orig_values = eval(original, base_lib, &orig_forced, None)?;
-
-        let mut diff_forced: Vec<(NetId, bool)> = Vec::new();
-        for (&(t, f), &v) in sub.input_pairs.iter().zip(&pi_vals) {
-            diff_forced.push((t, v));
-            diff_forced.push((f, !v));
-        }
-        for ((_, _, qt, qf), &v) in diff_regs.iter().zip(&reg_vals) {
-            diff_forced.push((*qt, v));
-            diff_forced.push((*qf, !v));
-        }
-        let diff_values = eval(diff, &sub.diff_lib, &diff_forced, None)?;
+        let vals: Vec<bool> = orig_sources.iter().map(|_| rng.next() & 1 == 1).collect();
+        let orig_values = orig_prog.eval(
+            &mut Bools,
+            false,
+            orig_sources.iter().copied().zip(vals.iter().copied()),
+        );
+        let (pi_vals, reg_vals) = vals.split_at(original.inputs().len());
+        let rails = (sub.input_pairs.iter().zip(pi_vals))
+            .chain(diff_regs.iter().map(|(_, q)| q).zip(reg_vals))
+            .flat_map(|(&(t, f), &v)| [(t, v), (f, !v)]);
+        let diff_values = diff_prog.eval(&mut Bools, false, rails);
 
         // Every rail pair complementary.
         for p in &sub.pairs {
@@ -233,19 +187,20 @@ pub fn verify_rail_complementarity(
                 });
             }
         }
-        // Output pairs reproduce the original outputs.
-        for (i, (&po, &(t, _))) in original.outputs().iter().zip(&sub.output_pairs).enumerate() {
-            if orig_values[po.index()] != diff_values[t.index()] {
-                return Err(RailCheckError::OutputMismatch { index: i });
-            }
-        }
-        // Register D pairs store the original D value.
-        for (i, ((d, _), (dt, _, _, _))) in orig_regs.iter().zip(&diff_regs).enumerate() {
-            if orig_values[d.index()] != diff_values[dt.index()] {
-                return Err(RailCheckError::OutputMismatch {
-                    index: original.outputs().len() + i,
-                });
-            }
+        // Output pairs reproduce the original outputs, and register D
+        // pairs store the original D value.
+        let outputs = (original.outputs().iter().zip(&sub.output_pairs))
+            .map(|(&o, &(t, _))| (o, t))
+            .enumerate();
+        let regs = (orig_regs.iter().zip(&diff_regs))
+            .map(|(&(d, _), &(dt, _))| (d, dt))
+            .enumerate()
+            .map(|(i, pair)| (n_out + i, pair));
+        if let Some((index, _)) = outputs
+            .chain(regs)
+            .find(|&(_, (o, t))| orig_values[o.index()] != diff_values[t.index()])
+        {
+            return Err(RailCheckError::OutputMismatch { index });
         }
     }
     Ok(())
@@ -255,7 +210,7 @@ pub fn verify_rail_complementarity(
 mod tests {
     use super::*;
     use crate::substitute::substitute;
-    use secflow_cells::Library;
+    use secflow_netlist::GateKind;
 
     fn sample() -> (Netlist, Library) {
         let mut nl = Netlist::new("s");

@@ -1,12 +1,17 @@
 //! Combinational equivalence checking between two mapped netlists.
+//!
+//! Both engines walk each netlist with the zero-delay evaluator of
+//! `secflow_sim::functional`: the BDD engine over BDD nodes, the
+//! random engine over 64-pattern words.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use secflow_rand::{RngExt, SeedableRng, StdRng};
 
-use secflow_cells::{CellFunction, Library, TruthTable};
-use secflow_netlist::{GateKind, NetId, Netlist};
+use secflow_cells::Library;
+use secflow_netlist::{NetId, Netlist};
+use secflow_sim::functional::{registers, Logic, Program, Words};
 
 use crate::bdd::{Bdd, BddRef};
 
@@ -18,7 +23,8 @@ pub enum LecError {
         /// Description of the mismatch.
         reason: String,
     },
-    /// A netlist is structurally unusable (cyclic, unknown cell).
+    /// A netlist is structurally unusable (cyclic, unknown cell, wrong
+    /// pin count).
     BadNetlist {
         /// Description of the problem.
         reason: String,
@@ -51,160 +57,121 @@ pub struct EquivReport {
     pub failing_register: Option<(usize, Vec<bool>)>,
 }
 
-/// Shared source-variable mapping: primary inputs matched by name,
-/// register outputs matched by declaration order.
+/// Shared source variables and compare points: primary inputs matched
+/// by name, registers by declaration order, outputs by position.
 struct Sources {
-    /// Variable count.
-    n_vars: usize,
-    /// Per netlist: net of each variable.
+    /// Per netlist: net of each variable (inputs, then register outputs).
     var_nets_a: Vec<NetId>,
     var_nets_b: Vec<NetId>,
-    /// Register D nets (per netlist, in register order).
-    reg_d_a: Vec<NetId>,
-    reg_d_b: Vec<NetId>,
+    /// Compare points in report order, the primary outputs and then the
+    /// register D inputs: the first design's net, the second's, and
+    /// whether the second is compared complemented.
+    points: Vec<(NetId, NetId, bool)>,
+    /// Primary outputs at the head of `points`.
+    n_outputs: usize,
 }
 
-fn build_sources(nl_a: &Netlist, nl_b: &Netlist) -> Result<Sources, LecError> {
-    let names_a: HashMap<&str, NetId> = nl_a
-        .inputs()
-        .iter()
+impl Sources {
+    /// The report for `failure`, the first failing compare point with
+    /// its counterexample, or for no failure.
+    fn report(&self, failure: Option<(usize, Vec<bool>)>) -> EquivReport {
+        let mut r = EquivReport {
+            equivalent: failure.is_none(),
+            failing_output: None,
+            failing_register: None,
+        };
+        match failure {
+            Some((p, cex)) if p < self.n_outputs => r.failing_output = Some((p, cex)),
+            Some((p, cex)) => r.failing_register = Some((p - self.n_outputs, cex)),
+            None => {}
+        }
+        r
+    }
+}
+
+fn build_sources(
+    nl_a: &Netlist,
+    nl_b: &Netlist,
+    out_parity_b: Option<&[bool]>,
+    reg_parity_b: Option<&[bool]>,
+) -> Result<Sources, LecError> {
+    let same_count = |what: &str, a: usize, b: usize| {
+        (a == b)
+            .then_some(())
+            .ok_or_else(|| LecError::PortMismatch {
+                reason: format!("{what} counts differ: {a} vs {b}"),
+            })
+    };
+    same_count("input", nl_a.inputs().len(), nl_b.inputs().len())?;
+    let names_a: HashMap<&str, NetId> = (nl_a.inputs().iter())
         .map(|&n| (nl_a.net(n).name.as_str(), n))
         .collect();
-    if nl_a.inputs().len() != nl_b.inputs().len() {
-        return Err(LecError::PortMismatch {
-            reason: format!(
-                "input counts differ: {} vs {}",
-                nl_a.inputs().len(),
-                nl_b.inputs().len()
-            ),
-        });
-    }
     let mut var_nets_a = Vec::new();
-    let mut var_nets_b = Vec::new();
     for &nb in nl_b.inputs() {
         let name = nl_b.net(nb).name.as_str();
-        let na = names_a.get(name).ok_or_else(|| LecError::PortMismatch {
+        var_nets_a.push(*names_a.get(name).ok_or_else(|| LecError::PortMismatch {
             reason: format!("input `{name}` missing in first design"),
-        })?;
-        var_nets_a.push(*na);
-        var_nets_b.push(nb);
+        })?);
     }
-    let regs_a: Vec<_> = nl_a
-        .gates()
-        .iter()
-        .filter(|g| g.kind == GateKind::Seq)
+    let (regs_a, regs_b) = (registers(nl_a), registers(nl_b));
+    same_count("register", regs_a.len(), regs_b.len())?;
+    same_count("output", nl_a.outputs().len(), nl_b.outputs().len())?;
+    var_nets_a.extend(regs_a.iter().map(|&(_, q)| q));
+    let var_nets_b = (nl_b.inputs().iter().copied())
+        .chain(regs_b.iter().map(|&(_, q)| q))
         .collect();
-    let regs_b: Vec<_> = nl_b
-        .gates()
-        .iter()
-        .filter(|g| g.kind == GateKind::Seq)
-        .collect();
-    if regs_a.len() != regs_b.len() {
-        return Err(LecError::PortMismatch {
-            reason: format!(
-                "register counts differ: {} vs {}",
-                regs_a.len(),
-                regs_b.len()
-            ),
-        });
-    }
-    let mut reg_d_a = Vec::new();
-    let mut reg_d_b = Vec::new();
-    for (ga, gb) in regs_a.iter().zip(&regs_b) {
-        var_nets_a.push(ga.outputs[0]);
-        var_nets_b.push(gb.outputs[0]);
-        reg_d_a.push(ga.inputs[0]);
-        reg_d_b.push(gb.inputs[0]);
-    }
-    if nl_a.outputs().len() != nl_b.outputs().len() {
-        return Err(LecError::PortMismatch {
-            reason: format!(
-                "output counts differ: {} vs {}",
-                nl_a.outputs().len(),
-                nl_b.outputs().len()
-            ),
-        });
-    }
+    let flip = |parity: Option<&[bool]>, i: usize| parity.is_some_and(|p| p[i]);
+    let outputs = (nl_a.outputs().iter().zip(nl_b.outputs()).enumerate())
+        .map(|(i, (&a, &b))| (a, b, flip(out_parity_b, i)));
+    let regs = (regs_a.iter().zip(&regs_b).enumerate())
+        .map(|(i, (&(a, _), &(b, _)))| (a, b, flip(reg_parity_b, i)));
     Ok(Sources {
-        n_vars: var_nets_a.len(),
         var_nets_a,
         var_nets_b,
-        reg_d_a,
-        reg_d_b,
+        points: outputs.chain(regs).collect(),
+        n_outputs: nl_a.outputs().len(),
     })
 }
 
-/// Builds BDDs for every net of the combinational portion of `nl`.
+/// Compiles `nl` for the zero-delay walk.
+fn compile(nl: &Netlist, lib: &Library) -> Result<Program, LecError> {
+    let prog = Program::compile(nl, lib).map_err(|e| LecError::BadNetlist {
+        reason: e.to_string(),
+    })?;
+    secflow_obs::add(secflow_obs::Counter::LecCellMemoHits, prog.memo_hits());
+    Ok(prog)
+}
+
+/// The BDD of every net: each gate is the Shannon expansion of its
+/// truth table over its input BDDs.
+impl Logic for Bdd {
+    type Value = BddRef;
+    fn constant(&mut self, v: bool) -> BddRef {
+        if v {
+            BddRef::TRUE
+        } else {
+            BddRef::FALSE
+        }
+    }
+    fn ite(&mut self, s: BddRef, hi: BddRef, lo: BddRef) -> BddRef {
+        Bdd::ite(self, s, hi, lo)
+    }
+}
+
+/// Builds BDDs for every net of the combinational portion of `nl`, with
+/// variable `v` on net `var_nets[v]`.
 fn netlist_bdds(
     bdd: &mut Bdd,
     nl: &Netlist,
     lib: &Library,
     var_nets: &[NetId],
-    var_neg: &[bool],
 ) -> Result<Vec<BddRef>, LecError> {
-    let mut refs = vec![BddRef::FALSE; nl.net_count()];
-    for (v, &net) in var_nets.iter().enumerate() {
-        let r = bdd.var(v as u32);
-        refs[net.index()] = if var_neg[v] { bdd.not(r) } else { r };
-    }
-    let order = secflow_netlist::topo_order(nl).ok_or_else(|| LecError::BadNetlist {
-        reason: format!("netlist `{}` has a combinational cycle", nl.name),
-    })?;
-    // Mapped netlists instantiate a handful of distinct cells tens of
-    // thousands of times; resolve each name once, not per gate.
-    let mut cell_memo: HashMap<&str, &secflow_cells::LibCell> = HashMap::new();
-    let mut memo_hits = 0u64;
-    for gid in order {
-        let g = nl.gate(gid);
-        if g.kind == GateKind::Seq {
-            continue;
-        }
-        let cell = match cell_memo.get(g.cell.as_str()) {
-            Some(&c) => {
-                memo_hits += 1;
-                c
-            }
-            None => {
-                let c = lib.by_name(&g.cell).ok_or_else(|| LecError::BadNetlist {
-                    reason: format!("unknown cell `{}`", g.cell),
-                })?;
-                cell_memo.insert(g.cell.as_str(), c);
-                c
-            }
-        };
-        match cell.function() {
-            CellFunction::Comb(tt) => {
-                let inputs: Vec<BddRef> = g.inputs.iter().map(|&n| refs[n.index()]).collect();
-                refs[g.outputs[0].index()] = tt_to_bdd(bdd, tt.vars(), tt.bits(), &inputs);
-            }
-            CellFunction::Tie(v) => {
-                refs[g.outputs[0].index()] = if *v { BddRef::TRUE } else { BddRef::FALSE };
-            }
-            CellFunction::Dff | CellFunction::WddlDff => {}
-        }
-    }
-    secflow_obs::add(secflow_obs::Counter::LecCellMemoHits, memo_hits);
-    Ok(refs)
-}
-
-/// Shannon expansion of a packed truth table over input BDDs: minterm
-/// index bit `n-1` selects the table half, so the recursion splits on
-/// the highest variable first.
-fn tt_to_bdd(bdd: &mut Bdd, n: u8, bits: u64, inputs: &[BddRef]) -> BddRef {
-    if n == 0 {
-        return if bits & 1 == 1 {
-            BddRef::TRUE
-        } else {
-            BddRef::FALSE
-        };
-    }
-    // n ≤ 6 so half ≤ 32 and the shifts below are in range.
-    let half = 1u32 << (n - 1);
-    let lo_bits = bits & ((1u64 << half) - 1);
-    let hi_bits = bits >> half;
-    let lo = tt_to_bdd(bdd, n - 1, lo_bits, inputs);
-    let hi = tt_to_bdd(bdd, n - 1, hi_bits, inputs);
-    bdd.ite(inputs[n as usize - 1], hi, lo)
+    let prog = compile(nl, lib)?;
+    let vars: Vec<(NetId, BddRef)> = (0..)
+        .zip(var_nets)
+        .map(|(v, &net)| (net, bdd.var(v)))
+        .collect();
+    Ok(prog.eval(bdd, BddRef::FALSE, vars))
 }
 
 /// Proves or refutes combinational equivalence of two netlists using
@@ -213,27 +180,11 @@ fn tt_to_bdd(bdd: &mut Bdd, n: u8, bits: u64, inputs: &[BddRef]) -> BddRef {
 /// Primary inputs are matched by name, registers by declaration order,
 /// primary outputs by position. `out_parity_b` optionally complements
 /// selected outputs of the second design before comparison (the fat
-/// netlist's output-polarity table).
-///
-/// # Errors
-///
-/// Returns [`LecError`] if the interfaces do not correspond or a
-/// netlist is unusable.
-pub fn check_equiv(
-    nl_a: &Netlist,
-    lib_a: &Library,
-    nl_b: &Netlist,
-    lib_b: &Library,
-    out_parity_b: Option<&[bool]>,
-) -> Result<EquivReport, LecError> {
-    check_equiv_with_parity(nl_a, lib_a, nl_b, lib_b, out_parity_b, None)
-}
-
-/// Like [`check_equiv`], but additionally accepts a register-polarity
-/// vector: `reg_parity_b[i]` declares that register `i` of the second
-/// design is *inverting* (`Q <= ¬D`), so its next-state function is
-/// compared complemented. The WDDL fat netlist records absorbed
-/// inverter polarity this way (the `W_DFFN` fat register).
+/// netlist's output-polarity table), and `reg_parity_b[i]` declares
+/// that register `i` of the second design is *inverting*
+/// (`Q <= ¬D`), so its next-state function is compared complemented.
+/// The WDDL fat netlist records absorbed inverter polarity this way
+/// (the `W_DFFN` fat register).
 ///
 /// # Errors
 ///
@@ -248,213 +199,34 @@ pub fn check_equiv_with_parity(
     reg_parity_b: Option<&[bool]>,
 ) -> Result<EquivReport, LecError> {
     let _span = secflow_obs::span("lec.bdd");
-    let src = build_sources(nl_a, nl_b)?;
-    let neg = vec![false; src.n_vars];
+    let src = build_sources(nl_a, nl_b, out_parity_b, reg_parity_b)?;
     let mut bdd = Bdd::new();
-    let refs_a = netlist_bdds(&mut bdd, nl_a, lib_a, &src.var_nets_a, &neg)?;
-    let refs_b = netlist_bdds(&mut bdd, nl_b, lib_b, &src.var_nets_b, &neg)?;
-    let report_bdd_stats = |bdd: &Bdd| {
-        secflow_obs::add(secflow_obs::Counter::LecIteCacheHits, bdd.ite_cache_hits());
-        secflow_obs::gauge_max(
-            secflow_obs::Gauge::LecBddPeakNodes,
-            bdd.node_count() as u64,
-        );
-    };
+    let refs_a = netlist_bdds(&mut bdd, nl_a, lib_a, &src.var_nets_a)?;
+    let refs_b = netlist_bdds(&mut bdd, nl_b, lib_b, &src.var_nets_b)?;
     secflow_obs::add(
         secflow_obs::Counter::LecOutputs,
         nl_a.outputs().len() as u64,
     );
-
-    // Outputs.
-    for (i, (&oa, &ob)) in nl_a.outputs().iter().zip(nl_b.outputs()).enumerate() {
-        let fa = refs_a[oa.index()];
-        let mut fb = refs_b[ob.index()];
-        if out_parity_b.is_some_and(|p| p[i]) {
+    let mut failure = None;
+    for (i, &(a, b, flip)) in src.points.iter().enumerate() {
+        let mut fb = refs_b[b.index()];
+        if flip {
             fb = bdd.not(fb);
         }
-        let miter = bdd.xor(fa, fb);
-        if let Some(cex) = bdd.any_sat(miter, src.n_vars) {
-            report_bdd_stats(&bdd);
-            return Ok(EquivReport {
-                equivalent: false,
-                failing_output: Some((i, cex)),
-                failing_register: None,
-            });
+        let miter = bdd.xor(refs_a[a.index()], fb);
+        if let Some(cex) = bdd.any_sat(miter, src.var_nets_a.len()) {
+            failure = Some((i, cex));
+            break;
         }
     }
-    // Register next-state functions (with declared polarity applied).
-    for (i, (&da, &db)) in src.reg_d_a.iter().zip(&src.reg_d_b).enumerate() {
-        let mut fb = refs_b[db.index()];
-        if reg_parity_b.is_some_and(|p| p[i]) {
-            fb = bdd.not(fb);
-        }
-        let miter = bdd.xor(refs_a[da.index()], fb);
-        if let Some(cex) = bdd.any_sat(miter, src.n_vars) {
-            report_bdd_stats(&bdd);
-            return Ok(EquivReport {
-                equivalent: false,
-                failing_output: None,
-                failing_register: Some((i, cex)),
-            });
-        }
-    }
-    report_bdd_stats(&bdd);
-    Ok(EquivReport {
-        equivalent: true,
-        failing_output: None,
-        failing_register: None,
-    })
+    secflow_obs::add(secflow_obs::Counter::LecIteCacheHits, bdd.ite_cache_hits());
+    secflow_obs::gauge_max(secflow_obs::Gauge::LecBddPeakNodes, bdd.node_count() as u64);
+    Ok(src.report(failure))
 }
 
-/// One resolved step of the bit-parallel combinational walk.
-enum CombOp {
-    /// Truth-table gate: inputs in pin order, single output.
-    Table {
-        tt: TruthTable,
-        inputs: Vec<NetId>,
-        out: NetId,
-    },
-    /// Constant driver.
-    Tie { value: bool, out: NetId },
-}
-
-/// A build-once compilation of a netlist's combinational portion for
-/// random simulation: every cell resolved and every gate placed in
-/// topological order exactly once, instead of per evaluation round.
-/// Shared read-only across the parallel rounds of
-/// [`check_equiv_random_with_parity`].
-struct CompiledComb {
-    n_nets: usize,
-    ops: Vec<CombOp>,
-}
-
-impl CompiledComb {
-    fn build(nl: &Netlist, lib: &Library) -> Result<CompiledComb, LecError> {
-        let order = secflow_netlist::topo_order(nl).ok_or_else(|| LecError::BadNetlist {
-            reason: format!("netlist `{}` has a combinational cycle", nl.name),
-        })?;
-        let mut cell_memo: HashMap<&str, &secflow_cells::LibCell> = HashMap::new();
-        let mut memo_hits = 0u64;
-        let mut ops = Vec::new();
-        for gid in order {
-            let g = nl.gate(gid);
-            if g.kind == GateKind::Seq {
-                continue;
-            }
-            let cell = match cell_memo.get(g.cell.as_str()) {
-                Some(&c) => {
-                    memo_hits += 1;
-                    c
-                }
-                None => {
-                    let c = lib.by_name(&g.cell).ok_or_else(|| LecError::BadNetlist {
-                        reason: format!("unknown cell `{}`", g.cell),
-                    })?;
-                    cell_memo.insert(g.cell.as_str(), c);
-                    c
-                }
-            };
-            match cell.function() {
-                CellFunction::Comb(tt) => ops.push(CombOp::Table {
-                    tt: *tt,
-                    inputs: g.inputs.clone(),
-                    out: g.outputs[0],
-                }),
-                CellFunction::Tie(v) => ops.push(CombOp::Tie {
-                    value: *v,
-                    out: g.outputs[0],
-                }),
-                CellFunction::Dff | CellFunction::WddlDff => {}
-            }
-        }
-        secflow_obs::add(secflow_obs::Counter::LecCellMemoHits, memo_hits);
-        Ok(CompiledComb {
-            n_nets: nl.net_count(),
-            ops,
-        })
-    }
-
-    /// Bit-parallel evaluation of 64 patterns into `values` (reused
-    /// across rounds; resized and zeroed here). `ins` is a per-gate
-    /// input-word buffer, equally reused.
-    fn eval64_into(
-        &self,
-        values: &mut Vec<u64>,
-        ins: &mut Vec<u64>,
-        var_nets: &[NetId],
-        var_values: &[u64],
-        var_neg: &[bool],
-    ) {
-        values.clear();
-        values.resize(self.n_nets, 0u64);
-        for ((&net, &v), &neg) in var_nets.iter().zip(var_values).zip(var_neg) {
-            values[net.index()] = if neg { !v } else { v };
-        }
-        for op in &self.ops {
-            match op {
-                CombOp::Table { tt, inputs, out } => {
-                    let mut word = 0u64;
-                    // Evaluate 64 patterns via table lookups per bit
-                    // position of the packed input words.
-                    ins.clear();
-                    ins.extend(inputs.iter().map(|&n| values[n.index()]));
-                    for bit in 0..64 {
-                        let mut idx = 0u32;
-                        for (i, w) in ins.iter().enumerate() {
-                            if w >> bit & 1 == 1 {
-                                idx |= 1 << i;
-                            }
-                        }
-                        if tt.eval(idx) {
-                            word |= 1 << bit;
-                        }
-                    }
-                    values[out.index()] = word;
-                }
-                CombOp::Tie { value, out } => {
-                    values[out.index()] = if *value { !0 } else { 0 };
-                }
-            }
-        }
-    }
-}
-
-/// Bit-parallel evaluation of a netlist's combinational portion
-/// (one-shot convenience over [`CompiledComb`], kept for tests).
-#[cfg(test)]
-fn eval64(
-    nl: &Netlist,
-    lib: &Library,
-    var_nets: &[NetId],
-    var_values: &[u64],
-    var_neg: &[bool],
-) -> Vec<u64> {
-    let comp = CompiledComb::build(nl, lib).expect("acyclic netlist with known cells");
-    let mut values = Vec::new();
-    let mut ins = Vec::new();
-    comp.eval64_into(&mut values, &mut ins, var_nets, var_values, var_neg);
-    values
-}
-
-/// Random-simulation equivalence check: `rounds × 64` random source
-/// patterns. Fast and scalable, but only ever *refutes* equivalence.
-///
-/// # Errors
-///
-/// Returns [`LecError`] if the interfaces do not correspond.
-pub fn check_equiv_random(
-    nl_a: &Netlist,
-    lib_a: &Library,
-    nl_b: &Netlist,
-    lib_b: &Library,
-    out_parity_b: Option<&[bool]>,
-    rounds: usize,
-    seed: u64,
-) -> Result<EquivReport, LecError> {
-    check_equiv_random_with_parity(nl_a, lib_a, nl_b, lib_b, out_parity_b, None, rounds, seed)
-}
-
-/// Random-simulation variant of [`check_equiv_with_parity`].
+/// Random-simulation variant of [`check_equiv_with_parity`]:
+/// `rounds × 64` random source patterns. Fast and scalable, but only
+/// ever *refutes* equivalence.
 ///
 /// Rounds run in parallel (`secflow-exec`); each round's 64 random
 /// vectors come from an independent generator seeded by
@@ -465,7 +237,8 @@ pub fn check_equiv_random(
 ///
 /// # Errors
 ///
-/// Returns [`LecError`] if the interfaces do not correspond.
+/// Returns [`LecError`] if the interfaces do not correspond or a
+/// netlist is unusable.
 #[allow(clippy::too_many_arguments)]
 pub fn check_equiv_random_with_parity(
     nl_a: &Netlist,
@@ -483,72 +256,39 @@ pub fn check_equiv_random_with_parity(
         secflow_obs::Counter::LecOutputs,
         nl_a.outputs().len() as u64,
     );
-    let src = build_sources(nl_a, nl_b)?;
-    let neg = vec![false; src.n_vars];
-    // Both netlists are compiled once (cells resolved, topological
-    // order fixed) and shared read-only across rounds; each pool
-    // worker reuses its evaluation buffers between rounds.
-    let comp_a = CompiledComb::build(nl_a, lib_a)?;
-    let comp_b = CompiledComb::build(nl_b, lib_b)?;
-    let failures = secflow_exec::par_map_range_with(
-        rounds,
-        || (Vec::new(), Vec::new(), Vec::new()),
-        |(va, vb, ins), round| -> Option<EquivReport> {
-            let mut rng = StdRng::seed_from_u64(secflow_rand::split_seed(seed, round as u64));
-            let vars: Vec<u64> = (0..src.n_vars).map(|_| rng.random()).collect();
-            comp_a.eval64_into(va, ins, &src.var_nets_a, &vars, &neg);
-            comp_b.eval64_into(vb, ins, &src.var_nets_b, &vars, &neg);
-            for (i, (&oa, &ob)) in nl_a.outputs().iter().zip(nl_b.outputs()).enumerate() {
-                let mut wb = vb[ob.index()];
-                if out_parity_b.is_some_and(|p| p[i]) {
-                    wb = !wb;
-                }
-                let diff = va[oa.index()] ^ wb;
-                if diff != 0 {
-                    let bit = diff.trailing_zeros();
-                    let cex = vars.iter().map(|w| w >> bit & 1 == 1).collect();
-                    return Some(EquivReport {
-                        equivalent: false,
-                        failing_output: Some((i, cex)),
-                        failing_register: None,
-                    });
-                }
-            }
-            for (i, (&da, &db)) in src.reg_d_a.iter().zip(&src.reg_d_b).enumerate() {
-                let mut wb = vb[db.index()];
-                if reg_parity_b.is_some_and(|p| p[i]) {
-                    wb = !wb;
-                }
-                let diff = va[da.index()] ^ wb;
-                if diff != 0 {
-                    let bit = diff.trailing_zeros();
-                    let cex = vars.iter().map(|w| w >> bit & 1 == 1).collect();
-                    return Some(EquivReport {
-                        equivalent: false,
-                        failing_output: None,
-                        failing_register: Some((i, cex)),
-                    });
-                }
-            }
-            None
-        },
-    );
+    let src = build_sources(nl_a, nl_b, out_parity_b, reg_parity_b)?;
+    // Both netlists are compiled once and shared read-only across rounds.
+    let prog_a = compile(nl_a, lib_a)?;
+    let prog_b = compile(nl_b, lib_b)?;
+    let failures = secflow_exec::par_map_range(rounds, |round| {
+        let mut rng = StdRng::seed_from_u64(secflow_rand::split_seed(seed, round as u64));
+        let vars: Vec<u64> = (0..src.var_nets_a.len()).map(|_| rng.random()).collect();
+        let words = vars.iter().copied();
+        let va = prog_a.eval(
+            &mut Words,
+            0,
+            src.var_nets_a.iter().copied().zip(words.clone()),
+        );
+        let vb = prog_b.eval(&mut Words, 0, src.var_nets_b.iter().copied().zip(words));
+        src.points
+            .iter()
+            .enumerate()
+            .find_map(|(i, &(a, b, flip))| {
+                let diff = va[a.index()] ^ vb[b.index()] ^ Words.constant(flip);
+                let bit = diff.trailing_zeros();
+                (diff != 0).then(|| (i, vars.iter().map(|w| w >> bit & 1 == 1).collect()))
+            })
+    });
     // Results arrive in round order; the first failure is the lowest
     // round's, independent of execution interleaving.
-    if let Some(report) = failures.into_iter().flatten().next() {
-        return Ok(report);
-    }
-    Ok(EquivReport {
-        equivalent: true,
-        failing_output: None,
-        failing_register: None,
-    })
+    Ok(src.report(failures.into_iter().flatten().next()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use secflow_netlist::GateKind;
+    use secflow_sim::functional::Bools;
 
     /// y = a AND b two ways: AND2 vs NAND2 + INV.
     fn equivalent_pair() -> (Netlist, Netlist) {
@@ -574,9 +314,9 @@ mod tests {
     fn proves_equivalence() {
         let (a, b) = equivalent_pair();
         let lib = Library::lib180();
-        let r = check_equiv(&a, &lib, &b, &lib, None).unwrap();
+        let r = check_equiv_with_parity(&a, &lib, &b, &lib, None, None).unwrap();
         assert!(r.equivalent);
-        let r = check_equiv_random(&a, &lib, &b, &lib, None, 4, 1).unwrap();
+        let r = check_equiv_random_with_parity(&a, &lib, &b, &lib, None, None, 4, 1).unwrap();
         assert!(r.equivalent);
     }
 
@@ -589,34 +329,23 @@ mod tests {
         b.retain_gates(|g| g.name != "g1");
         b.add_gate("g1", "BUF", GateKind::Comb, vec![bn], vec![by]);
         let lib = Library::lib180();
-        let r = check_equiv(&a, &lib, &b, &lib, None).unwrap();
+        let r = check_equiv_with_parity(&a, &lib, &b, &lib, None, None).unwrap();
         assert!(!r.equivalent);
         let (idx, cex) = r.failing_output.unwrap();
         assert_eq!(idx, 0);
         // Verify the counterexample actually differs.
-        let va = eval64(
-            &a,
-            &lib,
-            &[a.net_by_name("x").unwrap(), a.net_by_name("y").unwrap()],
-            &cex.iter()
-                .map(|&v| if v { !0u64 } else { 0 })
-                .collect::<Vec<_>>(),
-            &[false, false],
-        );
-        let vb = eval64(
-            &b,
-            &lib,
-            &[b.net_by_name("x").unwrap(), b.net_by_name("y").unwrap()],
-            &cex.iter()
-                .map(|&v| if v { !0u64 } else { 0 })
-                .collect::<Vec<_>>(),
-            &[false, false],
-        );
-        assert_ne!(
-            va[a.net_by_name("out").unwrap().index()] & 1,
-            vb[b.net_by_name("out").unwrap().index()] & 1
-        );
-        let r = check_equiv_random(&a, &lib, &b, &lib, None, 4, 1).unwrap();
+        let run = |nl: &Netlist| {
+            let sources = ["x", "y"]
+                .map(|n| nl.net_by_name(n).unwrap())
+                .into_iter()
+                .zip(cex.clone());
+            let values = Program::compile(nl, &lib)
+                .unwrap()
+                .eval(&mut Bools, false, sources);
+            values[nl.net_by_name("out").unwrap().index()]
+        };
+        assert_ne!(run(&a), run(&b));
+        let r = check_equiv_random_with_parity(&a, &lib, &b, &lib, None, None, 4, 1).unwrap();
         assert!(!r.equivalent);
     }
 
@@ -630,7 +359,7 @@ mod tests {
         b.retain_gates(|g| g.name != "g1");
         b.add_gate("g1", "BUF", GateKind::Comb, vec![bn], vec![by]);
         let lib = Library::lib180();
-        let r = check_equiv(&a, &lib, &b, &lib, Some(&[true])).unwrap();
+        let r = check_equiv_with_parity(&a, &lib, &b, &lib, Some(&[true]), None).unwrap();
         assert!(r.equivalent);
     }
 
@@ -647,9 +376,9 @@ mod tests {
             n
         };
         let lib = Library::lib180();
-        let r = check_equiv(&mk("BUF"), &lib, &mk("BUF"), &lib, None).unwrap();
+        let r = check_equiv_with_parity(&mk("BUF"), &lib, &mk("BUF"), &lib, None, None).unwrap();
         assert!(r.equivalent);
-        let r = check_equiv(&mk("BUF"), &lib, &mk("INV"), &lib, None).unwrap();
+        let r = check_equiv_with_parity(&mk("BUF"), &lib, &mk("INV"), &lib, None, None).unwrap();
         assert!(!r.equivalent);
         assert!(r.failing_register.is_some());
     }
@@ -665,7 +394,7 @@ mod tests {
         c.mark_output(y);
         let lib = Library::lib180();
         assert!(matches!(
-            check_equiv(&a, &lib, &c, &lib, None),
+            check_equiv_with_parity(&a, &lib, &c, &lib, None, None),
             Err(LecError::PortMismatch { .. })
         ));
     }
@@ -704,7 +433,7 @@ mod tests {
         b.mark_output(o);
 
         let lib = Library::lib180();
-        let r = check_equiv(&a, &lib, &b, &lib, None).unwrap();
+        let r = check_equiv_with_parity(&a, &lib, &b, &lib, None, None).unwrap();
         assert!(r.equivalent, "AOI32 BDD conversion broken");
     }
 }

@@ -14,12 +14,15 @@
 //! * **Counters** (`serve.cache.{hit,miss,evict}`) go both to local
 //!   atomics (always, for response envelopes) and to `secflow-obs`
 //!   when a session is armed.
+//! * **One build per key**: [`ArtifactCache::get_or_try`] marks a
+//!   missed key in flight, and a second caller of that key waits for
+//!   the first build instead of starting its own.
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use secflow_obs as obs;
 
@@ -38,6 +41,8 @@ struct Inner {
     order: BTreeMap<u64, ContentHash>,
     total: usize,
     next_seq: u64,
+    /// Keys a [`ArtifactCache::get_or_try`] builder is building.
+    in_flight: HashSet<ContentHash>,
 }
 
 /// Point-in-time cache statistics for response envelopes and the
@@ -59,6 +64,8 @@ pub struct CacheStats {
 /// The in-memory + on-disk artifact store.
 pub struct ArtifactCache {
     inner: Mutex<Inner>,
+    /// Signalled whenever a key leaves `in_flight`.
+    built: Condvar,
     capacity: usize,
     disk_dir: Option<PathBuf>,
     hits: AtomicU64,
@@ -76,7 +83,9 @@ impl ArtifactCache {
                 order: BTreeMap::new(),
                 total: 0,
                 next_seq: 0,
+                in_flight: HashSet::new(),
             }),
+            built: Condvar::new(),
             capacity,
             disk_dir,
             hits: AtomicU64::new(0),
@@ -99,37 +108,37 @@ impl ArtifactCache {
         obs::add(obs::Counter::ServeCacheMisses, 1);
     }
 
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Looks up a typed artifact, refreshing its recency on a hit.
     /// A present entry of the wrong type counts as a miss (it cannot
     /// happen under stage-tagged keys, but must not panic).
     pub fn get<T: Any + Send + Sync>(&self, key: ContentHash) -> Option<Arc<T>> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let found = match inner.map.get(&key) {
-            Some(e) => Arc::downcast::<T>(Arc::clone(&e.value)).ok(),
-            None => None,
-        };
+        let found = Self::lookup(&mut self.lock(), key);
         match found {
-            Some(v) => {
-                let seq = inner.next_seq;
-                inner.next_seq += 1;
-                // The entry is still present — the lock is held since
-                // the lookup above — but a hit without the recency
-                // refresh is still correct, so avoid unwrapping.
-                if let Some(e) = inner.map.get_mut(&key) {
-                    let old = std::mem::replace(&mut e.seq, seq);
-                    inner.order.remove(&old);
-                    inner.order.insert(seq, key);
-                }
-                drop(inner);
-                self.record_hit();
-                Some(v)
-            }
-            None => {
-                drop(inner);
-                self.record_miss();
-                None
-            }
+            Some(_) => self.record_hit(),
+            None => self.record_miss(),
         }
+        found
+    }
+
+    /// The typed entry under `key`, refreshing its recency if present;
+    /// records nothing.
+    fn lookup<T: Any + Send + Sync>(inner: &mut Inner, key: ContentHash) -> Option<Arc<T>> {
+        let v = Arc::downcast::<T>(Arc::clone(&inner.map.get(&key)?.value)).ok()?;
+        let seq = inner.next_seq;
+        inner.next_seq += 1;
+        // The entry is still present — the lock is held since the
+        // lookup above — but a hit without the recency refresh is still
+        // correct, so avoid unwrapping.
+        if let Some(e) = inner.map.get_mut(&key) {
+            let old = std::mem::replace(&mut e.seq, seq);
+            inner.order.remove(&old);
+            inner.order.insert(seq, key);
+        }
+        Some(v)
     }
 
     /// Inserts a typed artifact with an approximate byte size and
@@ -142,7 +151,7 @@ impl ArtifactCache {
         }
         let mut spilled: Vec<(ContentHash, Arc<dyn Any + Send + Sync>)> = Vec::new();
         {
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            let mut inner = self.lock();
             let seq = inner.next_seq;
             inner.next_seq += 1;
             if let Some(old) = inner.map.insert(
@@ -189,10 +198,17 @@ impl ArtifactCache {
         }
     }
 
-    /// `get` or build-and-`put`: the staged-pipeline primitive. The
-    /// builder runs outside the lock; concurrent same-key misses may
-    /// build twice (both results are identical by determinism, last
-    /// insert wins).
+    /// `get` or build-and-`put`: the staged-pipeline primitive. A miss
+    /// marks `key` in flight and builds outside the lock; a caller that
+    /// finds the key in flight waits for that build and then looks
+    /// again, so concurrent misses of one key build it once. If the
+    /// build fails or unwinds, the key leaves flight and one waiter
+    /// builds instead.
+    ///
+    /// A builder may call `get_or_try` for other keys. Every such
+    /// nesting must follow one global order of key kinds (serve's is
+    /// statistics → Map → Backend → Program, and a key never nests
+    /// itself), so that no two builders wait on each other.
     ///
     /// # Errors
     ///
@@ -208,9 +224,22 @@ impl ArtifactCache {
         B: FnOnce() -> Result<T, E>,
         S: FnOnce(&T) -> usize,
     {
-        if let Some(v) = self.get::<T>(key) {
-            return Ok(v);
+        let mut inner = self.lock();
+        loop {
+            if let Some(v) = Self::lookup(&mut inner, key) {
+                drop(inner);
+                self.record_hit();
+                return Ok(v);
+            }
+            if inner.in_flight.insert(key) {
+                break;
+            }
+            inner = self.built.wait(inner).unwrap_or_else(|e| e.into_inner());
         }
+        drop(inner);
+        self.record_miss();
+        // Releases the key and wakes its waiters however the build ends.
+        let _in_flight = InFlight { cache: self, key };
         let built = Arc::new(build()?);
         let bytes = size_of(&built);
         self.put(key, Arc::clone(&built), bytes);
@@ -244,7 +273,7 @@ impl ArtifactCache {
 
     /// Current statistics.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = self.lock();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -252,6 +281,20 @@ impl ArtifactCache {
             entries: inner.map.len(),
             bytes: inner.total,
         }
+    }
+}
+
+/// A key being built by [`ArtifactCache::get_or_try`]: dropping it
+/// takes the key out of flight and wakes the callers waiting for it.
+struct InFlight<'a> {
+    cache: &'a ArtifactCache,
+    key: ContentHash,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.cache.lock().in_flight.remove(&self.key);
+        self.cache.built.notify_all();
     }
 }
 
@@ -324,6 +367,72 @@ mod tests {
         assert_eq!(builds, 1);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (2, 1));
+    }
+
+    type Built = Result<Arc<u64>, &'static str>;
+
+    /// Runs `first` on a second thread and `second` here once `first`'s
+    /// builder is running, so that `second` finds the key in flight or
+    /// built. The first builder holds the key 50 ms after the barrier;
+    /// the outcome does not depend on it, but without in-flight keys
+    /// it makes the second caller build too.
+    fn race(
+        cache: &ArtifactCache,
+        first: impl FnOnce() -> Result<u64, &'static str> + Send,
+        second: impl FnOnce() -> Result<u64, &'static str>,
+    ) -> (std::thread::Result<Built>, Built) {
+        let building = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let t = s.spawn(|| {
+                cache.get_or_try(
+                    key(5),
+                    || {
+                        building.wait();
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        first()
+                    },
+                    |_| 8,
+                )
+            });
+            building.wait();
+            let second = cache.get_or_try(key(5), second, |_| 8);
+            (t.join(), second)
+        })
+    }
+
+    #[test]
+    fn concurrent_misses_of_one_key_build_once() {
+        let cache = ArtifactCache::new(1 << 20, None);
+        let builds = AtomicU64::new(0);
+        let build = || {
+            builds.fetch_add(1, Ordering::SeqCst);
+            Ok(5)
+        };
+        let (first, second) = race(&cache, build, build);
+        let first = first.expect("no panic").expect("built");
+        assert!(Arc::ptr_eq(&first, &second.expect("waited and hit")));
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
+    }
+
+    #[test]
+    fn a_failed_or_unwound_build_hands_the_key_to_a_waiter() {
+        for panics in [false, true] {
+            let cache = ArtifactCache::new(1 << 20, None);
+            let first = move || {
+                assert!(!panics, "builder unwinds");
+                Err("builder fails")
+            };
+            let (first, second) = race(&cache, first, || Ok(7));
+            match first {
+                Ok(r) => assert_eq!(r, Err("builder fails")),
+                Err(_) => assert!(panics),
+            }
+            assert_eq!(*second.expect("the waiter builds"), 7);
+            let s = cache.stats();
+            assert_eq!((s.hits, s.misses, s.entries), (0, 2, 1));
+        }
     }
 
     #[test]

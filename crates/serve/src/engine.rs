@@ -257,7 +257,9 @@ impl Engine {
     /// Runs a measurement campaign + attack on the built-in DES
     /// module, caching its mapped netlist, implementation, program and
     /// statistics. The statistics entry is looked up first: a hit
-    /// needs no stage.
+    /// needs no stage, and two jobs that miss it together build it
+    /// once. Builds nest in the order statistics → Map → Backend →
+    /// Program, the order [`ArtifactCache::get_or_try`] waits need.
     fn campaign(&self, c: &CampaignRequest) -> Result<Vec<u8>, JobError> {
         let ob = flow_options_bytes(&c.opts);
         // Downstream keys carry the implementation tag: the secure
@@ -283,15 +285,27 @@ impl Engine {
             .bool("mtd", c.mtd);
         campaign_opts.extend_from_slice(&e.build());
         let campaign_key = stage_key(&impl_input, &campaign_opts, CacheStage::Traces);
-        if let Some(analysis) = self.cache.get::<CampaignAnalysis>(campaign_key) {
-            return Ok(render_campaign(c, &analysis));
-        }
+        let analysis = self.cache.get_or_try(
+            campaign_key,
+            || self.analyze(c, &ob, &impl_input),
+            size::analysis,
+        )?;
+        Ok(render_campaign(c, &analysis))
+    }
 
+    /// Simulates and attacks one campaign, building or reusing its
+    /// mapped netlist, implementation and program.
+    fn analyze(
+        &self,
+        c: &CampaignRequest,
+        ob: &[u8],
+        impl_input: &[u8],
+    ) -> Result<CampaignAnalysis, JobError> {
         // The implementation: the flow's own backend on the mapped
         // netlist, cached whole. The secure and the regular
         // implementation of one option set share the Map entry.
-        let mapped = self.des_mapped(&ob, c)?;
-        let backend_key = stage_key(&impl_input, &ob, CacheStage::Backend);
+        let mapped = self.des_mapped(ob, c)?;
+        let backend_key = stage_key(impl_input, ob, CacheStage::Backend);
         // The result that is built owns what the target borrows.
         let (secure, regular);
         let target = if c.secure {
@@ -332,10 +346,10 @@ impl Engine {
             noise_seed: 0,
             ..c.cfg.clone()
         };
-        let mut program_opts = ob.clone();
+        let mut program_opts = ob.to_vec();
         program_opts.extend_from_slice(&sim_config_bytes(&program_cfg));
         let program = self.cache.get_or_try(
-            stage_key(&impl_input, &program_opts, CacheStage::Program),
+            stage_key(impl_input, &program_opts, CacheStage::Program),
             || {
                 CampaignProgram::build(&target, &c.cfg)
                     .map_err(FlowError::Sim)
@@ -350,16 +364,9 @@ impl Engine {
             dpa: true,
             cpa: true,
         };
-        let analysis = Arc::new(collect_des_analysis_streaming(
+        Ok(collect_des_analysis_streaming(
             &program, &target, &c.cfg, c.key, c.n, c.seed, &plan, STREAM_CHUNK, None,
-        )?);
-        self.cache.put(
-            campaign_key,
-            Arc::clone(&analysis),
-            size::analysis(&analysis),
-        );
-
-        Ok(render_campaign(c, &analysis))
+        )?)
     }
 
     /// Runs a flow backend on submitted Verilog text. The parsed

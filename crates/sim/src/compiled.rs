@@ -216,12 +216,7 @@ impl<W: LaneWord> LaneSim<W> {
             coup_offsets.push(coup.len() as u32);
         }
 
-        let se_regs = nl
-            .gates()
-            .iter()
-            .filter(|g| g.kind == GateKind::Seq)
-            .map(|g| (g.inputs[0], g.outputs[0]))
-            .collect();
+        let se_regs = crate::functional::registers(nl);
         let wddl_regs = nl
             .gates()
             .iter()

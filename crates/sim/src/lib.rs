@@ -3,9 +3,11 @@
 //!
 //! Two simulators are provided:
 //!
-//! * [`functional`] — zero-delay cycle-based evaluation, the reference
-//!   the event kernel is cross-checked against (LEC compiles its own
-//!   evaluator);
+//! * [`functional`] — the zero-delay evaluator: a netlist compiled once
+//!   and walked over `bool`s, 64-lane words or (in `secflow-lec`) BDDs.
+//!   The equivalence checker and the WDDL rail checks run on it, and
+//!   its cycle-based [`functional::run_cycles`] is the reference the
+//!   event kernel is cross-checked against;
 //! * the **event-driven power simulator** ([`simulate_single_ended`],
 //!   [`simulate_wddl`]) — inertial gate delays (so single-ended CMOS
 //!   logic *glitches*, a first-order DPA leakage source), a

@@ -64,6 +64,58 @@ impl std::error::Error for MapError {}
 /// A cut: a sorted set of leaf nodes.
 type Cut = Vec<NodeId>;
 
+/// The truth tables of one cut's cone, per node. An entry is valid
+/// only if its stamp equals the current cut's epoch, so starting a cut
+/// costs one increment instead of a fresh map.
+struct TtMemo {
+    stamp: Vec<u32>,
+    tt: Vec<TruthTable>,
+    epoch: u32,
+}
+
+impl TtMemo {
+    /// Invalidates every entry.
+    fn next_cut(&mut self) {
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    fn get(&self, node: NodeId) -> Option<TruthTable> {
+        let i = node.0 as usize;
+        (self.stamp[i] == self.epoch).then_some(self.tt[i])
+    }
+
+    fn set(&mut self, node: NodeId, tt: TruthTable) {
+        let i = node.0 as usize;
+        self.stamp[i] = self.epoch;
+        self.tt[i] = tt;
+    }
+}
+
+/// The function of `node` over the current cut of `memo`, whose leaves
+/// are set.
+fn tt_rec(aig: &Aig, node: NodeId, memo: &mut TtMemo) -> TruthTable {
+    if let Some(t) = memo.get(node) {
+        return t;
+    }
+    let (a, b) = aig.and_fanins(node);
+    let mut fanin = |l: Lit| {
+        let t = tt_rec(aig, l.node(), memo);
+        if l.is_complement() {
+            t.not()
+        } else {
+            t
+        }
+    };
+    let ta = fanin(a);
+    let t = ta.and(&fanin(b));
+    memo.set(node, t);
+    t
+}
+
 struct Mapper<'a> {
     aig: &'a Aig,
     lib: &'a Library,
@@ -75,6 +127,8 @@ struct Mapper<'a> {
     /// Area-flow value per node.
     aflow: Vec<f64>,
     refs: Vec<u32>,
+    /// Scratch of [`Mapper::cut_tt`], reused across cuts.
+    tt_memo: TtMemo,
 }
 
 impl<'a> Mapper<'a> {
@@ -88,44 +142,23 @@ impl<'a> Mapper<'a> {
             chosen: vec![None; n],
             aflow: vec![0.0; n],
             refs: aig.reference_counts(roots),
+            tt_memo: TtMemo {
+                stamp: vec![0; n],
+                tt: vec![TruthTable::zero(0); n],
+                epoch: 0,
+            },
         }
     }
 
     /// Computes the function of `node` over the leaves of `cut`.
-    fn cut_tt(&self, node: NodeId, cut: &Cut) -> TruthTable {
+    fn cut_tt(&mut self, node: NodeId, cut: &Cut) -> TruthTable {
+        let memo = &mut self.tt_memo;
+        memo.next_cut();
         let n = cut.len() as u8;
-        let mut memo: HashMap<NodeId, TruthTable> = HashMap::new();
         for (i, &leaf) in cut.iter().enumerate() {
-            memo.insert(leaf, TruthTable::var(n, i as u8));
+            memo.set(leaf, TruthTable::var(n, i as u8));
         }
-        self.tt_rec(node, n, &mut memo)
-    }
-
-    #[allow(clippy::only_used_in_recursion)]
-    fn tt_rec(&self, node: NodeId, n: u8, memo: &mut HashMap<NodeId, TruthTable>) -> TruthTable {
-        if let Some(t) = memo.get(&node) {
-            return *t;
-        }
-        let (a, b) = self.aig.and_fanins(node);
-        let ta = {
-            let t = self.tt_rec(a.node(), n, memo);
-            if a.is_complement() {
-                t.not()
-            } else {
-                t
-            }
-        };
-        let tb = {
-            let t = self.tt_rec(b.node(), n, memo);
-            if b.is_complement() {
-                t.not()
-            } else {
-                t
-            }
-        };
-        let t = ta.and(&tb);
-        memo.insert(node, t);
-        t
+        tt_rec(self.aig, node, memo)
     }
 
     /// The best library match for `tt` under the allowlist.
@@ -415,38 +448,13 @@ mod tests {
     use super::*;
     use crate::design::Design;
     use crate::eval::simulate_comb;
-    use secflow_cells::CellFunction;
+    use secflow_sim::functional::{Bools, Program};
 
     /// Evaluates a mapped combinational netlist on one input pattern.
     fn eval_netlist(nl: &Netlist, lib: &Library, inputs: &[(NetId, bool)]) -> Vec<bool> {
-        let mut values: Vec<Option<bool>> = vec![None; nl.net_count()];
-        for &(n, v) in inputs {
-            values[n.index()] = Some(v);
-        }
-        let order = secflow_netlist::topo_order(nl).expect("acyclic");
-        for gid in order {
-            let g = nl.gate(gid);
-            let cell = lib.by_name(&g.cell).expect("cell exists");
-            match cell.function() {
-                CellFunction::Comb(tt) => {
-                    let mut idx = 0u32;
-                    for (i, &inp) in g.inputs.iter().enumerate() {
-                        if values[inp.index()].expect("input ready") {
-                            idx |= 1 << i;
-                        }
-                    }
-                    values[g.outputs[0].index()] = Some(tt.eval(idx));
-                }
-                CellFunction::Tie(v) => values[g.outputs[0].index()] = Some(*v),
-                CellFunction::Dff | CellFunction::WddlDff => {
-                    panic!("combinational test only")
-                }
-            }
-        }
-        nl.outputs()
-            .iter()
-            .map(|&o| values[o.index()].expect("output driven"))
-            .collect()
+        let prog = Program::compile(nl, lib).expect("acyclic, known cells");
+        let values = prog.eval(&mut Bools, false, inputs.iter().copied());
+        nl.outputs().iter().map(|&o| values[o.index()]).collect()
     }
 
     fn check_equiv(d: &Design, nl: &Netlist, lib: &Library) {
@@ -644,6 +652,7 @@ mod proptests {
     use super::*;
     use crate::design::Design;
     use crate::eval::simulate_comb;
+    use secflow_sim::functional::{Bools, Program};
 
     /// A random expression program: each step combines two earlier
     /// values with one of the AIG operators.
@@ -701,6 +710,7 @@ mod proptests {
 
             // Exhaustive equivalence via bit-parallel reference
             // evaluation and gate-level netlist evaluation.
+            let prog = Program::compile(&nl, &lib).expect("acyclic, known cells");
             for pat in 0..(1u32 << n_inputs) {
                 let words: Vec<u64> = (0..n_inputs)
                     .map(|i| if pat >> i & 1 == 1 { !0u64 } else { 0 })
@@ -708,32 +718,11 @@ mod proptests {
                 let (outs, _) = simulate_comb(&d, &words, &[]);
                 let want = outs[0] & 1 == 1;
 
-                let mut values = vec![false; nl.net_count()];
-                for (i, (_, _)) in d.inputs.iter().enumerate() {
+                let inputs = (0..n_inputs).map(|i| {
                     let net = nl.net_by_name(&format!("i{i}")).expect("input net");
-                    values[net.index()] = pat >> i & 1 == 1;
-                }
-                let order = secflow_netlist::topo_order(&nl).expect("acyclic");
-                for gid in order {
-                    let g = nl.gate(gid);
-                    let cell = lib.by_name(&g.cell).expect("cell");
-                    match cell.function() {
-                        secflow_cells::CellFunction::Comb(tt) => {
-                            let mut idx = 0u32;
-                            for (i, &inp) in g.inputs.iter().enumerate() {
-                                if values[inp.index()] {
-                                    idx |= 1 << i;
-                                }
-                            }
-                            values[g.outputs[0].index()] = tt.eval(idx);
-                        }
-                        secflow_cells::CellFunction::Tie(v) => {
-                            values[g.outputs[0].index()] = *v;
-                        }
-                        _ => {}
-                    }
-                }
-                let got = values[nl.outputs()[0].index()];
+                    (net, pat >> i & 1 == 1)
+                });
+                let got = prog.eval(&mut Bools, false, inputs)[nl.outputs()[0].index()];
                 assert_eq!(got, want, "pattern {pat:#b}");
             }
         });

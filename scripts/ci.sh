@@ -60,6 +60,10 @@ echo "== tier-1: CPA smoke stdout (400 traces, HW and HD models) matches the com
 cargo run --release --offline -p secflow-bench --bin exp_cpa -- 400 > "$tmp/cpa.out"
 cmp tests/golden/cpa_smoke.txt "$tmp/cpa.out"
 
+echo "== tier-1: DES round (2 175 gates: random LEC and rail checks) stdout matches the committed golden =="
+cargo run --release --offline --example des_round > "$tmp/des_round.out"
+cmp tests/golden/des_round.txt "$tmp/des_round.out"
+
 echo "== tier-1: sim-backend stdout byte-identity (glitch ablation, 150 traces, event vs bitslice) =="
 cargo run --release --offline -p secflow-bench --bin exp_glitch_ablation -- 150 \
     --sim-backend event > "$tmp/glitch_event.out"

@@ -12,7 +12,7 @@ use secflow::flow::{
     decompose, run_regular_backend, run_secure_backend, substitute, verify_rail_complementarity,
     FlowError, FlowOptions, Stage, SubstituteError,
 };
-use secflow::lec::{check_equiv, LecError};
+use secflow::lec::{check_equiv_with_parity, LecError};
 use secflow::netlist::{parse_verilog, GateKind, Netlist, NetlistError};
 use secflow::pnr::{
     place, route, GridPitch, PlaceError, PlaceOptions, RouteError, RouteOptions,
@@ -216,7 +216,7 @@ fn run_battery() {
     let q = other.add_net("q");
     other.add_gate("g1", "INV", GateKind::Comb, vec![p], vec![q]);
     other.mark_output(q);
-    let e = check_equiv(&nl, &lib, &other, &lib, None)
+    let e = check_equiv_with_parity(&nl, &lib, &other, &lib, None, None)
         .expect_err("mismatched interfaces must not compare");
     assert!(matches!(e, LecError::PortMismatch { .. }), "{e:?}");
     assert_flow_error(e, Stage::Lec);

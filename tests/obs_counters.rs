@@ -56,6 +56,16 @@ const DPA_TRACES: usize = 400;
 const GOLD_DPA_CLASSES_PEAK: u64 = 126;
 const GOLD_DPA_FOLDS: u64 = 0;
 
+// Golden LEC counters of the DES module's secure flow: the BDD engine
+// checks the fat netlist against the mapped one, which placement does
+// not touch. They count the BDD manager's work (its `ite` calls and
+// the nodes they make), so they pin how the BDDs are built, not only
+// the answer.
+const GOLD_LEC_ITE_CACHE_HITS: u64 = 33_711;
+const GOLD_LEC_BDD_PEAK_NODES: u64 = 23_981;
+const GOLD_LEC_CELL_MEMO_HITS: u64 = 406;
+const GOLD_LEC_OUTPUTS: u64 = 10;
+
 fn fixture() -> &'static (Library, Netlist) {
     static CELL: OnceLock<(Library, Netlist)> = OnceLock::new();
     CELL.get_or_init(|| {
@@ -209,7 +219,7 @@ fn exec_counters_reported_but_not_pinned() {
 
 /// Every one of the ten flow stages must appear as a span under the
 /// secure flow's parent — the stage taxonomy is part of the metrics
-/// schema.
+/// schema — and the LEC stage's work counters equal their goldens.
 #[test]
 fn secure_flow_covers_all_ten_stage_spans() {
     let opts = FlowOptions {
@@ -241,7 +251,32 @@ fn secure_flow_covers_all_ten_stage_spans() {
     assert!(report.counter(Counter::RouteNets) > 0);
     assert!(report.counter(Counter::PlaceMoves) > 0);
     assert!(report.counter(Counter::ExtractNets) > 0);
-    assert!(report.counter(Counter::LecOutputs) > 0);
+    let lec = [
+        (
+            "lec.ite_cache_hits",
+            report.counter(Counter::LecIteCacheHits),
+            GOLD_LEC_ITE_CACHE_HITS,
+        ),
+        (
+            "lec.bdd_peak_nodes",
+            report.gauge(Gauge::LecBddPeakNodes),
+            GOLD_LEC_BDD_PEAK_NODES,
+        ),
+        (
+            "lec.cell_memo_hits",
+            report.counter(Counter::LecCellMemoHits),
+            GOLD_LEC_CELL_MEMO_HITS,
+        ),
+        (
+            "lec.outputs",
+            report.counter(Counter::LecOutputs),
+            GOLD_LEC_OUTPUTS,
+        ),
+    ];
+    eprintln!("lec golden actuals: {lec:?}");
+    for (name, got, want) in lec {
+        assert_eq!(got, want, "{name}: got {got}, golden {want}");
+    }
 }
 
 /// The class table a DES campaign's DPA builds is a pure function of
