@@ -116,6 +116,21 @@ fn build_sources(
     let (regs_a, regs_b) = (registers(nl_a), registers(nl_b));
     same_count("register", regs_a.len(), regs_b.len())?;
     same_count("output", nl_a.outputs().len(), nl_b.outputs().len())?;
+    // A polarity table covers every output (register) of the second
+    // design, no more and no fewer.
+    for (what, parity, count) in [
+        ("output", out_parity_b, nl_b.outputs().len()),
+        ("register", reg_parity_b, regs_b.len()),
+    ] {
+        if let Some(p) = parity.filter(|p| p.len() != count) {
+            return Err(LecError::PortMismatch {
+                reason: format!(
+                    "{what} polarity table has {} entries for {count} {what}s",
+                    p.len()
+                ),
+            });
+        }
+    }
     var_nets_a.extend(regs_a.iter().map(|&(_, q)| q));
     let var_nets_b = (nl_b.inputs().iter().copied())
         .chain(regs_b.iter().map(|&(_, q)| q))
@@ -381,6 +396,45 @@ mod tests {
         let r = check_equiv_with_parity(&mk("BUF"), &lib, &mk("INV"), &lib, None, None).unwrap();
         assert!(!r.equivalent);
         assert!(r.failing_register.is_some());
+    }
+
+    /// A polarity table shorter or longer than the outputs (registers)
+    /// it covers is a port mismatch on both engines, naming the table
+    /// and both counts; a table of the right length still proves
+    /// equivalence.
+    #[test]
+    fn polarity_tables_of_the_wrong_length_are_port_mismatches() {
+        // One output, one register.
+        let mut nl = Netlist::new("s");
+        let a = nl.add_input("a");
+        let w = nl.add_net("w");
+        let q = nl.add_net("q");
+        nl.add_gate("g", "BUF", GateKind::Comb, vec![a], vec![w]);
+        nl.add_gate("r", "DFF", GateKind::Seq, vec![w], vec![q]);
+        nl.mark_output(q);
+        let lib = Library::lib180();
+        let engines = |out: Option<&[bool]>, reg: Option<&[bool]>| {
+            [
+                check_equiv_with_parity(&nl, &lib, &nl, &lib, out, reg),
+                check_equiv_random_with_parity(&nl, &lib, &nl, &lib, out, reg, 2, 1),
+            ]
+        };
+        let right: &[bool] = &[false];
+        for wrong in [&[][..], &[false, false][..]] {
+            let n = wrong.len();
+            for (table, out, reg) in [
+                ("output", Some(wrong), Some(right)),
+                ("register", Some(right), Some(wrong)),
+            ] {
+                for r in engines(out, reg) {
+                    let reason = format!("{table} polarity table has {n} entries for 1 {table}s");
+                    assert_eq!(r, Err(LecError::PortMismatch { reason }));
+                }
+            }
+        }
+        for r in engines(Some(right), Some(right)) {
+            assert!(r.expect("tables of the right length").equivalent);
+        }
     }
 
     #[test]

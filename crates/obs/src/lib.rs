@@ -113,6 +113,11 @@ pub enum Counter {
     RouteRipups,
     /// PathFinder negotiation iterations.
     RouteIterations,
+    /// Router A* open-list pops, stale entries included.
+    RoutePops,
+    /// Router searches run in a net's window and re-run on the whole
+    /// grid because the window might have changed their path.
+    RouteWindowEscalations,
     /// Nets extracted to parasitic RC.
     ExtractNets,
     /// Coupling-capacitor pairs identified during extraction.
@@ -146,7 +151,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 36] = [
+    pub const ALL: [Counter; 38] = [
         Counter::SimWindows,
         Counter::SimEvents,
         Counter::SimEvals,
@@ -168,6 +173,8 @@ impl Counter {
         Counter::RouteNets,
         Counter::RouteRipups,
         Counter::RouteIterations,
+        Counter::RoutePops,
+        Counter::RouteWindowEscalations,
         Counter::ExtractNets,
         Counter::ExtractCouplings,
         Counter::SubstituteGates,
@@ -209,6 +216,8 @@ impl Counter {
             Counter::RouteNets => "route.nets",
             Counter::RouteRipups => "route.ripups",
             Counter::RouteIterations => "route.iterations",
+            Counter::RoutePops => "route.pops",
+            Counter::RouteWindowEscalations => "route.window_escalations",
             Counter::ExtractNets => "extract.nets",
             Counter::ExtractCouplings => "extract.couplings",
             Counter::SubstituteGates => "substitute.gates",

@@ -114,6 +114,13 @@ impl PlacedDesign {
 
 /// Half-perimeter wirelength of a point set in grid units.
 pub(crate) fn points_hpwl(points: &[(i32, i32)]) -> i64 {
+    let (x0, x1, y0, y1) = points_box(points);
+    box_hpwl(x0, x1, y0, y1)
+}
+
+/// The bounding box `(x0, x1, y0, y1)` of `points`, grown from
+/// `(MAX, MIN, MAX, MIN)`.
+pub(crate) fn points_box(points: &[(i32, i32)]) -> (i32, i32, i32, i32) {
     let (mut x0, mut x1, mut y0, mut y1) = (i32::MAX, i32::MIN, i32::MAX, i32::MIN);
     for &(x, y) in points {
         x0 = x0.min(x);
@@ -121,7 +128,7 @@ pub(crate) fn points_hpwl(points: &[(i32, i32)]) -> i64 {
         y0 = y0.min(y);
         y1 = y1.max(y);
     }
-    box_hpwl(x0, x1, y0, y1)
+    (x0, x1, y0, y1)
 }
 
 /// Half-perimeter of the box `[x0, x1] × [y0, y1]` grown from

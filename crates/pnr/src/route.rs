@@ -8,14 +8,13 @@
 //! growing present- and history-cost penalties until no grid node is
 //! shared.
 
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 
 use secflow_cells::Library;
 use secflow_netlist::{NetId, Netlist};
 
-use crate::design::{points_hpwl, PlacedDesign, RoutedDesign, RoutedNet};
+use crate::design::{points_box, points_hpwl, PlacedDesign, RoutedDesign, RoutedNet};
 use crate::grid::{is_horizontal, Point, RoutingGrid, Segment, LAYER_H, LAYER_V};
 
 /// Router configuration.
@@ -129,66 +128,144 @@ impl std::error::Error for RouteError {}
 /// Marks a grid node that is no pin's access point.
 const NO_NET: u32 = u32::MAX;
 
-/// One grid node's search record; valid only while `stamp` equals the
-/// current search number.
+/// Tracks a net's window adds around its pins' box (DESIGN.md §22); it
+/// sets how often a search escalates to the whole grid, never a wire.
+const WINDOW_MARGIN: i32 = 12;
+
+/// The hot band reaches one wire step above the smallest cold f.
+const BAND: f64 = 1.0;
+
+/// One window node's search record; valid only while `stamp` equals
+/// the current search number.
 #[derive(Clone, Copy)]
 struct Node {
     /// Path cost from the tree.
     dist: f64,
-    /// Predecessor's grid index (the node itself for tree nodes).
+    /// Predecessor's window index (the node itself for tree nodes).
     parent: u32,
     stamp: u32,
 }
 
-/// An entry of the A* open list. Costs are kept as their `f64` bit
-/// patterns: for non-negative finite floats (the only costs
-/// [`route`] accepts options for) the bit patterns order as the
-/// values do, so entries compare as integers.
-#[derive(PartialEq, Eq)]
+/// An open-list entry of 24 bytes: `!f` and g, as `f64::to_bits` in
+/// the high and low half of `key`, and a window index. For the
+/// non-negative finite costs [`route`] accepts, bit patterns order as
+/// the values do, so the derived order pops the lowest f first, then
+/// the larger g, then the higher index (the higher point).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(C, packed(8))]
 struct Open {
-    /// Priority: g + heuristic, as `f64::to_bits`.
-    f: u64,
-    /// Path cost from the tree, as `f64::to_bits`.
-    g: u64,
-    /// Grid index.
+    key: u128,
     node: u32,
 }
 
 impl Open {
     fn new(f: f64, g: f64, node: u32) -> Self {
-        Open {
-            f: f.to_bits(),
-            g: g.to_bits(),
-            node,
+        let key = u128::from(!f.to_bits()) << 64 | u128::from(g.to_bits());
+        Open { key, node }
+    }
+
+    /// Priority g + heuristic, as `f64::to_bits`.
+    fn f(&self) -> u64 {
+        !((self.key >> 64) as u64)
+    }
+
+    fn g(&self) -> f64 {
+        f64::from_bits(self.key as u64)
+    }
+}
+
+/// The A* open list in two tiers: a heap of the entries whose f is at
+/// or below `top` and an unsorted list of the rest, so the heap pops
+/// what one heap of all entries would. When it runs dry, the cold
+/// entries within [`BAND`] of the smallest cold f move into it.
+#[derive(Default)]
+struct OpenList {
+    hot: BinaryHeap<Open>,
+    cold: Vec<Open>,
+    /// The band's top, as `f64::to_bits`.
+    top: u64,
+}
+
+impl OpenList {
+    /// Empties the list; the next search's first pop sets a new band.
+    fn clear(&mut self) {
+        self.hot.clear();
+        self.cold.clear();
+        self.top = 0;
+    }
+
+    fn push(&mut self, e: Open) {
+        if e.f() <= self.top {
+            self.hot.push(e);
+        } else {
+            self.cold.push(e);
         }
     }
-}
 
-impl Ord for Open {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on f; ties pop the deeper entry (larger g) first,
-        // then the highest point. Grid indices follow `Point` order,
-        // so the index stands in for the point.
-        (other.f, self.g, self.node).cmp(&(self.f, other.g, other.node))
+    #[inline]
+    fn pop(&mut self) -> Option<Open> {
+        if self.hot.is_empty() {
+            let least = self.cold.iter().map(Open::f).min()?;
+            self.top = (f64::from_bits(least) + BAND).to_bits();
+            let mut band = std::mem::take(&mut self.hot).into_vec();
+            band.extend(self.cold.extract_if(.., |e| e.f() <= self.top));
+            self.hot = BinaryHeap::from(band);
+        }
+        self.hot.pop()
     }
 }
 
-impl PartialOrd for Open {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+/// Every layer of the columns `x0..x0 + w` and rows `y0..y0 + h`,
+/// indexed (layer, x, y)-major like the grid, so that window index
+/// order is `Point` order.
+#[derive(Clone, Copy)]
+struct Window {
+    x0: i32,
+    y0: i32,
+    w: i32,
+    h: i32,
+}
+
+impl Window {
+    /// The box of `pins` plus `margin` tracks, clipped to the grid: the
+    /// whole grid at a margin of `i32::MAX`.
+    fn around(pins: &[(i32, i32)], margin: i32, grid: &RoutingGrid) -> Self {
+        let (x0, x1, y0, y1) = points_box(pins);
+        let lo = |v: i32| v.saturating_sub(margin).max(0);
+        let hi = |v: i32, end: i32| v.saturating_add(margin).min(end - 1);
+        let (x0, y0) = (lo(x0), lo(y0));
+        let (w, h) = (
+            hi(x1, grid.width()) - x0 + 1,
+            hi(y1, grid.height()) - y0 + 1,
+        );
+        Window { x0, y0, w, h }
+    }
+
+    fn contains(&self, x: i32, y: i32) -> bool {
+        (self.x0..self.x0 + self.w).contains(&x) && (self.y0..self.y0 + self.h).contains(&y)
+    }
+
+    fn index(&self, p: Point) -> u32 {
+        ((i32::from(p.layer) * self.w + p.x - self.x0) * self.h + p.y - self.y0) as u32
+    }
+
+    fn point(&self, i: u32) -> Point {
+        let (w, h) = (self.w as u32, self.h as u32);
+        let (x, y) = ((i / h) % w, i % h);
+        Point::new((i / (w * h)) as u8, self.x0 + x as i32, self.y0 + y as i32)
     }
 }
 
 /// A net's current route as grid indices: its nodes in the order they
 /// joined the tree, and its unit edges as `(from, to)`.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, Debug, PartialEq)]
 struct NetTree {
     nodes: Vec<u32>,
     edges: Vec<(u32, u32)>,
 }
 
-/// Dense router state, indexed by [`RoutingGrid::index`] and reused by
-/// every search of one [`route`] call.
+/// Router state reused by every search of one [`route`] call, indexed
+/// by [`RoutingGrid::index`] except the search records.
 struct Router {
     /// Owning net of each node on layers 0 and 1 that is a pin access
     /// point, [`NO_NET`] for the others; foreign pins are obstacles.
@@ -196,15 +273,22 @@ struct Router {
     /// One bit per node of layers 0 and 1, set at pin access points,
     /// so that a search reads `pin_owner` only at pins.
     is_pin: Vec<u64>,
+    /// Search records by window index, as many as grid nodes.
     nodes: Vec<Node>,
     search: u32,
     /// `in_tree[i] == tree` marks the nodes of the net being routed.
     in_tree: Vec<u32>,
     tree: u32,
-    open: BinaryHeap<Open>,
+    open: OpenList,
     /// Manhattan distance from each pin of the net being routed to its
     /// tree, [`JOINED`] once the pin has been taken.
     gap: Vec<i32>,
+    /// [`WINDOW_MARGIN`] outside tests.
+    margin: i32,
+    /// Open-list pops, stale entries included.
+    pops: u64,
+    /// Windowed searches re-run on the whole grid.
+    escalations: u64,
 }
 
 /// The `gap` of a pin that has joined its net's tree.
@@ -246,8 +330,17 @@ impl Router {
             search: 0,
             in_tree: vec![0; n],
             tree: 0,
-            open: BinaryHeap::new(),
+            // Reserved once: lists that grow by doubling in every
+            // `route()` call fragment the allocator's memory.
+            open: OpenList {
+                hot: BinaryHeap::with_capacity(n),
+                cold: Vec::with_capacity(n),
+                top: 0,
+            },
             gap: Vec::new(),
+            margin: WINDOW_MARGIN,
+            pops: 0,
+            escalations: 0,
         }
     }
 
@@ -266,8 +359,8 @@ impl Router {
     }
 
     #[inline]
-    fn dist(&self, i: usize) -> f64 {
-        let n = &self.nodes[i];
+    fn dist(&self, i: u32) -> f64 {
+        let n = &self.nodes[i as usize];
         if n.stamp == self.search {
             n.dist
         } else {
@@ -276,8 +369,8 @@ impl Router {
     }
 
     #[inline]
-    fn set(&mut self, i: usize, dist: f64, parent: u32) {
-        self.nodes[i] = Node {
+    fn set(&mut self, i: u32, dist: f64, parent: u32) {
+        self.nodes[i as usize] = Node {
             dist,
             parent,
             stamp: self.search,
@@ -307,11 +400,9 @@ impl Router {
     ///
     /// The tree starts at the first pin. The remaining pin nearest to
     /// it (Manhattan distance to any tree node, the earlier pin on
-    /// ties) joins next, by multi-source A* from the whole tree. The
-    /// open list pops the lowest f first, then the largest g, then the
-    /// highest point; node costs are `g + step + congestion + history`
-    /// and priorities that plus `h`, evaluated in that order. The
-    /// layout depends on all of these, so they must not change.
+    /// ties) joins next, by multi-source A* from the whole tree in the
+    /// net's window, again on the whole grid if the window might have
+    /// changed the path, and only there once the tree has left it.
     fn route_net(
         &mut self,
         grid: &RoutingGrid,
@@ -322,11 +413,10 @@ impl Router {
         out: &mut NetTree,
     ) -> Option<()> {
         let NetTree { nodes: tree, edges } = out;
-        let (w, h, layers) = (grid.width(), grid.height(), grid.layers());
-        let plane = (w * h) as u32;
         let node_at = |layer: u8, x: i32, y: i32| grid.index(Point::new(layer, x, y)) as u32;
-        let (usage, history) = grid.costs();
         Self::next_stamp(&mut self.tree, || self.in_tree.fill(0));
+        let mut home = Window::around(pins, self.margin, grid);
+        let whole = Window::around(pins, i32::MAX, grid);
 
         // Seed the tree with the first pin (both layers).
         let (x0, y0) = pins[0];
@@ -347,42 +437,108 @@ impl Router {
         {
             self.gap[k] = JOINED;
             let (px, py) = pins[k];
-            let t_h = node_at(LAYER_H, px, py);
-            let t_v = node_at(LAYER_V, px, py);
-            if self.in_tree[t_h as usize] == self.tree || self.in_tree[t_v as usize] == self.tree {
+            if self.in_tree[node_at(LAYER_H, px, py) as usize] == self.tree
+                || self.in_tree[node_at(LAYER_V, px, py) as usize] == self.tree
+            {
                 // The pin is already on the tree.
                 continue;
             }
+            let windows = [home, whole];
+            let (window, mut i) =
+                self.a_star(grid, windows, tree, pins[k], opts, present_factor, net)?;
+            // Backtrace to the tree, bringing every pending pin's gap
+            // up to date with the nodes that join it.
+            let grid_index = |i: u32| grid.index(window.point(i)) as u32;
+            loop {
+                let parent = self.nodes[i as usize].parent;
+                let p = window.point(i);
+                self.add_to_tree(grid_index(i), tree);
+                if !home.contains(p.x, p.y) {
+                    home = whole;
+                }
+                for (d, &(qx, qy)) in self.gap.iter_mut().zip(pins) {
+                    if *d != JOINED {
+                        *d = (*d).min((qx - p.x).abs() + (qy - p.y).abs());
+                    }
+                }
+                if parent == i {
+                    break;
+                }
+                edges.push((grid_index(parent), grid_index(i)));
+                i = parent;
+            }
+        }
+        Some(())
+    }
+
+    /// A* from `tree` (grid indices) to the pin at `(px, py)` in the
+    /// first window, then in the second if the first might have changed
+    /// the path: the last window and the pin's index in it. Node costs
+    /// are `g + step + congestion + history`, priorities that plus `h`,
+    /// in that order. A step out of the window bounds the f the whole
+    /// grid would push there by `(g + step) + h`; a pop at or above the
+    /// bound, or a dry window with a step left out, escalates (§22).
+    #[allow(clippy::too_many_arguments)]
+    fn a_star(
+        &mut self,
+        grid: &RoutingGrid,
+        windows: [Window; 2],
+        tree: &[u32],
+        (px, py): (i32, i32),
+        opts: &RouteOptions,
+        present_factor: f64,
+        net: NetId,
+    ) -> Option<(Window, u32)> {
+        let (w, h, layers) = (grid.width(), grid.height(), grid.layers());
+        // Index strides of a step in x and between layers.
+        let (grid_x, grid_layer) = (h as usize, (w * h) as usize);
+        let (usage, history) = grid.costs();
+        'windows: for window in windows {
+            let (win_x, win_layer) = (window.h as u32, (window.w * window.h) as u32);
+            let t_h = window.index(Point::new(LAYER_H, px, py));
+            let t_v = window.index(Point::new(LAYER_V, px, py));
+            let heuristic =
+                |layer: u8, x: i32, y: i32| via_bound(layer, x - px, y - py, opts.via_cost);
             Self::next_stamp(&mut self.search, || {
                 self.nodes.iter_mut().for_each(|n| n.stamp = 0)
             });
-            let heuristic =
-                |layer: u8, x: i32, y: i32| via_bound(layer, x - px, y - py, opts.via_cost);
             self.open.clear();
-            for &i in tree.iter() {
-                self.set(i as usize, 0.0, i);
+            for &i in tree {
                 let p = grid.point(i as usize);
-                let f = heuristic(p.layer, p.x, p.y);
-                self.open.push(Open::new(f, 0.0, i));
+                debug_assert!(
+                    window.contains(p.x, p.y),
+                    "tree node {p} outside the window"
+                );
+                let node = window.index(p);
+                self.set(node, 0.0, node);
+                self.open
+                    .push(Open::new(heuristic(p.layer, p.x, p.y), 0.0, node));
             }
-            let mut found = None;
-            while let Some(Open { f: _, g, node }) = self.open.pop() {
-                let g = f64::from_bits(g);
-                if g > self.dist(node as usize) {
+            let mut bound = f64::INFINITY;
+            while let Some(entry) = self.open.pop() {
+                self.pops += 1;
+                if f64::from_bits(entry.f()) >= bound {
+                    self.escalations += 1;
+                    continue 'windows;
+                }
+                let (g, node) = (entry.g(), entry.node);
+                if g > self.dist(node) {
                     continue; // stale entry
                 }
                 if node == t_h || node == t_v {
-                    found = Some(node);
-                    break;
+                    return Some((window, node));
                 }
-                let p = grid.point(node as usize);
-                let (layer, x, y) = (p.layer, p.x, p.y);
-                // Neighbours: along the layer direction, then the vias
-                // down and up.
-                let mut relax = |ni: u32, nl: u8, nx: i32, ny: i32, step: f64| {
-                    let i = ni as usize;
+                let p = window.point(node);
+                let (layer, x, y, at) = (p.layer, p.x, p.y, grid.index(p));
+                // Relaxes the neighbour at window index `ni` and grid
+                // index `i`, or bounds it if it lies outside the window.
+                let mut relax = |ni: u32, i: usize, nl: u8, nx: i32, ny: i32, step: f64| {
                     // Foreign pin points are hard obstacles.
                     if self.foreign_pin(i, net.0) {
+                        return;
+                    }
+                    if !window.contains(nx, ny) {
+                        bound = bound.min((g + step) + heuristic(nl, nx, ny));
                         return;
                     }
                     let used = f64::from(usage[i]);
@@ -392,54 +548,43 @@ impl Router {
                         0.0
                     };
                     let nc = g + step + congestion + f64::from(history[i]);
-                    if nc < self.dist(i) {
-                        self.set(i, nc, node);
-                        let f = nc + heuristic(nl, nx, ny);
-                        self.open.push(Open::new(f, nc, ni));
+                    if nc < self.dist(ni) {
+                        self.set(ni, nc, node);
+                        self.open
+                            .push(Open::new(nc + heuristic(nl, nx, ny), nc, ni));
                     }
                 };
+                // Neighbours: along the layer direction, then the vias
+                // down and up.
+                let via = opts.via_cost;
                 if is_horizontal(layer) {
                     if x > 0 {
-                        relax(node - h as u32, layer, x - 1, y, 1.0);
+                        relax(node.wrapping_sub(win_x), at - grid_x, layer, x - 1, y, 1.0);
                     }
                     if x + 1 < w {
-                        relax(node + h as u32, layer, x + 1, y, 1.0);
+                        relax(node + win_x, at + grid_x, layer, x + 1, y, 1.0);
                     }
                 } else {
                     if y > 0 {
-                        relax(node - 1, layer, x, y - 1, 1.0);
+                        relax(node.wrapping_sub(1), at - 1, layer, x, y - 1, 1.0);
                     }
                     if y + 1 < h {
-                        relax(node + 1, layer, x, y + 1, 1.0);
+                        relax(node + 1, at + 1, layer, x, y + 1, 1.0);
                     }
                 }
                 if layer > 0 {
-                    relax(node - plane, layer - 1, x, y, opts.via_cost);
+                    relax(node - win_layer, at - grid_layer, layer - 1, x, y, via);
                 }
                 if layer + 1 < layers {
-                    relax(node + plane, layer + 1, x, y, opts.via_cost);
+                    relax(node + win_layer, at + grid_layer, layer + 1, x, y, via);
                 }
             }
-            // Backtrace to the tree, bringing every pending pin's gap
-            // up to date with the nodes that join it.
-            let mut i = found?;
-            loop {
-                let parent = self.nodes[i as usize].parent;
-                self.add_to_tree(i, tree);
-                let p = grid.point(i as usize);
-                for (d, &(qx, qy)) in self.gap.iter_mut().zip(pins) {
-                    if *d != JOINED {
-                        *d = (*d).min((qx - p.x).abs() + (qy - p.y).abs());
-                    }
-                }
-                if parent == i {
-                    break;
-                }
-                edges.push((parent, i));
-                i = parent;
+            if bound.is_infinite() {
+                return None;
             }
+            self.escalations += 1;
         }
-        Some(())
+        None
     }
 }
 
@@ -605,6 +750,11 @@ pub fn route(
     secflow_obs::add(secflow_obs::Counter::RouteNets, work.len() as u64);
     secflow_obs::add(secflow_obs::Counter::RouteRipups, ripups);
     secflow_obs::add(secflow_obs::Counter::RouteIterations, iterations as u64);
+    secflow_obs::add(secflow_obs::Counter::RoutePops, router.pops);
+    secflow_obs::add(
+        secflow_obs::Counter::RouteWindowEscalations,
+        router.escalations,
+    );
 
     let nets = work
         .iter()
@@ -697,6 +847,7 @@ mod tests {
     use super::*;
     use crate::place::{place, PlaceOptions};
     use secflow_netlist::GateKind;
+    use std::cmp::Ordering;
 
     fn small_netlist() -> Netlist {
         let mut nl = Netlist::new("small");
@@ -871,6 +1022,38 @@ mod tests {
         assert!(equal_f > 0 && equal_fg > 0, "no ties drawn");
     }
 
+    /// The two-tier open list pops what one binary heap of the same
+    /// entries pops, on random push and pop scripts. Costs come from a
+    /// few dyadic values, some exactly one band apart, so equal f,
+    /// equal (f, g) and entries at the band's top are common.
+    #[test]
+    fn prop_two_tier_list_pops_as_one_heap() {
+        const COSTS: [f64; 8] = [0.0, 0.25, 0.5, 1.0, 1.25, 1.5, 2.5, 3.0];
+        let (mut equal_f, mut equal_fg) = (0, 0);
+        secflow_testkit::prop_check!(cases: 256, seed: 0x7A0_71E5, |g| {
+            let mut list = OpenList::default();
+            let mut heap = BinaryHeap::new();
+            let mut pushed: Vec<(u64, f64)> = Vec::new();
+            for _ in 0..g.random_range(1..96usize) {
+                if g.random_range(0..5u32) < 3 {
+                    let e = Open::new(*g.choose(&COSTS), *g.choose(&COSTS), g.random_range(0..4u32));
+                    equal_f += usize::from(pushed.iter().any(|&(f, _)| f == e.f()));
+                    equal_fg += usize::from(pushed.contains(&(e.f(), e.g())));
+                    pushed.push((e.f(), e.g()));
+                    list.push(e);
+                    heap.push(e);
+                } else {
+                    assert!(list.pop() == heap.pop(), "pops differ");
+                }
+            }
+            while let Some(e) = heap.pop() {
+                assert!(list.pop() == Some(e), "drained pops differ");
+            }
+            assert!(list.pop().is_none(), "the list kept an entry");
+        });
+        assert!(equal_f > 0 && equal_fg > 0, "no ties drawn");
+    }
+
     #[test]
     fn merge_produces_maximal_segments() {
         let e = |x0: i32, x1: i32| (Point::new(LAYER_H, x0, 3), Point::new(LAYER_H, x1, 3));
@@ -1027,5 +1210,79 @@ mod tests {
                 ),
             }
         });
+    }
+
+    /// On random grids with usage, history and other nets' pins, every
+    /// net routed in windows of margin 0, 1 and 2 gets the tree (nodes
+    /// and edges in order) the whole grid gives it, or fails as it
+    /// does, and a net none of whose searches escalated pops exactly
+    /// what the whole grid pops. Small windows escalate often, so the
+    /// certificate decides many searches.
+    #[test]
+    fn prop_windows_route_as_the_whole_grid() {
+        let mut escalations = 0;
+        secflow_testkit::prop_check!(cases: 160, seed: 0x3A1D_0C25, |g| {
+            let (w, h) = (g.random_range(2..14u32) as i32, g.random_range(2..14u32) as i32);
+            let opts = RouteOptions {
+                layers: g.random_range(2..6u8),
+                via_cost: *g.choose(&[0.0, 0.5, 1.0, 3.0, 4.25]),
+                ..Default::default()
+            };
+            let present_factor = *g.choose(&[0.0, 0.5, 0.75, 2.0, 8.0]);
+            let mut grid = RoutingGrid::new_with_layers(w, h, opts.layers);
+            let n = w as usize * h as usize * usize::from(opts.layers);
+            for _ in 0..g.random_range(0..4usize) {
+                for _ in 0..g.random_range(0..n) {
+                    grid.occupy_at(g.random_range(0..n));
+                }
+                grid.accrue_history(*g.choose(&[0.25f32, 0.5, 1.0]));
+            }
+
+            // Distinct pin sites, dealt to nets of 2–4 pins.
+            let mut sites: Vec<(i32, i32)> =
+                (0..w).flat_map(|x| (0..h).map(move |y| (x, y))).collect();
+            for k in (1..sites.len()).rev() {
+                sites.swap(k, g.random_range(0..k + 1));
+            }
+            let mut nets: Vec<&[(i32, i32)]> = Vec::new();
+            let mut rest = &sites[..];
+            for _ in 0..g.random_range(1..7usize) {
+                let take = g.random_range(2..5usize).min(rest.len());
+                if take < 2 {
+                    break;
+                }
+                let (pins, tail) = rest.split_at(take);
+                nets.push(pins);
+                rest = tail;
+            }
+            let mut router = Router::new(&grid);
+            for (k, pins) in nets.iter().enumerate() {
+                for &(x, y) in *pins {
+                    for layer in [LAYER_H, LAYER_V] {
+                        router.claim_pin(grid.index(Point::new(layer, x, y)), k as u32);
+                    }
+                }
+            }
+
+            for (k, pins) in nets.iter().enumerate() {
+                let mut run = |margin: i32| {
+                    router.margin = margin;
+                    let (pops, escalated) = (router.pops, router.escalations);
+                    let mut tree = NetTree::default();
+                    let routed = router.route_net(&grid, pins, &opts, present_factor, NetId(k as u32), &mut tree);
+                    (routed.map(|()| tree), router.pops - pops, router.escalations - escalated)
+                };
+                let (whole, whole_pops, _) = run(i32::MAX);
+                for margin in 0..3 {
+                    let (tree, pops, escalated) = run(margin);
+                    assert_eq!(tree, whole, "net {k} at margin {margin}");
+                    if escalated == 0 {
+                        assert_eq!(pops, whole_pops, "pops of net {k} at margin {margin}");
+                    }
+                    escalations += escalated;
+                }
+            }
+        });
+        assert!(escalations > 0, "no search escalated");
     }
 }

@@ -33,7 +33,8 @@ COUNTERS = [
     "dpa.stream.blocks", "dpa.stream.traces", "dpa.stream.checkpoints",
     "dpa.stream.folds",
     "place.moves", "place.accepted", "place.restarts",
-    "route.nets", "route.ripups", "route.iterations",
+    "route.nets", "route.ripups", "route.iterations", "route.pops",
+    "route.window_escalations",
     "extract.nets", "extract.couplings",
     "substitute.gates", "decompose.rails",
     "lec.outputs", "lec.cell_memo_hits", "lec.ite_cache_hits",

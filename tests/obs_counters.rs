@@ -66,6 +66,14 @@ const GOLD_LEC_BDD_PEAK_NODES: u64 = 23_981;
 const GOLD_LEC_CELL_MEMO_HITS: u64 = 406;
 const GOLD_LEC_OUTPUTS: u64 = 10;
 
+// Golden router counters of the DES module's secure flow at seed 1:
+// open-list pops, stale entries included, and windowed searches re-run
+// on the whole grid. No search of this flow escalates, so its pops
+// equal those of the router before windows and the two-tier open list
+// (counted with an instrumented build of it, DESIGN.md §22).
+const GOLD_ROUTE_POPS: u64 = 144_857;
+const GOLD_ROUTE_WINDOW_ESCALATIONS: u64 = 0;
+
 fn fixture() -> &'static (Library, Netlist) {
     static CELL: OnceLock<(Library, Netlist)> = OnceLock::new();
     CELL.get_or_init(|| {
@@ -276,6 +284,28 @@ fn secure_flow_covers_all_ten_stage_spans() {
     eprintln!("lec golden actuals: {lec:?}");
     for (name, got, want) in lec {
         assert_eq!(got, want, "{name}: got {got}, golden {want}");
+    }
+}
+
+/// The router's work on the DES secure flow is a pure function of the
+/// placement, which is the same at every thread count.
+#[test]
+fn route_counters_match_golden_at_1_2_and_8_threads() {
+    let opts = FlowOptions {
+        verify: false,
+        ..Default::default()
+    };
+    for threads in [1, 2, 8] {
+        let (result, report) = secflow::exec::with_threads(threads, || {
+            obs::capture(|| run_secure_flow(&des_dpa_design(), &Library::lib180(), &opts))
+        });
+        result.expect("secure flow");
+        let got = (
+            report.counter(Counter::RoutePops),
+            report.counter(Counter::RouteWindowEscalations),
+        );
+        let want = (GOLD_ROUTE_POPS, GOLD_ROUTE_WINDOW_ESCALATIONS);
+        assert_eq!(got, want, "(pops, escalations) at {threads} threads");
     }
 }
 

@@ -7,7 +7,9 @@
 //! routing must reproduce every line at 1, 2 and 8 threads and with
 //! four placement restarts. Its `synth600` line pins the secure flow
 //! at seed 1 on a synthetic design of about 600 AND nodes, whose
-//! mapping matches 5-input cuts and whose fat die has 20 rows. The
+//! mapping matches 5-input cuts and whose fat die has 20 rows, and its
+//! `synth2000` line the same flow on 2 000 AND nodes (1 052 gates),
+//! whose routing negotiates for 6 iterations with 516 rip-ups. The
 //! differential-pair geometry is the secure flow's security argument,
 //! so a change made for speed must not move a single cell or wire. Regenerate with
 //! `cargo run --release --example gen_golden_pnr` only when a layout
@@ -74,10 +76,10 @@ fn lines(seed: u64, restarts: usize) -> Vec<String> {
     vec![reg_line, sec_line]
 }
 
-/// The `synth600` golden line: the secure flow at seed 1 on the
-/// synthetic design `examples/gen_golden_pnr.rs` builds.
-fn synth_line() -> String {
-    let design = synthetic_design("synth600", 600, 8, 1);
+/// A synthetic design's golden line: the secure flow at seed 1 on the
+/// design of `ands` AND nodes `examples/gen_golden_pnr.rs` builds.
+fn synth_line(name: &str, ands: usize) -> String {
+    let design = synthetic_design(name, ands, 8, 1);
     let lib = Library::lib180();
     let opts = FlowOptions {
         seed: 1,
@@ -87,7 +89,18 @@ fn synth_line() -> String {
     let (secure, report) = obs::capture(|| run_secure_flow(&design, &lib, &opts));
     let secure = secure.expect("secure flow");
     let def = write_def(&secure.fat_routed, &secure.substitution.fat);
-    format!("synth600 {}", line("secure", 1, 1, &def, &report))
+    format!("{name} {}", line("secure", 1, 1, &def, &report))
+}
+
+/// The golden line labelled `name`.
+fn synth_golden(name: &str) -> String {
+    let prefix = format!("{name} ");
+    let want: Vec<String> = golden()
+        .into_iter()
+        .filter(|l| l.starts_with(&prefix))
+        .collect();
+    assert_eq!(want.len(), 1, "one {name} golden line");
+    want[0].clone()
 }
 
 /// The DES golden lines of one `(seed, place_restarts)` case.
@@ -95,7 +108,7 @@ fn expected(seed: u64, restarts: usize) -> Vec<String> {
     let key = format!(" seed={seed} restarts={restarts} ");
     let found: Vec<String> = golden()
         .into_iter()
-        .filter(|l| !l.starts_with("synth600 ") && l.contains(&key))
+        .filter(|l| !l.starts_with("synth") && l.contains(&key))
         .collect();
     assert_eq!(found.len(), 2, "golden lines for{key}");
     found
@@ -114,14 +127,19 @@ fn layouts_match_golden_at_1_2_and_8_threads() {
 
 #[test]
 fn synthetic_layout_matches_golden_at_1_2_and_8_threads() {
-    let want: Vec<String> = golden()
-        .into_iter()
-        .filter(|l| l.starts_with("synth600 "))
-        .collect();
-    assert_eq!(want.len(), 1, "one synth600 golden line");
+    let want = synth_golden("synth600");
     for threads in [1, 2, 8] {
-        assert_eq!(with_threads(threads, synth_line), want[0], "at {threads} threads");
+        let got = with_threads(threads, || synth_line("synth600", 600));
+        assert_eq!(got, want, "at {threads} threads");
     }
+}
+
+/// One thread count is enough here: routing is serial, and placement
+/// with one restart runs serially.
+#[test]
+fn synth2000_layout_matches_golden() {
+    let got = with_threads(2, || synth_line("synth2000", 2000));
+    assert_eq!(got, synth_golden("synth2000"));
 }
 
 #[test]
