@@ -23,7 +23,7 @@ use secflow_dpa::attack::dpa_attack;
 use secflow_dpa::harness::{collect_des_traces, DesTarget};
 use secflow_lec::check_equiv_with_parity;
 use secflow_pnr::{place, route, GridPitch, PlaceOptions, RouteOptions};
-use secflow_sim::{SimBackend, SimConfig};
+use secflow_sim::{CycleDriver, SimBackend, SimConfig};
 use secflow_synth::{map_design, MapOptions};
 use secflow_testkit::timing::{bench, time_median, Measurement};
 
@@ -136,8 +136,7 @@ fn bench_power_sim_and_attack(filter: &str) {
         netlist: &secure.substitution.differential,
         lib: &secure.substitution.diff_lib,
         parasitics: Some(&secure.parasitics),
-        wddl_inputs: Some(&secure.substitution.input_pairs),
-        glitch_free: false,
+        driver: CycleDriver::Wddl(&secure.substitution.input_pairs),
         backend: SimBackend::Event,
     };
     bench("dpa_pipeline/simulate_50_encryptions_wddl", K, || {
@@ -164,8 +163,7 @@ fn bench_exec_speedup(filter: &str) {
         netlist: &mapped,
         lib: &lib,
         parasitics: None,
-        wddl_inputs: None,
-        glitch_free: false,
+        driver: CycleDriver::SingleEnded,
         backend: SimBackend::Event,
     };
     let n = 64;
@@ -194,235 +192,6 @@ fn bench_exec_speedup(filter: &str) {
     println!("{json}");
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../results/BENCH_exec_speedup.json");
-    if let Err(e) = std::fs::write(&path, format!("{json}\n")) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
-}
-
-/// Compiled kernel vs the original per-window-setup engine, on the
-/// same windowed WDDL trace campaign the DPA harness runs. The
-/// baseline is the frozen pre-compiled engine
-/// ([`secflow_bench::seed_engine`]), which simulates and accounts
-/// every window cycle; the compiled arm measures only the leak cycle,
-/// as campaigns do, and since the design settles it event-simulates
-/// only that cycle (DESIGN.md §16), so the ratio includes the
-/// fast-forward. Both are timed serially (thread count pinned to 1)
-/// so the measured ratio is pure kernel speedup, not parallelism.
-/// Results go to `results/BENCH_sim_kernel.json`;
-/// `--smoke` shrinks the campaign and skips the JSON (a CI
-/// compile-and-run check, not a measurement).
-fn bench_sim_kernel(filter: &str, smoke: bool) {
-    if !"sim_kernel".contains(filter) {
-        return;
-    }
-    use secflow_rand::{RngExt, SeedableRng, StdRng};
-    use secflow_sim::{CompiledSim, EngineScratch, LoadModel};
-
-    let lib = Library::lib180();
-    let mapped = map_design(&des_dpa_design(), &lib, &MapOptions::default()).expect("map");
-    let sub = substitute(&mapped, &lib).expect("substitute");
-    let nl = &sub.differential;
-    let wlib = &sub.diff_lib;
-    let pairs = &sub.input_pairs[..];
-    let cfg = SimConfig {
-        samples_per_cycle: 100,
-        ..Default::default()
-    };
-    let key = 46u8;
-    let n = if smoke { 8 } else { 256 };
-    let k = if smoke { 1 } else { K };
-
-    let mut rng = StdRng::seed_from_u64(1);
-    let plaintexts: Vec<(u8, u8)> = (0..n)
-        .map(|_| (rng.random_range(0..16u8), rng.random_range(0..64u8)))
-        .collect();
-    let vector = |pl: u8, pr: u8| -> Vec<bool> {
-        let mut v = Vec::with_capacity(16);
-        for i in 0..4 {
-            v.push(pl >> i & 1 == 1);
-        }
-        for i in 0..6 {
-            v.push(pr >> i & 1 == 1);
-        }
-        for i in 0..6 {
-            v.push(key >> i & 1 == 1);
-        }
-        v
-    };
-    // The harness's window decomposition: h history cycles, the
-    // leakage cycle, two flush cycles.
-    let windows: Vec<Vec<Vec<bool>>> = (0..n)
-        .map(|i| {
-            let h = i.min(2);
-            let mut vectors: Vec<Vec<bool>> = Vec::with_capacity(h + 3);
-            for j in (i - h)..=i {
-                let (pl, pr) = plaintexts[j];
-                vectors.push(vector(pl, pr));
-            }
-            vectors.push(vector(0, 0));
-            vectors.push(vector(0, 0));
-            vectors
-        })
-        .collect();
-    let spc = cfg.samples_per_cycle;
-
-    // Each campaign returns every leakage-cycle (trace, energy).
-    let baseline = || -> Vec<(Vec<f64>, f64)> {
-        let load = LoadModel::try_build(nl, wlib, None).unwrap();
-        windows
-            .iter()
-            .map(|vectors| {
-                let r = secflow_bench::seed_engine::simulate_wddl_window(
-                    nl, wlib, &load, &cfg, pairs, vectors,
-                );
-                let leak = vectors.len() - 2 - 1;
-                (
-                    r.trace[leak * spc..(leak + 1) * spc].to_vec(),
-                    r.cycle_energy_fj[leak],
-                )
-            })
-            .collect()
-    };
-    let compiled = || -> Vec<(Vec<f64>, f64)> {
-        let load = LoadModel::try_build(nl, wlib, None).unwrap();
-        let comp = CompiledSim::build(nl, wlib, &load, &cfg).expect("compiles");
-        let mut scratch = EngineScratch::new();
-        windows
-            .iter()
-            .map(|vectors| {
-                let leak = vectors.len() - 2 - 1;
-                comp.run_wddl(&mut scratch, pairs, vectors, leak..=leak);
-                (
-                    scratch.cycle_trace(leak).to_vec(),
-                    scratch.cycle_energy_fj()[leak],
-                )
-            })
-            .collect()
-    };
-
-    // The baseline only earns its name if it is bit-for-bit the same
-    // function: any drift would make the speedup meaningless.
-    let a = baseline();
-    let b = compiled();
-    assert_eq!(a.len(), b.len());
-    for (i, ((ta, ea), (tb, eb))) in a.iter().zip(&b).enumerate() {
-        assert_eq!(ea.to_bits(), eb.to_bits(), "energy {i} diverged");
-        let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(ta), bits(tb), "trace {i} diverged");
-    }
-
-    let base = secflow_exec::with_threads(1, || {
-        time_median(
-            &format!("sim_kernel/per_window_setup_{n}_encryptions"),
-            k,
-            || {
-                black_box(baseline());
-            },
-        )
-    });
-    let comp = secflow_exec::with_threads(1, || {
-        time_median(&format!("sim_kernel/compiled_{n}_encryptions"), k, || {
-            black_box(compiled());
-        })
-    });
-    println!("{}", base.json_line());
-    println!("{}", comp.json_line());
-    let speedup = base.median_ns as f64 / comp.median_ns as f64;
-    let json = format!(
-        "{{\"bench\":\"sim_kernel\",\"threads\":1,\"n_encryptions\":{n},\
-         \"baseline_median_ns\":{},\"compiled_median_ns\":{},\
-         \"speedup\":{speedup:.3},\"k\":{k}}}",
-        base.median_ns, comp.median_ns
-    );
-    println!("{json}");
-    if smoke {
-        return;
-    }
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results/BENCH_sim_kernel.json");
-    if let Err(e) = std::fs::write(&path, format!("{json}\n")) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
-}
-
-/// Bit-sliced campaign kernel vs the compiled event kernel, on the
-/// same WDDL trace campaign the DPA harness runs. Both arms go through
-/// [`collect_des_traces`] — the event backend simulates one window per
-/// encryption, the bit-sliced backend packs up to 64 encryptions per
-/// `u64` lane batch — so the measured ratio is the end-to-end campaign
-/// speedup an experiment binary sees from `--sim-backend bitslice`.
-/// Both are timed serially (thread count pinned to 1) so the ratio is
-/// pure kernel speedup, not parallelism. A bit-for-bit trace
-/// comparison runs before timing: the speedup is only meaningful if
-/// the two kernels are the same function. Results go to
-/// `results/BENCH_sim_bitslice.json`; `--smoke` shrinks the campaign
-/// and skips the JSON.
-fn bench_sim_bitslice(filter: &str, smoke: bool) {
-    if !"sim_bitslice".contains(filter) {
-        return;
-    }
-    let lib = Library::lib180();
-    let mapped = map_design(&des_dpa_design(), &lib, &MapOptions::default()).expect("map");
-    let sub = substitute(&mapped, &lib).expect("substitute");
-    let cfg = SimConfig {
-        samples_per_cycle: 100,
-        ..Default::default()
-    };
-    let key = 46u8;
-    // 1024 encryptions: the same order of magnitude as the paper's
-    // Fig. 6 campaigns (2000 traces), and enough full 64-lane batches
-    // that the ragged warm-up batches and the one-time build cost
-    // amortize out of the ratio.
-    let n = if smoke { 8 } else { 1024 };
-    let k = if smoke { 1 } else { K };
-    let target = |backend: SimBackend| DesTarget {
-        netlist: &sub.differential,
-        lib: &sub.diff_lib,
-        parasitics: None,
-        wddl_inputs: Some(&sub.input_pairs),
-        glitch_free: false,
-        backend,
-    };
-    let event = target(SimBackend::Event);
-    let bitslice = target(SimBackend::Bitslice);
-    let campaign = |t: &DesTarget| collect_des_traces(t, &cfg, key, n, 1).expect("campaign");
-
-    // The speedup is only meaningful if both kernels are the same
-    // function: byte-compare every trace sample before timing.
-    let a = campaign(&event);
-    let b = campaign(&bitslice);
-    assert_eq!(a.ciphertexts, b.ciphertexts, "ciphertexts diverged");
-    assert_eq!(a.traces.len(), b.traces.len());
-    for (i, (ta, tb)) in a.traces.iter().zip(&b.traces).enumerate() {
-        let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(ta), bits(tb), "trace {i} diverged");
-    }
-
-    let base = secflow_exec::with_threads(1, || {
-        time_median(&format!("sim_bitslice/event_{n}_encryptions"), k, || {
-            black_box(campaign(&event));
-        })
-    });
-    let bs = secflow_exec::with_threads(1, || {
-        time_median(&format!("sim_bitslice/bitslice_{n}_encryptions"), k, || {
-            black_box(campaign(&bitslice));
-        })
-    });
-    println!("{}", base.json_line());
-    println!("{}", bs.json_line());
-    let speedup = base.median_ns as f64 / bs.median_ns as f64;
-    let json = format!(
-        "{{\"bench\":\"sim_bitslice\",\"threads\":1,\"n_encryptions\":{n},\
-         \"event_median_ns\":{},\"bitslice_median_ns\":{},\
-         \"speedup\":{speedup:.3},\"k\":{k}}}",
-        base.median_ns, bs.median_ns
-    );
-    println!("{json}");
-    if smoke {
-        return;
-    }
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results/BENCH_sim_bitslice.json");
     if let Err(e) = std::fs::write(&path, format!("{json}\n")) {
         eprintln!("warning: could not write {}: {e}", path.display());
     }
@@ -463,8 +232,7 @@ fn bench_obs_overhead(filter: &str, smoke: bool) {
         netlist: &mapped,
         lib: &lib,
         parasitics: None,
-        wddl_inputs: None,
-        glitch_free: false,
+        driver: CycleDriver::SingleEnded,
         backend: SimBackend::Event,
     };
     let n = if smoke { 8 } else { 64 };
@@ -642,7 +410,7 @@ fn peak_rss_kb() -> Option<u64> {
 /// replaces: `collect_des_traces` (event kernel — the pre-streaming
 /// default) building the full trace matrix, then the batch DPA +
 /// MTD scan over it. All arms are timed serially (thread count pinned
-/// to 1, the same discipline as `sim_bitslice`) so the ratio is
+/// to 1) so the ratio is
 /// per-core throughput of the pipeline itself, not parallelism. A
 /// byte-identity check runs before timing — the speedup is only
 /// meaningful if both paths compute the same statistics. The
@@ -682,8 +450,7 @@ fn bench_stream_1m(filter: &str, smoke: bool) {
         netlist: &sub.differential,
         lib: &sub.diff_lib,
         parasitics: None,
-        wddl_inputs: Some(&sub.input_pairs),
-        glitch_free: false,
+        driver: CycleDriver::Wddl(&sub.input_pairs),
         backend,
     };
     let event = target(SimBackend::Event);
@@ -772,7 +539,7 @@ fn main() {
         .find(|a| !a.starts_with('-'))
         .unwrap_or_default();
     let smoke = std::env::args().any(|a| a == "--smoke");
-    const GROUPS: [&str; 12] = [
+    const GROUPS: [&str; 10] = [
         "cell_substitution",
         "interconnect_decomposition_des",
         "place_and_route_des",
@@ -780,8 +547,6 @@ fn main() {
         "lec_fat_vs_original_des",
         "dpa_pipeline",
         "exec_speedup",
-        "sim_kernel",
-        "sim_bitslice",
         "obs_overhead",
         "serve_cache",
         "stream_1m",
@@ -797,8 +562,6 @@ fn main() {
     bench_lec(&filter);
     bench_power_sim_and_attack(&filter);
     bench_exec_speedup(&filter);
-    bench_sim_kernel(&filter, smoke);
-    bench_sim_bitslice(&filter, smoke);
     bench_obs_overhead(&filter, smoke);
     bench_serve_cache(&filter, smoke);
     bench_stream_1m(&filter, smoke);

@@ -17,7 +17,6 @@ use secflow_dpa::stats::EnergyStats;
 
 fn main() {
     let mut opts = secflow_bench::CommonOpts::parse();
-    let backend = opts.backend;
     let n: usize = opts.args.first().and_then(|a| a.parse().ok()).unwrap_or(2000);
     let seed: u64 = opts.args.get(1).and_then(|a| a.parse().ok()).unwrap_or(1);
     let _run = opts.start_run("exp_area_energy");
@@ -51,8 +50,10 @@ fn main() {
     println!("area ratio secure/reference = {area_ratio:.2} (paper: 12880/3782 = 3.41)");
 
     eprintln!("simulating {n} encryptions on each implementation...");
-    let reg = secflow_bench::ok_or_exit(collect_des_traces(&imps.regular_target().with_backend(backend), &cfg, PAPER_KEY, n, seed));
-    let sec = secflow_bench::ok_or_exit(collect_des_traces(&imps.secure_target().with_backend(backend), &cfg, PAPER_KEY, n, seed));
+    let campaign =
+        |target| secflow_bench::ok_or_exit(collect_des_traces(&target, &cfg, PAPER_KEY, n, seed));
+    let reg = campaign(imps.regular_target());
+    let sec = campaign(imps.secure_target());
     let reg_stats = secflow_bench::analysis_or_exit(EnergyStats::try_of(&reg.energies, 1));
     let sec_stats = secflow_bench::analysis_or_exit(EnergyStats::try_of(&sec.energies, 1));
 

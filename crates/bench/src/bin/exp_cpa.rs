@@ -18,7 +18,6 @@ use secflow_dpa::harness::collect_des_traces;
 
 fn main() {
     let mut opts = secflow_bench::CommonOpts::parse();
-    let backend = opts.backend;
     let n: usize = opts.args.first().and_then(|a| a.parse().ok()).unwrap_or(2500);
     let seed: u64 = opts.args.get(1).and_then(|a| a.parse().ok()).unwrap_or(1);
     let step = (n / 40).max(10);
@@ -33,8 +32,8 @@ fn main() {
     // MTDs.
     let mut disclosures: Vec<(&str, Vec<String>)> = Vec::new();
     for (name, target) in [
-        ("reference", imps.regular_target().with_backend(backend)),
-        ("secure", imps.secure_target().with_backend(backend)),
+        ("reference", imps.regular_target()),
+        ("secure", imps.secure_target()),
     ] {
         eprintln!("simulating {n} encryptions on the {name} implementation...");
         let set = secflow_bench::ok_or_exit(collect_des_traces(&target, &cfg, PAPER_KEY, n, seed));

@@ -12,8 +12,6 @@
 //! Usage: `exp_fig6_mtd [n_traces] [seed]` (defaults: 2000, 1), or
 //! `exp_fig6_mtd --smoke` for the CI gate: a 150-trace campaign that
 //! exercises the full build–simulate–attack pipeline in minutes.
-//! `--sim-backend event|bitslice` selects the campaign kernel; both
-//! produce byte-identical stdout (the CI gate compares them).
 
 use secflow_bench::{build_des_implementations, header, paper_sim_config, row};
 use secflow_crypto::dpa_module::PAPER_KEY;
@@ -22,7 +20,6 @@ use secflow_dpa::harness::collect_des_traces;
 
 fn main() {
     let mut opts = secflow_bench::CommonOpts::parse();
-    let backend = opts.backend;
     let smoke = opts.take_flag("--smoke");
     let default_n = if smoke { 150 } else { 2000 };
     let n: usize = opts
@@ -39,27 +36,11 @@ fn main() {
     let cfg = paper_sim_config();
 
     eprintln!("simulating {n} encryptions on each implementation (K = {PAPER_KEY})...");
+    let campaign =
+        |target| secflow_bench::ok_or_exit(collect_des_traces(&target, &cfg, PAPER_KEY, n, seed));
     let sets = [
-        (
-            "reference",
-            secflow_bench::ok_or_exit(collect_des_traces(
-                &imps.regular_target().with_backend(backend),
-                &cfg,
-                PAPER_KEY,
-                n,
-                seed,
-            )),
-        ),
-        (
-            "secure",
-            secflow_bench::ok_or_exit(collect_des_traces(
-                &imps.secure_target().with_backend(backend),
-                &cfg,
-                PAPER_KEY,
-                n,
-                seed,
-            )),
-        ),
+        ("reference", campaign(imps.regular_target())),
+        ("secure", campaign(imps.secure_target())),
     ];
 
     header("Fig. 6 (top): measurements to disclosure");

@@ -15,10 +15,10 @@ use secflow_crypto::dpa_module::PAPER_KEY;
 use secflow_dpa::attack::mtd_scan;
 use secflow_dpa::harness::{collect_des_traces, DesTarget};
 use secflow_dpa::stats::EnergyStats;
+use secflow_sim::CycleDriver;
 
 fn main() {
     let mut opts = secflow_bench::CommonOpts::parse();
-    let backend = opts.backend;
     let n: usize = opts.args.first().and_then(|a| a.parse().ok()).unwrap_or(2000);
     let seed: u64 = opts.args.get(1).and_then(|a| a.parse().ok()).unwrap_or(1);
     let step = (n / 40).max(10);
@@ -28,9 +28,9 @@ fn main() {
     let imps = build_des_implementations();
     let cfg = paper_sim_config();
 
-    let glitchy = imps.regular_target().with_backend(backend);
+    let glitchy = imps.regular_target();
     let glitch_free = DesTarget {
-        glitch_free: true,
+        driver: CycleDriver::GlitchFree,
         ..glitchy
     };
 

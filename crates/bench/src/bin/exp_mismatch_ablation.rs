@@ -57,7 +57,6 @@ impl Outcome {
 
 fn main() {
     let mut opts = secflow_bench::CommonOpts::parse();
-    let backend = opts.backend;
     let n: usize = opts.args.first().and_then(|a| a.parse().ok()).unwrap_or(1000);
     let seed: u64 = opts.args.get(1).and_then(|a| a.parse().ok()).unwrap_or(1);
     let _run = opts.start_run("exp_mismatch_ablation");
@@ -169,17 +168,14 @@ fn main() {
             )),
         }
     };
-    let paper = attack(
-        &imps.secure_target().with_backend(backend),
-        (paper_mean, paper_max),
-    );
+    let paper = attack(&imps.secure_target(), (paper_mean, paper_max));
     let naive: Vec<Outcome> = naive_pars
         .iter()
         .zip(&naive_summaries)
         .map(|(par, &summary)| {
             let target = DesTarget {
                 parasitics: Some(par),
-                ..imps.secure_target().with_backend(backend)
+                ..imps.secure_target()
             };
             attack(&target, summary)
         })

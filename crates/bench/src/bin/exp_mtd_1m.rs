@@ -13,10 +13,9 @@
 //! seconds). `--trace-store DIR` additionally appends every chunk to
 //! an out-of-core trace store under `DIR/<implementation>` and then
 //! replays it through fresh accumulators, asserting byte-identity.
-//! `--sim-backend event|bitslice` selects the kernel; this experiment
-//! defaults to the bit-sliced one (64 encryptions per word is what
-//! makes 10⁶ windows tractable). Throughput and peak-RSS lines go to
-//! stderr; stdout stays byte-deterministic.
+//! The campaigns run on the 64-lane kernel (64 encryptions per word is
+//! what makes 10⁶ windows tractable). Throughput and peak-RSS lines go
+//! to stderr; stdout stays byte-deterministic.
 
 use std::time::Instant;
 
@@ -26,7 +25,6 @@ use secflow_dpa::harness::{
     analyze_trace_store, collect_des_analysis_streaming, AnalysisPlan, CampaignProgram,
 };
 use secflow_dpa::store::TraceStore;
-use secflow_sim::SimBackend;
 
 /// Encryptions simulated per streaming chunk: 64 bit-sliced batches.
 const CHUNK: usize = 4096;
@@ -40,14 +38,7 @@ fn peak_rss_kb() -> Option<u64> {
 }
 
 fn main() {
-    // Bit-sliced kernel unless the flag asks otherwise — at 10⁶
-    // windows the event kernel is an order of magnitude off the pace.
-    let explicit_backend = std::env::args().any(|a| a == "--sim-backend");
     let mut opts = secflow_bench::CommonOpts::parse();
-    if !explicit_backend {
-        opts.backend = SimBackend::Bitslice;
-    }
-    let backend = opts.backend;
     let smoke = opts.take_flag("--smoke");
     let store_root = match opts.args.iter().position(|a| a == "--trace-store") {
         Some(i) => {
@@ -91,8 +82,8 @@ fn main() {
         "Fig. 6 (top) at scale: MTD over {n} measurements (streaming)"
     ));
     for (name, target) in [
-        ("reference", imps.regular_target().with_backend(backend)),
-        ("secure", imps.secure_target().with_backend(backend)),
+        ("reference", imps.regular_target()),
+        ("secure", imps.secure_target()),
     ] {
         let program =
             secflow_bench::ok_or_exit(CampaignProgram::build(&target, &cfg));

@@ -14,8 +14,9 @@
 use secflow_rand::{RngExt, SeedableRng, StdRng};
 
 use secflow_bench::{build_des_implementations, header, paper_sim_config, row};
+use secflow_dpa::harness::DesTarget;
 use secflow_dpa::timing::{idle_classification_accuracy, idle_visibility};
-use secflow_sim::{simulate_single_ended, simulate_wddl};
+use secflow_sim::simulate;
 
 fn main() {
     let mut opts = secflow_bench::CommonOpts::parse();
@@ -43,23 +44,10 @@ fn main() {
     }
 
     eprintln!("simulating {n} cycles on each implementation...");
-    let reg = simulate_single_ended(
-        &imps.regular.netlist,
-        &imps.lib,
-        Some(&imps.regular.parasitics),
-        &cfg,
-        &vectors,
-    )
-    .expect("regular netlist simulates");
-    let sec = simulate_wddl(
-        &imps.secure.substitution.differential,
-        &imps.secure.substitution.diff_lib,
-        Some(&imps.secure.parasitics),
-        &cfg,
-        &imps.secure.substitution.input_pairs,
-        &vectors,
-    )
-    .expect("WDDL netlist simulates");
+    let whole_window =
+        |t: DesTarget| simulate(t.netlist, t.lib, t.parasitics, &cfg, t.driver, &vectors);
+    let reg = whole_window(imps.regular_target()).expect("regular netlist simulates");
+    let sec = whole_window(imps.secure_target()).expect("WDDL netlist simulates");
 
     // Skip warm-up cycles (registers settling).
     let skip = 4;

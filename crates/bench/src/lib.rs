@@ -10,7 +10,7 @@ use secflow_core::{
 };
 use secflow_crypto::dpa_module::des_dpa_design;
 use secflow_dpa::harness::DesTarget;
-use secflow_sim::{SimBackend, SimConfig};
+use secflow_sim::{CycleDriver, SimBackend, SimConfig};
 
 /// Exit code for failures in post-flow analysis (stats, attacks) that
 /// have no [`secflow_core::Stage`] of their own.
@@ -93,28 +93,27 @@ pub fn build_des_implementations() -> DesImplementations {
 
 impl DesImplementations {
     /// Simulation target for the regular implementation (with layout
-    /// parasitics).
+    /// parasitics), on the 64-lane kernel.
     pub fn regular_target(&self) -> DesTarget<'_> {
         DesTarget {
             netlist: &self.regular.netlist,
             lib: &self.lib,
             parasitics: Some(&self.regular.parasitics),
-            wddl_inputs: None,
-            glitch_free: false,
-            backend: SimBackend::Event,
+            driver: CycleDriver::SingleEnded,
+            backend: SimBackend::Bitslice,
         }
     }
 
     /// Simulation target for the secure implementation (with layout
-    /// parasitics of the decomposed differential design).
+    /// parasitics of the decomposed differential design), on the
+    /// 64-lane kernel.
     pub fn secure_target(&self) -> DesTarget<'_> {
         DesTarget {
             netlist: &self.secure.substitution.differential,
             lib: &self.secure.substitution.diff_lib,
             parasitics: Some(&self.secure.parasitics),
-            wddl_inputs: Some(&self.secure.substitution.input_pairs),
-            glitch_free: false,
-            backend: SimBackend::Event,
+            driver: CycleDriver::Wddl(&self.secure.substitution.input_pairs),
+            backend: SimBackend::Bitslice,
         }
     }
 }
@@ -145,30 +144,6 @@ pub fn parse_threads(args: &mut Vec<String>) -> usize {
         }
     }
     secflow_exec::effective_threads()
-}
-
-/// Strips a `--sim-backend NAME` flag from `args` and returns the
-/// selected simulation kernel (default [`SimBackend::Event`]). Exits
-/// with status 2 on an unknown backend name. Like [`parse_threads`],
-/// leaves every other argument in place. Both backends produce
-/// byte-identical traces, so experiment stdout must not change with
-/// this flag (the CI gate compares it).
-pub fn parse_sim_backend(args: &mut Vec<String>) -> SimBackend {
-    let mut backend = SimBackend::default();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--sim-backend" {
-            let Some(b) = args.get(i + 1).and_then(|v| v.parse::<SimBackend>().ok()) else {
-                eprintln!("error: --sim-backend requires `event` or `bitslice`");
-                std::process::exit(2);
-            };
-            backend = b;
-            args.drain(i..i + 2);
-        } else {
-            i += 1;
-        }
-    }
-    backend
 }
 
 /// Emits the experiment's run-info JSON line to **stderr** — stderr so
@@ -209,11 +184,10 @@ pub fn parse_obs(args: &mut Vec<String>) -> Option<std::path::PathBuf> {
     })
 }
 
-/// The options every experiment binary shares — `--threads N`,
-/// `--obs PATH`, `--sim-backend NAME` — parsed in one pass, plus the
-/// remaining (positional) arguments. This is the single entry point
-/// the ten `exp_*` binaries use, so a new shared flag is added here
-/// once rather than ten times:
+/// The options every experiment binary shares — `--threads N` and
+/// `--obs PATH` — parsed in one pass, plus the remaining (positional)
+/// arguments. This is the single entry point the `exp_*` binaries
+/// use, so a new shared flag is added here once rather than in each:
 ///
 /// ```no_run
 /// let mut opts = secflow_bench::CommonOpts::parse();
@@ -227,8 +201,6 @@ pub struct CommonOpts {
     /// Metrics output path from `--obs` / `SECFLOW_OBS`, if any.
     /// Consumed by [`CommonOpts::start_run`].
     pub obs: Option<std::path::PathBuf>,
-    /// Selected simulation kernel (default [`SimBackend::Event`]).
-    pub backend: SimBackend,
     /// Arguments left over after the shared flags were stripped, in
     /// their original order — positional parsing proceeds on these.
     pub args: Vec<String>,
@@ -242,13 +214,7 @@ impl CommonOpts {
         let mut args: Vec<String> = std::env::args().skip(1).collect();
         let threads = parse_threads(&mut args);
         let obs = parse_obs(&mut args);
-        let backend = parse_sim_backend(&mut args);
-        CommonOpts {
-            threads,
-            obs,
-            backend,
-            args,
-        }
+        CommonOpts { threads, obs, args }
     }
 
     /// Strips every occurrence of a boolean flag (e.g. `--smoke`) from

@@ -1,19 +1,17 @@
-//! The original per-window simulation engine, frozen as a benchmark
-//! baseline.
+//! The original per-window simulation engine, frozen as an independent
+//! test reference for the event kernel.
 //!
 //! This is a faithful copy of the event engine as it stood before the
 //! compiled kernel ([`secflow_sim::CompiledSim`]) landed: every window
 //! re-resolves each gate's cell through `Library::by_name`, re-derives
 //! the topological order for initial settling, clones the resolved
 //! cell behaviour on every gate evaluation, and collects each event's
-//! fanout into a fresh `Vec`. The `sim_kernel` bench group in
-//! `benches/flow_stages.rs` times a trace campaign through this engine
-//! against the compiled kernel and records the speedup in
-//! `results/BENCH_sim_kernel.json`; the group also asserts that both
-//! engines produce byte-identical traces, so the baseline stays an
-//! exact functional mirror, not just a plausible one.
+//! fanout into a fresh `Vec`. `tests/crosstalk_reference.rs` asserts
+//! that the kernel's traces and energies equal this engine's bit for
+//! bit, with and without extracted parasitics, so a fault in the one
+//! shared event loop shows up against a separate implementation.
 //!
-//! Nothing outside the benchmarks should use this module — the real
+//! Nothing outside the tests should use this module — the real
 //! simulator lives in `secflow-sim`.
 
 use std::cmp::Reverse;

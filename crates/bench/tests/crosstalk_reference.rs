@@ -6,16 +6,17 @@
 //! per-window seed engine ([`secflow_bench::seed_engine`]), a separate
 //! implementation with its own heap, cell lookups and crosstalk
 //! adjustment, on the extracted secure DES module, whose layout
-//! couples thousands of net pairs. Traces and energies must agree bit
-//! for bit, for whole windows and for windows that measure only their
-//! leak cycle, at 100 and 800 samples per cycle.
+//! couples thousands of net pairs, and on the same netlist without
+//! parasitics. Traces and energies must agree bit for bit, for whole
+//! windows and for windows that measure only their leak cycle, at 100
+//! and 800 samples per cycle.
 
 use secflow_bench::seed_engine::simulate_wddl_window;
 use secflow_cells::Library;
 use secflow_core::{run_secure_flow, FlowOptions};
 use secflow_crypto::dpa_module::{des_dpa_design, PAPER_KEY};
 use secflow_rand::{RngExt, SeedableRng, StdRng};
-use secflow_sim::{CompiledSim, EngineScratch, LoadModel, SimConfig};
+use secflow_sim::{CompiledSim, CycleDriver, EngineScratch, LoadModel, SimConfig};
 
 const WINDOWS: usize = 64;
 const CYCLES: usize = 5;
@@ -37,12 +38,13 @@ fn wddl_windows_match_the_seed_engine_under_extracted_crosstalk() {
     let secure = run_secure_flow(&des_dpa_design(), &lib, &opts).expect("secure flow");
     let sub = &secure.substitution;
     let (nl, dlib, pairs) = (&sub.differential, &sub.diff_lib, &sub.input_pairs[..]);
-    let load = LoadModel::try_build(nl, dlib, Some(&secure.parasitics)).unwrap();
-    let couplings: usize = load.couplings.iter().map(Vec::len).sum();
+    let extracted = LoadModel::try_build(nl, dlib, Some(&secure.parasitics)).unwrap();
+    let couplings: usize = extracted.couplings.iter().map(Vec::len).sum();
     assert!(
         couplings > 1000,
         "only {couplings} couplings: crosstalk is not exercised"
     );
+    let plain = LoadModel::try_build(nl, dlib, None).unwrap();
 
     // Random plaintexts under the paper key, in port order pl[0..4],
     // pr[0..6], k[0..6].
@@ -61,25 +63,29 @@ fn wddl_windows_match_the_seed_engine_under_extracted_crosstalk() {
         })
         .collect();
 
-    for spc in [100usize, 800] {
+    let wddl = CycleDriver::Wddl(pairs);
+    for ((loads, load), spc) in [("extracted", &extracted), ("no parasitics", &plain)]
+        .into_iter()
+        .flat_map(|l| [(l, 100usize), (l, 800)])
+    {
         let cfg = SimConfig {
             samples_per_cycle: spc,
             ..Default::default()
         };
-        let comp = CompiledSim::build(nl, dlib, &load, &cfg).unwrap();
+        let comp = CompiledSim::build(nl, dlib, load, &cfg).unwrap();
         let mut whole = EngineScratch::new();
         let mut leak = EngineScratch::new();
         for (w, win) in windows.iter().enumerate() {
-            let at = format!("{spc} spc, window {w}");
-            let seed = simulate_wddl_window(nl, dlib, &load, &cfg, pairs, win);
-            comp.run_wddl(&mut whole, pairs, win, ..);
+            let at = format!("{loads}, {spc} spc, window {w}");
+            let seed = simulate_wddl_window(nl, dlib, load, &cfg, pairs, win);
+            comp.run(&mut whole, wddl, win, true, ..);
             assert_eq!(bits(whole.trace()), bits(&seed.trace), "{at}: whole trace");
             assert_eq!(
                 bits(whole.cycle_energy_fj()),
                 bits(&seed.cycle_energy_fj),
                 "{at}: whole energies"
             );
-            comp.run_wddl(&mut leak, pairs, win, LEAK..=LEAK);
+            comp.run(&mut leak, wddl, win, true, LEAK..=LEAK);
             assert_eq!(
                 bits(leak.cycle_trace(LEAK)),
                 bits(&seed.trace[LEAK * spc..(LEAK + 1) * spc]),

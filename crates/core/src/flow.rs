@@ -11,7 +11,6 @@ use secflow_pnr::{
     build_clock_tree, place_best_of, route, ClockOptions, ClockReport, GridPitch, PlaceOptions,
     RoutedDesign,
 };
-use secflow_sim::SimBackend;
 use secflow_synth::{map_design, Design, MapOptions};
 
 use crate::checks::{verify_precharge_wave, verify_rail_complementarity};
@@ -49,12 +48,6 @@ pub struct FlowOptions {
     /// Gate count above which the equivalence check falls back from
     /// BDDs to random simulation.
     pub bdd_gate_limit: usize,
-    /// Simulation kernel for downstream trace campaigns run against
-    /// this flow's netlists (`--sim-backend` on the experiment
-    /// binaries, `sim_backend` in a serve campaign job); no flow stage
-    /// reads it. Both backends are byte-identical; see
-    /// `secflow_sim::SimBackend`.
-    pub sim_backend: SimBackend,
 }
 
 impl Default for FlowOptions {
@@ -71,7 +64,6 @@ impl Default for FlowOptions {
             decompose_style: DecomposeStyle::Dense,
             verify: true,
             bdd_gate_limit: 1500,
-            sim_backend: SimBackend::default(),
         }
     }
 }

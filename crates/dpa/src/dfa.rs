@@ -10,7 +10,9 @@
 use secflow_cells::Library;
 use secflow_extract::Parasitics;
 use secflow_netlist::{NetId, Netlist};
-use secflow_sim::{simulate_wddl, CompiledSim, EngineScratch, LoadModel, SimConfig, SimError, SimResult};
+use secflow_sim::{
+    simulate, CompiledSim, CycleDriver, EngineScratch, LoadModel, SimConfig, SimError, SimResult,
+};
 
 /// One point of a clock-glitch sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +34,7 @@ pub struct GlitchPoint {
 /// whether glitz-induced faults are caught by the `(0, 0)` alarm.
 ///
 /// `vectors` are logical input values per cycle (see
-/// [`simulate_wddl`]).
+/// [`CycleDriver::Wddl`]).
 ///
 /// # Errors
 ///
@@ -47,7 +49,8 @@ pub fn glitch_sweep(
     vectors: &[Vec<bool>],
     fractions: &[f64],
 ) -> Result<Vec<GlitchPoint>, SimError> {
-    let nominal = simulate_wddl(nl, lib, parasitics, base_cfg, input_pairs, vectors)?;
+    let driver = CycleDriver::Wddl(input_pairs);
+    let nominal = simulate(nl, lib, parasitics, base_cfg, driver, vectors)?;
     // The load model is clock-independent; share it across the sweep
     // and recompile only the (cheap) per-fraction timing.
     let load = LoadModel::try_build(nl, lib, parasitics)?;
@@ -59,7 +62,7 @@ pub fn glitch_sweep(
             ..base_cfg.clone()
         };
         let comp = CompiledSim::build(nl, lib, &load, &cfg)?;
-        comp.run_wddl(&mut scratch, input_pairs, vectors, ..);
+        comp.run(&mut scratch, driver, vectors, true, ..);
         points.push(summarize(&nominal, &scratch.take_sim_result(), frac));
     }
     Ok(points)

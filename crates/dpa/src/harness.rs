@@ -37,7 +37,8 @@
 //! * [`collect_des_analysis_streaming`] feeds each block to the
 //!   one-pass accumulators of [`crate::streaming`] (and optionally a
 //!   [`crate::store`]) and drops it before the next one; memory is
-//!   O(chunk × points + points × classes) however many traces run.
+//!   O(chunk × points + points × classes) plus the campaign's
+//!   plaintexts, drawn up front at 2 bytes per trace.
 //!
 //! [`analyze_trace_set`] and [`analyze_trace_store`] feed the same
 //! accumulators an existing set as one block, or a store chunk by
@@ -53,7 +54,7 @@ use secflow_cells::Library;
 use secflow_crypto::dpa_module::{encrypt, selection};
 use secflow_exec::par_map_range_with;
 use secflow_extract::Parasitics;
-use secflow_netlist::{NetId, Netlist};
+use secflow_netlist::Netlist;
 use secflow_obs as obs;
 use secflow_sim::{
     add_gaussian_noise, BitSim, CompiledSim, CycleDriver, LaneScratch, LaneSim, LaneWord,
@@ -76,13 +77,13 @@ pub struct DesTarget<'a> {
     pub lib: &'a Library,
     /// Extracted layout parasitics, if available.
     pub parasitics: Option<&'a Parasitics>,
-    /// For WDDL targets: the input rail pairs in original port order
-    /// (`pl[0..4]`, `pr[0..6]`, `k[0..6]`). `None` selects the
-    /// single-ended driver.
-    pub wddl_inputs: Option<&'a [(NetId, NetId)]>,
-    /// Use the idealized glitch-free power model (single-ended targets
-    /// only; used by the glitch-contribution ablation).
-    pub glitch_free: bool,
+    /// How the kernel drives the netlist each cycle:
+    /// [`CycleDriver::SingleEnded`] for a regular implementation,
+    /// [`CycleDriver::Wddl`] over the input rail pairs in original port
+    /// order (`pl[0..4]`, `pr[0..6]`, `k[0..6]`) for a WDDL one, and
+    /// [`CycleDriver::GlitchFree`] for the glitch-contribution ablation
+    /// on a regular one.
+    pub driver: CycleDriver<'a>,
     /// Which lane width of the event kernel runs the campaign windows.
     /// Both produce byte-identical traces; `Bitslice` batches 64
     /// windows per lane word (see `tests/bitslice_cross_check.rs`).
@@ -454,12 +455,13 @@ fn run_batch<W: LaneWord>(
     // cycle h+1 (the leakage cycle, the only one measured); the new
     // CL/CR values drive the outputs during cycle h+2.
     let leak_cycle = h + 1;
-    let driver = match (target.wddl_inputs, target.glitch_free) {
-        (Some(pairs), _) => CycleDriver::Wddl(pairs),
-        (None, false) => CycleDriver::SingleEnded,
-        (None, true) => CycleDriver::GlitchFree,
-    };
-    sim.run(scratch, driver, &vectors, active, leak_cycle..=leak_cycle);
+    sim.run(
+        scratch,
+        target.driver,
+        &vectors,
+        active,
+        leak_cycle..=leak_cycle,
+    );
 
     // Kernel counters: pure functions of the compiled design and this
     // batch's stimuli, so campaign sums are thread-count invariant
@@ -493,7 +495,11 @@ fn run_batch<W: LaneWord>(
     }
 
     // WDDL output rails are interleaved (t, f).
-    let stride = if target.wddl_inputs.is_some() { 2 } else { 1 };
+    let stride = if matches!(target.driver, CycleDriver::Wddl(_)) {
+        2
+    } else {
+        1
+    };
     (0..count)
         .map(|l| {
             let i = start + l;
@@ -662,8 +668,9 @@ impl StreamSinks {
 /// across the chunk), each chunk's traces flow straight into the
 /// streaming accumulators, and the chunk is dropped before the next
 /// one is simulated. Peak memory is O(chunk × points) for the block
-/// in flight plus O(points × classes) of accumulator state — the full
-/// trace matrix never exists.
+/// in flight plus O(points × classes) of accumulator state plus the
+/// plaintexts, drawn up front at 2 bytes per trace — the full trace
+/// matrix never exists.
 ///
 /// With `store_dir`, every block is also appended to an out-of-core
 /// [`crate::store`] chunk store for later replay
@@ -754,8 +761,7 @@ mod tests {
             netlist: &nl,
             lib: &lib,
             parasitics: None,
-            wddl_inputs: None,
-            glitch_free: false,
+            driver: CycleDriver::SingleEnded,
             backend: SimBackend::Event,
         };
         let cfg = SimConfig {
@@ -780,8 +786,7 @@ mod tests {
             netlist: &nl,
             lib: &lib,
             parasitics: None,
-            wddl_inputs: None,
-            glitch_free: false,
+            driver: CycleDriver::SingleEnded,
             backend: SimBackend::Event,
         };
         let cfg = SimConfig {
@@ -841,8 +846,7 @@ mod tests {
                 netlist: &nl,
                 lib: &lib,
                 parasitics: None,
-                wddl_inputs: None,
-                glitch_free: false,
+                driver: CycleDriver::SingleEnded,
                 backend,
             };
             let program = CampaignProgram::build(&target, &cfg).unwrap();
@@ -873,8 +877,7 @@ mod tests {
             netlist: &nl,
             lib: &lib,
             parasitics: None,
-            wddl_inputs: None,
-            glitch_free: false,
+            driver: CycleDriver::SingleEnded,
             backend: SimBackend::Bitslice,
         };
         let cfg = SimConfig {
@@ -914,8 +917,7 @@ mod tests {
             netlist: &nl,
             lib: &lib,
             parasitics: None,
-            wddl_inputs: None,
-            glitch_free: false,
+            driver: CycleDriver::SingleEnded,
             backend: SimBackend::Bitslice,
         };
         let cfg = SimConfig {
@@ -986,8 +988,7 @@ mod tests {
                 netlist: &nl,
                 lib: &lib,
                 parasitics: None,
-                wddl_inputs: None,
-                glitch_free: false,
+                driver: CycleDriver::SingleEnded,
                 backend,
             };
             let program = CampaignProgram::build(&target, &cfg).unwrap();

@@ -17,7 +17,7 @@ use secflow_core::{RegularFlowResult, SecureFlowResult};
 use secflow_crypto::dpa_module::des_dpa_design;
 use secflow_dpa::harness::{collect_des_traces, DesTarget};
 use secflow_rand::{RngExt, SeedableRng, StdRng};
-use secflow_sim::{simulate_single_ended, simulate_wddl, SimBackend, SimConfig, SimResult};
+use secflow_sim::{simulate, CycleDriver, SimBackend, SimConfig};
 use secflow_synth::{map_design, MapOptions};
 
 const KEY: u8 = 46;
@@ -50,9 +50,19 @@ fn continuous_vectors(n: usize) -> Vec<Vec<bool>> {
 }
 
 /// Asserts that every windowed trace and energy equals the matching
-/// leak-cycle slice (cycle `i + 1`) of the continuous run.
-fn assert_windows_match(target: &DesTarget<'_>, cfg: &SimConfig, n: usize, full: &SimResult) {
-    let set = collect_des_traces(target, cfg, KEY, n, SEED).unwrap();
+/// leak-cycle slice (cycle `i + 1`) of the continuous run of the same
+/// target.
+fn assert_windows_match(t: &DesTarget<'_>, cfg: &SimConfig, n: usize) {
+    let full = simulate(
+        t.netlist,
+        t.lib,
+        t.parasitics,
+        cfg,
+        t.driver,
+        &continuous_vectors(n),
+    )
+    .unwrap();
+    let set = collect_des_traces(t, cfg, KEY, n, SEED).unwrap();
     let spc = cfg.samples_per_cycle;
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for i in 0..n {
@@ -80,12 +90,10 @@ fn window_traces_match_full_campaign() {
         netlist: &mapped,
         lib: &lib,
         parasitics: None,
-        wddl_inputs: None,
-        glitch_free: false,
+        driver: CycleDriver::SingleEnded,
         backend: SimBackend::Event,
     };
-    let full = simulate_single_ended(&mapped, &lib, None, &cfg, &continuous_vectors(n)).unwrap();
-    assert_windows_match(&target, &cfg, n, &full);
+    assert_windows_match(&target, &cfg, n);
 }
 
 fn implementations() -> &'static (Library, RegularFlowResult, SecureFlowResult) {
@@ -113,43 +121,23 @@ fn extracted_window_traces_match_full_campaign_without_crosstalk() {
         ..Default::default()
     };
     let n = 16;
-    let vectors = continuous_vectors(n);
 
     let target = DesTarget {
         netlist: &regular.netlist,
         lib,
         parasitics: Some(&regular.parasitics),
-        wddl_inputs: None,
-        glitch_free: false,
+        driver: CycleDriver::SingleEnded,
         backend: SimBackend::Event,
     };
-    let full = simulate_single_ended(
-        &regular.netlist,
-        lib,
-        Some(&regular.parasitics),
-        &cfg,
-        &vectors,
-    )
-    .unwrap();
-    assert_windows_match(&target, &cfg, n, &full);
+    assert_windows_match(&target, &cfg, n);
 
     let sub = &secure.substitution;
     let target = DesTarget {
         netlist: &sub.differential,
         lib: &sub.diff_lib,
         parasitics: Some(&secure.parasitics),
-        wddl_inputs: Some(&sub.input_pairs),
-        glitch_free: false,
+        driver: CycleDriver::Wddl(&sub.input_pairs),
         backend: SimBackend::Event,
     };
-    let full = simulate_wddl(
-        &sub.differential,
-        &sub.diff_lib,
-        Some(&secure.parasitics),
-        &cfg,
-        &sub.input_pairs,
-        &vectors,
-    )
-    .unwrap();
-    assert_windows_match(&target, &cfg, n, &full);
+    assert_windows_match(&target, &cfg, n);
 }

@@ -22,8 +22,9 @@ pub enum PlaceError {
         /// The unresolvable cell name.
         cell: String,
     },
-    /// Placement options are degenerate (fill factor outside `(0, 1]`
-    /// or non-positive aspect ratio).
+    /// Placement options are degenerate (fill factor outside `(0, 1]`,
+    /// non-positive aspect ratio, or more annealing moves than a `usize`
+    /// counts).
     InvalidOptions {
         /// Human-readable description of the bad option.
         detail: String,
@@ -88,7 +89,9 @@ fn gate_macros<'l>(nl: &Netlist, lib: &'l Library) -> Result<Vec<&'l LefMacro>, 
         .collect()
 }
 
-fn check_options(opts: &PlaceOptions) -> Result<(), PlaceError> {
+/// Checks `opts` for a netlist of `gates` gates and returns its
+/// annealing move count.
+fn check_options(opts: &PlaceOptions, gates: usize) -> Result<usize, PlaceError> {
     if !(opts.fill_factor > 0.0 && opts.fill_factor <= 1.0) {
         return Err(PlaceError::InvalidOptions {
             detail: format!("fill factor {} not in (0, 1]", opts.fill_factor),
@@ -99,7 +102,12 @@ fn check_options(opts: &PlaceOptions) -> Result<(), PlaceError> {
             detail: format!("aspect ratio {} not positive", opts.aspect_ratio),
         });
     }
-    Ok(())
+    let per_gate = opts.anneal_moves_per_gate;
+    per_gate
+        .checked_mul(gates)
+        .ok_or_else(|| PlaceError::InvalidOptions {
+            detail: format!("{per_gate} annealing moves per gate overflow at {gates} gates"),
+        })
 }
 
 /// Per-row cell sequences plus derived x coordinates.
@@ -163,9 +171,10 @@ impl RowState {
 ///
 /// Returns [`PlaceError::UnknownCell`] if a gate references a cell
 /// missing from `lib`, or [`PlaceError::InvalidOptions`] on degenerate
-/// fill factor / aspect ratio.
+/// fill factor / aspect ratio or an annealing move count
+/// (`anneal_moves_per_gate` × gates) that overflows.
 pub fn place(nl: &Netlist, lib: &Library, opts: &PlaceOptions) -> Result<PlacedDesign, PlaceError> {
-    check_options(opts)?;
+    let moves = check_options(opts, nl.gate_count())?;
     let macros = gate_macros(nl, lib)?;
     let gw: Vec<u32> = macros.iter().map(|m| m.width_tracks).collect();
     let total_width: u64 = gw.iter().map(|&w| u64::from(w)).sum();
@@ -229,9 +238,18 @@ pub fn place(nl: &Netlist, lib: &Library, opts: &PlaceOptions) -> Result<PlacedD
     let mut state = state;
     state.repack(&gw, &mut design.cells);
 
-    if opts.anneal_moves_per_gate > 0 && nl.gate_count() > 1 {
+    if moves > 0 && nl.gate_count() > 1 {
         let pins = PinArrays::new(nl, &macros, &design);
-        anneal(nl, lib, &pins, &gw, &mut state, &mut design, opts);
+        anneal(
+            nl,
+            lib,
+            &pins,
+            &gw,
+            &mut state,
+            &mut design,
+            opts.seed,
+            moves,
+        );
     }
     Ok(design)
 }
@@ -350,6 +368,7 @@ impl PinArrays {
 /// nothing else. The cells always sit where repacking their rows puts
 /// them, so a rejected move restores the moved cells' old positions
 /// instead of repacking again.
+#[allow(clippy::too_many_arguments)]
 fn anneal(
     nl: &Netlist,
     lib: &Library,
@@ -357,10 +376,10 @@ fn anneal(
     gw: &[u32],
     state: &mut RowState,
     design: &mut PlacedDesign,
-    opts: &PlaceOptions,
+    seed: u64,
+    moves: usize,
 ) {
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let moves = opts.anneal_moves_per_gate * nl.gate_count();
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut accepted = 0u64;
     let n_rows = state.rows.len();
     let mut cache: Vec<i64> = (0..nl.net_count())
@@ -844,5 +863,26 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, PlaceError::InvalidOptions { .. }));
+    }
+
+    /// A move count that overflows `usize` is refused before any
+    /// placement work, not wrapped into a short anneal.
+    #[test]
+    fn an_overflowing_move_count_is_a_typed_error() {
+        let nl = chain_netlist(3);
+        let lib = Library::lib180();
+        let opts = |anneal_moves_per_gate| PlaceOptions {
+            anneal_moves_per_gate,
+            ..Default::default()
+        };
+        let err = place(&nl, &lib, &opts(usize::MAX / 2)).unwrap_err();
+        assert!(
+            matches!(err, PlaceError::InvalidOptions { ref detail } if detail.contains("overflow")),
+            "{err}"
+        );
+        // The largest count that fits is accepted (checked without
+        // running it).
+        let fits = usize::MAX / 3;
+        assert_eq!(check_options(&opts(fits), 3), Ok(fits * 3));
     }
 }

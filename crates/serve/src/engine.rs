@@ -16,10 +16,12 @@
 //! any stage at all.
 //!
 //! Every campaign runs one way: the fused streaming campaign with both
-//! attacks, whose finished [`CampaignAnalysis`] (a few KB) is cached in
-//! place of its traces. The request's `trace_path` selects nothing.
-//! Its key depends only on the request, so a campaign job looks the
-//! analysis up first and walks the stages only on a miss.
+//! attacks on the 64-lane kernel ([`CAMPAIGN_BACKEND`]), whose finished
+//! [`CampaignAnalysis`] (a few KB) is cached in place of its traces.
+//! The request's `trace_path` selects nothing. The analysis's key
+//! depends only on the request (no key names a lane width), so a
+//! campaign job looks the analysis up first and walks the stages only
+//! on a miss.
 //!
 //! Responses are split payload/envelope (see [`crate::proto`]): the
 //! payload rendered here contains only deterministic values — no
@@ -44,12 +46,14 @@ use secflow_netlist::{parse_verilog, Netlist};
 use secflow_obs as obs;
 use secflow_obs::json::{Arr, Obj};
 use secflow_pnr::RoutedDesign;
-use secflow_sim::SimConfig;
+use secflow_sim::{CycleDriver, SimConfig};
 use secflow_synth::map_design;
 
 use crate::cache::{ArtifactCache, CacheStats};
 use crate::key::{flow_options_bytes, sim_config_bytes, stage_key, CacheStage, Enc};
-use crate::proto::{AttackKind, CampaignRequest, FlowRequest, Request, RequestError};
+use crate::proto::{
+    AttackKind, CampaignRequest, FlowRequest, Request, RequestError, CAMPAIGN_BACKEND,
+};
 
 /// A structured job failure: the `FlowError` taxonomy (stage name,
 /// variant kind, detail, stage exit code 10–19) plus the `request`
@@ -318,9 +322,8 @@ impl Engine {
                 netlist: &secure.substitution.differential,
                 lib: &secure.substitution.diff_lib,
                 parasitics: Some(&secure.parasitics),
-                wddl_inputs: Some(&secure.substitution.input_pairs),
-                glitch_free: false,
-                backend: c.opts.sim_backend,
+                driver: CycleDriver::Wddl(&secure.substitution.input_pairs),
+                backend: CAMPAIGN_BACKEND,
             }
         } else {
             regular = self.cache.get_or_try(
@@ -332,9 +335,8 @@ impl Engine {
                 netlist: &regular.netlist,
                 lib: &self.lib,
                 parasitics: Some(&regular.parasitics),
-                wddl_inputs: None,
-                glitch_free: false,
-                backend: c.opts.sim_backend,
+                driver: CycleDriver::SingleEnded,
+                backend: CAMPAIGN_BACKEND,
             }
         };
 
@@ -401,10 +403,14 @@ impl Engine {
 /// the binary, so its identity — not its bytes — is the input.
 const CAMPAIGN_INPUT: &[u8] = b"builtin:des_dpa";
 
-/// Traces simulated per accumulator block. Big enough to amortize the
-/// parallel fan-out, small enough that a block of 1 k-sample traces
-/// stays a few tens of MB.
-const STREAM_CHUNK: usize = 4096;
+/// Traces simulated per accumulator block: four batches of the 64-lane
+/// kernel. Each job worker holds one block in flight, which is
+/// `STREAM_CHUNK × samples_per_cycle` floats: 1.6 MB at the paper's
+/// 800 samples per cycle and 16 MB at `proto::MAX_SAMPLES_PER_CYCLE`.
+/// With 64-lane campaigns, larger blocks raised `serve_mix`'s peak RSS
+/// (by a median 12 MB at 4 096 traces and 8 MB at 1 024, against one
+/// lane at 4 096); at 256 it matched the one-lane server's.
+const STREAM_CHUNK: usize = 256;
 
 fn render_stats(jobs: u64, s: CacheStats) -> Vec<u8> {
     let mut cache = Obj::new();

@@ -22,7 +22,7 @@
 //! together.
 
 use secflow_core::{DecomposeStyle, FlowOptions};
-use secflow_sim::{SimBackend, SimConfig};
+use secflow_sim::SimConfig;
 
 use crate::hash::ContentHash;
 
@@ -38,7 +38,7 @@ pub enum CacheStage {
     /// backend's whole result (layout, parasitics and, for the secure
     /// flow, the substitution), as the CLI and flow jobs compute it.
     Backend,
-    /// Compiled simulation program (event or bit-sliced kernel).
+    /// Compiled simulation program (the 64-lane kernel).
     Program,
     /// The statistics of one campaign's traces: both attacks and, for
     /// `campaign` jobs, their MTD scans. Tagged `traces` because the
@@ -178,14 +178,7 @@ pub fn flow_options_bytes(opts: &FlowOptions) -> Vec<u8> {
             },
         )
         .bool("verify", opts.verify)
-        .u64("bdd_gate_limit", opts.bdd_gate_limit as u64)
-        .str(
-            "sim_backend",
-            match opts.sim_backend {
-                SimBackend::Event => "event",
-                SimBackend::Bitslice => "bitslice",
-            },
-        );
+        .u64("bdd_gate_limit", opts.bdd_gate_limit as u64);
     e.build()
 }
 

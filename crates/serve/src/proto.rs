@@ -28,17 +28,44 @@
 //! `trace_path` (`materialize` or `streaming`) so that existing
 //! clients' requests keep parsing; every campaign streams, so the
 //! field is validated and then ignored.
+//!
+//! Every campaign runs on the 64-lane kernel ([`CAMPAIGN_BACKEND`]),
+//! which records no waveform, so `sim.record_waveform` is refused here;
+//! a campaign payload carries no waveform either. Fields whose value
+//! sizes an allocation are bounded by documented constants
+//! ([`MAX_TRACES`], [`MAX_SAMPLES_PER_CYCLE`], [`MAX_PLACE_RESTARTS`]):
+//! a request above one is a bad request, not an allocation that could
+//! abort the daemon.
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
 use secflow_core::{DecomposeStyle, FlowOptions};
 use secflow_obs::json::Value;
-use secflow_sim::SimConfig;
+use secflow_sim::{SimBackend, SimConfig};
 
 /// Upper bound on a frame body; a length above this is a protocol
 /// error, not an allocation request.
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// The lane width every campaign program is built for: 64 windows per
+/// batch, byte-identical to one window per run.
+pub const CAMPAIGN_BACKEND: SimBackend = SimBackend::Bitslice;
+
+/// Most encryptions one campaign request may ask for (`n`): a campaign
+/// draws every plaintext up front, 2 bytes each.
+pub const MAX_TRACES: u64 = 1 << 24;
+
+/// Most samples per cycle a request may ask for
+/// (`sim.samples_per_cycle`), ten times the paper's 800: a block of
+/// traces holds this many floats per trace, and a kernel batch this
+/// many per lane.
+pub const MAX_SAMPLES_PER_CYCLE: u64 = 8000;
+
+/// Most placement restarts a request may ask for
+/// (`options.place_restarts`): each restart is a whole placement, and
+/// the thread pool reserves one result slot per restart.
+pub const MAX_PLACE_RESTARTS: u64 = 64;
 
 /// Writes one length-prefixed frame.
 ///
@@ -225,7 +252,6 @@ fn parse_flow_options(obj: &Value) -> Result<FlowOptions, RequestError> {
             "decompose_style",
             "verify",
             "bdd_gate_limit",
-            "sim_backend",
         ],
         "options",
     )?;
@@ -239,8 +265,10 @@ fn parse_flow_options(obj: &Value) -> Result<FlowOptions, RequestError> {
         opts.anneal_moves_per_gate = v as usize;
     }
     if let Some(v) = get_u64(o, "place_restarts")? {
-        if v == 0 {
-            return Err(bad("`place_restarts` must be at least 1"));
+        if !(1..=MAX_PLACE_RESTARTS).contains(&v) {
+            return Err(bad(format!(
+                "`place_restarts` must be in 1..={MAX_PLACE_RESTARTS}"
+            )));
         }
         opts.place_restarts = v as usize;
     }
@@ -275,11 +303,6 @@ fn parse_flow_options(obj: &Value) -> Result<FlowOptions, RequestError> {
     if let Some(v) = get_u64(o, "bdd_gate_limit")? {
         opts.bdd_gate_limit = v as usize;
     }
-    if let Some(v) = get_str(o, "sim_backend")? {
-        opts.sim_backend = v
-            .parse()
-            .map_err(|_| bad("`sim_backend` must be `event` or `bitslice`"))?;
-    }
     Ok(opts)
 }
 
@@ -312,8 +335,10 @@ fn parse_sim_config(obj: &Value) -> Result<SimConfig, RequestError> {
         cfg.period_ps = v;
     }
     if let Some(v) = get_u64(o, "samples_per_cycle")? {
-        if v == 0 {
-            return Err(bad("`samples_per_cycle` must be positive"));
+        if !(1..=MAX_SAMPLES_PER_CYCLE).contains(&v) {
+            return Err(bad(format!(
+                "`samples_per_cycle` must be in 1..={MAX_SAMPLES_PER_CYCLE}"
+            )));
         }
         cfg.samples_per_cycle = v as usize;
     }
@@ -349,10 +374,10 @@ fn parse_implementation(obj: &Value) -> Result<bool, RequestError> {
 impl Request {
     /// Parses and validates a request frame.
     ///
-    /// Backend/config combinations are validated here — at
-    /// option-validation time — so e.g. `record_waveform` on the
-    /// bit-sliced backend fails before the job is ever queued (see
-    /// [`SimConfig::validate_backend`]).
+    /// The campaign configuration is validated here against
+    /// [`CAMPAIGN_BACKEND`] ([`SimConfig::validate_backend`]), so
+    /// `record_waveform` fails before the job is ever queued, as do
+    /// values above the allocation bounds of the module docs.
     ///
     /// # Errors
     ///
@@ -424,9 +449,9 @@ impl Request {
                         )))
                     }
                 }
-                let n = get_u64(v, "n")?.unwrap_or(2000) as usize;
-                if n == 0 {
-                    return Err(bad("`n` must be at least 1"));
+                let n = get_u64(v, "n")?.unwrap_or(2000);
+                if !(1..=MAX_TRACES).contains(&n) {
+                    return Err(bad(format!("`n` must be in 1..={MAX_TRACES}")));
                 }
                 let key =
                     get_u64(v, "key")?.unwrap_or(u64::from(secflow_crypto::dpa_module::PAPER_KEY));
@@ -435,15 +460,15 @@ impl Request {
                 }
                 let opts = parse_flow_options(v)?;
                 let cfg = parse_sim_config(v)?;
-                // Satellite-2 contract: unsupported backend/config
-                // combinations die here, not mid-campaign.
-                cfg.validate_backend(opts.sim_backend)
+                // A configuration the campaign kernel cannot run dies
+                // here, not mid-campaign.
+                cfg.validate_backend(CAMPAIGN_BACKEND)
                     .map_err(|e| bad(e.to_string()))?;
                 Ok(Request::Campaign(CampaignRequest {
                     secure: parse_implementation(v)?,
                     attack,
                     mtd: job == "campaign",
-                    n,
+                    n: n as usize,
                     seed: get_u64(v, "seed")?.unwrap_or(1),
                     key: key as u8,
                     opts,
@@ -518,16 +543,52 @@ mod tests {
 
     #[test]
     fn waveform_on_bitslice_is_rejected_at_request_validation() {
-        let e = Request::parse(
-            br#"{"job":"campaign","options":{"sim_backend":"bitslice"},"sim":{"record_waveform":true}}"#,
-        )
-        .unwrap_err();
+        // Every campaign runs on the 64-lane kernel, which records no
+        // waveform.
+        let e =
+            Request::parse(br#"{"job":"campaign","sim":{"record_waveform":true}}"#).unwrap_err();
         assert!(e.0.contains("record_waveform"), "{e}");
-        // Same combination on the event backend is fine.
-        assert!(Request::parse(
-            br#"{"job":"campaign","options":{"sim_backend":"event"},"sim":{"record_waveform":true}}"#,
-        )
-        .is_ok());
+        assert!(Request::parse(br#"{"job":"campaign","sim":{"record_waveform":false}}"#).is_ok());
+        // The lane width is not a request option.
+        let e =
+            Request::parse(br#"{"job":"campaign","options":{"sim_backend":"event"}}"#).unwrap_err();
+        assert!(e.0.contains("sim_backend"), "{e}");
+    }
+
+    /// Each field that sizes an allocation is accepted at its limit
+    /// and refused, naming the field, one above it. Parsing allocates
+    /// nothing of either size.
+    #[test]
+    fn allocation_sizing_fields_are_bounded() {
+        for (field, limit, req) in [
+            ("n", MAX_TRACES, r#"{"job":"campaign","n":N}"#),
+            (
+                "samples_per_cycle",
+                MAX_SAMPLES_PER_CYCLE,
+                r#"{"job":"campaign","sim":{"samples_per_cycle":N}}"#,
+            ),
+            (
+                "place_restarts",
+                MAX_PLACE_RESTARTS,
+                r#"{"job":"campaign","options":{"place_restarts":N}}"#,
+            ),
+            (
+                "place_restarts",
+                MAX_PLACE_RESTARTS,
+                r#"{"job":"flow","netlist":"","options":{"place_restarts":N}}"#,
+            ),
+        ] {
+            let at = req.replace('N', &limit.to_string());
+            assert!(Request::parse(at.as_bytes()).is_ok(), "{at}");
+            for over in [limit + 1, 1_000_000_000_000, 1_000_000_000_000_000] {
+                let req = req.replace('N', &over.to_string());
+                let e = Request::parse(req.as_bytes()).expect_err(&req);
+                assert!(e.0.contains(&format!("`{field}`")), "{req}: {e}");
+            }
+        }
+        assert_eq!(MAX_TRACES, 1 << 24);
+        assert_eq!(MAX_SAMPLES_PER_CYCLE, 8000);
+        assert_eq!(MAX_PLACE_RESTARTS, 64);
     }
 
     #[test]

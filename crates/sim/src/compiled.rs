@@ -20,9 +20,9 @@
 //! fresh engine's state. `tests/golden_kernel.rs` and
 //! `crates/bench/tests/crosstalk_reference.rs` pin this.
 //!
-//! **Measured and settled cycles.** Every `run_*` takes the cycles the
-//! caller measures (`..` for the whole window) and does charge work only
-//! for them; each measured cycle is bit-identical to the same cycle of a
+//! **Measured and settled cycles.** [`LaneSim::run`] takes the cycles
+//! the caller measures (`..` for the whole window) and does charge work
+//! only for them; each measured cycle is bit-identical to the same cycle of a
 //! whole-window run (DESIGN.md §15). When a driver's cycles provably
 //! settle (the settle test of DESIGN.md §16, computed at build), only
 //! the measured cycles are event-simulated; the others are evaluated
@@ -36,7 +36,7 @@ use secflow_netlist::{FanoutCsr, Gate, GateId, GateKind, NetId, Netlist};
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::kernel::{CycleDriver, LaneScratch, LaneWord};
+use crate::kernel::{LaneScratch, LaneWord};
 use crate::load::{check_pins, LoadModel};
 
 /// True if `gate` is a WDDL register (sequential, dual-rail: two
@@ -383,75 +383,6 @@ impl<W: LaneWord> LaneSim<W> {
     }
 }
 
-impl CompiledSim {
-    /// Simulates a single-ended netlist window into `scratch`,
-    /// accounting charge for the `measured` cycles (and event-simulating
-    /// only them if [`Self::settles_single_ended`]); see
-    /// [`crate::simulate_single_ended`] for the protocol. Results are
-    /// read back through the [`EngineScratch`] accessors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vector length differs from the input count.
-    pub fn run_single_ended(
-        &self,
-        scratch: &mut EngineScratch,
-        input_vectors: &[Vec<bool>],
-        measured: impl RangeBounds<usize>,
-    ) {
-        self.run(
-            scratch,
-            CycleDriver::SingleEnded,
-            input_vectors,
-            true,
-            measured,
-        );
-    }
-
-    /// Simulates a WDDL two-phase window into `scratch`, accounting
-    /// charge for the `measured` cycles (and event-simulating only them
-    /// if [`Self::settles_wddl`]); see [`crate::simulate_wddl`] for the
-    /// protocol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vector length differs from the pair count.
-    pub fn run_wddl(
-        &self,
-        scratch: &mut EngineScratch,
-        input_pairs: &[(NetId, NetId)],
-        input_vectors: &[Vec<bool>],
-        measured: impl RangeBounds<usize>,
-    ) {
-        let driver = CycleDriver::Wddl(input_pairs);
-        self.run(scratch, driver, input_vectors, true, measured);
-    }
-
-    /// Simulates a window under the idealized glitch-free power model
-    /// ([`CycleDriver::GlitchFree`]), accounting charge for the
-    /// `measured` cycles. Comparing DPA outcomes against
-    /// [`Self::run_single_ended`] isolates how much leakage the
-    /// glitches contribute.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vector length differs from the input count.
-    pub fn run_single_ended_glitch_free(
-        &self,
-        scratch: &mut EngineScratch,
-        input_vectors: &[Vec<bool>],
-        measured: impl RangeBounds<usize>,
-    ) {
-        self.run(
-            scratch,
-            CycleDriver::GlitchFree,
-            input_vectors,
-            true,
-            measured,
-        );
-    }
-}
-
 /// Resolves a caller's measured-cycle bounds against an `n_cycles`
 /// window, clamped into it (`..` is the whole window).
 pub(crate) fn measured_cycles(measured: &impl RangeBounds<usize>, n_cycles: usize) -> Range<usize> {
@@ -512,8 +443,8 @@ impl EngineScratch {
 
     /// Moves the last window's results into an owned
     /// [`crate::SimResult`], leaving the scratch reusable. The
-    /// one-shot `simulate_*` drivers use this; campaign code reads the
-    /// borrow accessors instead to stay allocation-free.
+    /// one-shot [`crate::simulate`] driver uses this; campaign code
+    /// reads the borrow accessors instead to stay allocation-free.
     pub fn take_sim_result(&mut self) -> crate::SimResult {
         let outputs_per_cycle = self
             .outputs
@@ -534,6 +465,7 @@ impl EngineScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::CycleDriver;
     use secflow_netlist::GateKind;
 
     fn and_fixture() -> (Netlist, Library, SimConfig) {
@@ -596,8 +528,9 @@ mod tests {
         let comp = CompiledSim::build(&nl, &lib, &load, &cfg).unwrap();
         let vectors = vec![vec![true, true], vec![false, true], vec![true, true]];
 
+        let se = CycleDriver::SingleEnded;
         let mut fresh = EngineScratch::new();
-        comp.run_single_ended(&mut fresh, &vectors, ..);
+        comp.run(&mut fresh, se, &vectors, true, ..);
         let reference: Vec<u64> = fresh.trace().iter().map(|x| x.to_bits()).collect();
         let ref_energy: Vec<u64> = fresh
             .cycle_energy_fj()
@@ -607,8 +540,14 @@ mod tests {
 
         // Dirty the scratch with a different window, then re-run.
         let mut reused = EngineScratch::new();
-        comp.run_single_ended(&mut reused, &[vec![true, false], vec![true, true]], 1..2);
-        comp.run_single_ended(&mut reused, &vectors, ..);
+        comp.run(
+            &mut reused,
+            se,
+            &[vec![true, false], vec![true, true]],
+            true,
+            1..2,
+        );
+        comp.run(&mut reused, se, &vectors, true, ..);
         let got: Vec<u64> = reused.trace().iter().map(|x| x.to_bits()).collect();
         let got_energy: Vec<u64> = reused
             .cycle_energy_fj()

@@ -69,7 +69,7 @@ impl SimConfig {
     /// Checks that every feature this configuration requests is
     /// supported by `backend` — the single validation point for
     /// backend/config combinations, meant to run at *option-validation
-    /// time* (CLI parsing, job-request validation) so an unsupported
+    /// time* (serve's request validation) so an unsupported
     /// combination fails with a typed error before any flow stage or
     /// campaign work is spent on it. The kernels call it again on
     /// build as a backstop, so the error is identical wherever it
@@ -83,7 +83,7 @@ impl SimConfig {
     pub fn validate_backend(&self, backend: SimBackend) -> Result<(), SimError> {
         if backend == SimBackend::Bitslice && self.record_waveform {
             return Err(SimError::UnsupportedConfig {
-                backend: backend.name().into(),
+                backend: "bitslice".into(),
                 detail: "record_waveform requires the event backend".into(),
             });
         }

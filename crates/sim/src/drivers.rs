@@ -1,10 +1,10 @@
-//! One-shot simulation entry points: single-ended CMOS and two-phase
-//! WDDL windows on the one-lane event kernel.
+//! The one-shot simulation entry point, [`simulate`]: one window on the
+//! one-lane event kernel under any [`CycleDriver`].
 //!
-//! These compile the netlist ([`crate::CompiledSim::build`]) and run a
+//! It compiles the netlist ([`crate::CompiledSim::build`]) and runs a
 //! single window. Campaign code that simulates many windows of the
-//! same netlist should compile once and call `CompiledSim::run_*` with
-//! a reused [`crate::EngineScratch`] instead — same results, no
+//! same netlist should compile once and call [`crate::LaneSim::run`]
+//! with a reused [`crate::EngineScratch`] instead — same results, no
 //! per-window setup.
 
 use secflow_cells::Library;
@@ -14,6 +14,7 @@ use secflow_netlist::{NetId, Netlist};
 use crate::compiled::{CompiledSim, EngineScratch};
 use crate::config::SimConfig;
 use crate::error::SimError;
+use crate::kernel::CycleDriver;
 use crate::load::LoadModel;
 use crate::noise::add_gaussian_noise;
 
@@ -53,18 +54,15 @@ impl SimResult {
     }
 }
 
-/// Applies the post-simulation measurement-noise model, if configured.
-fn finish(mut result: SimResult, cfg: &SimConfig) -> SimResult {
-    if cfg.noise_sigma > 0.0 {
-        add_gaussian_noise(&mut result.trace, cfg.noise_sigma, cfg.noise_seed);
-    }
-    result
-}
-
-/// Simulates a single-ended (regular CMOS) netlist.
+/// Simulates one window of `nl` under `driver`, every cycle measured,
+/// then applies the measurement-noise model if `cfg` sets one.
 ///
-/// `input_vectors[c][i]` is the value of primary input `i` (in
-/// [`Netlist::inputs`] order) during cycle `c`. Registers reset to 0.
+/// `vectors[c][i]` is the value of input `i` during cycle `c`: of
+/// primary input `i` (in [`Netlist::inputs`] order) under the
+/// single-ended and glitch-free drivers, of logical input pair `i`
+/// under [`CycleDriver::Wddl`], which precharges every pair and
+/// register output to `(0, 0)` in the first phase of each cycle and
+/// drives `(v, ¬v)` in the evaluation phase. Registers reset to 0.
 ///
 /// # Errors
 ///
@@ -74,50 +72,24 @@ fn finish(mut result: SimResult, cfg: &SimConfig) -> SimResult {
 ///
 /// # Panics
 ///
-/// Panics if any vector length differs from the input count.
-pub fn simulate_single_ended(
+/// Panics if any vector length differs from the driver's input count.
+pub fn simulate(
     nl: &Netlist,
     lib: &Library,
     parasitics: Option<&Parasitics>,
     cfg: &SimConfig,
-    input_vectors: &[Vec<bool>],
+    driver: CycleDriver<'_>,
+    vectors: &[Vec<bool>],
 ) -> Result<SimResult, SimError> {
     let load = LoadModel::try_build(nl, lib, parasitics)?;
     let comp = CompiledSim::build(nl, lib, &load, cfg)?;
     let mut scratch = EngineScratch::new();
-    comp.run_single_ended(&mut scratch, input_vectors, ..);
-    Ok(finish(scratch.take_sim_result(), cfg))
-}
-
-/// Simulates a WDDL differential netlist through the two-phase
-/// precharge/evaluate protocol.
-///
-/// `input_pairs[i]` is the `(true-rail, false-rail)` net pair of
-/// logical input `i`; `input_vectors[c][i]` its logical value during
-/// cycle `c`. In the first (precharge) phase of every cycle all input
-/// pairs and register outputs are driven to `(0, 0)`; in the
-/// evaluation phase to `(v, ¬v)`.
-///
-/// # Errors
-///
-/// See [`simulate_single_ended`].
-///
-/// # Panics
-///
-/// Panics if vector lengths are inconsistent.
-pub fn simulate_wddl(
-    nl: &Netlist,
-    lib: &Library,
-    parasitics: Option<&Parasitics>,
-    cfg: &SimConfig,
-    input_pairs: &[(NetId, NetId)],
-    input_vectors: &[Vec<bool>],
-) -> Result<SimResult, SimError> {
-    let load = LoadModel::try_build(nl, lib, parasitics)?;
-    let comp = CompiledSim::build(nl, lib, &load, cfg)?;
-    let mut scratch = EngineScratch::new();
-    comp.run_wddl(&mut scratch, input_pairs, input_vectors, ..);
-    Ok(finish(scratch.take_sim_result(), cfg))
+    comp.run(&mut scratch, driver, vectors, true, ..);
+    let mut result = scratch.take_sim_result();
+    if cfg.noise_sigma > 0.0 {
+        add_gaussian_noise(&mut result.trace, cfg.noise_sigma, cfg.noise_seed);
+    }
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -149,7 +121,7 @@ mod tests {
             vec![true, true],
             vec![true, true],
         ];
-        let r = simulate_single_ended(&nl, &lib, None, &cfg, &vectors).unwrap();
+        let r = simulate(&nl, &lib, None, &cfg, CycleDriver::SingleEnded, &vectors).unwrap();
         // q lags y by one cycle: cycles observe q = prev cycle's a&b.
         let qs: Vec<bool> = r.outputs_per_cycle.iter().map(|o| o[0]).collect();
         assert_eq!(qs, vec![false, true, false, true]);
@@ -163,7 +135,7 @@ mod tests {
         let cfg = SimConfig::default();
         // Cycle 1 with activity, cycle 2 without.
         let vectors = vec![vec![true, true], vec![true, true], vec![true, true]];
-        let r = simulate_single_ended(&nl, &lib, None, &cfg, &vectors).unwrap();
+        let r = simulate(&nl, &lib, None, &cfg, CycleDriver::SingleEnded, &vectors).unwrap();
         // After the first cycle everything is stable: no switching.
         assert!(r.cycle_energy_fj[0] > 0.0);
         assert_eq!(r.cycle_energy_fj[2], 0.0);
@@ -178,7 +150,15 @@ mod tests {
         nl.mark_output(y);
         let lib = Library::lib180();
         let cfg = SimConfig::default();
-        let err = simulate_single_ended(&nl, &lib, None, &cfg, &[vec![false]]).unwrap_err();
+        let err = simulate(
+            &nl,
+            &lib,
+            None,
+            &cfg,
+            CycleDriver::SingleEnded,
+            &[vec![false]],
+        )
+        .unwrap_err();
         assert_eq!(
             err,
             SimError::UnknownCell {
@@ -230,7 +210,7 @@ mod tests {
         let lib = wddl_lib();
         let cfg = SimConfig::default();
         let vectors = vec![vec![true, true], vec![false, true], vec![true, false]];
-        let r = simulate_wddl(&nl, &lib, None, &cfg, &pairs, &vectors).unwrap();
+        let r = simulate(&nl, &lib, None, &cfg, CycleDriver::Wddl(&pairs), &vectors).unwrap();
         // Outputs (qt, qf) show previous cycle's AND value.
         let got: Vec<(bool, bool)> = r.outputs_per_cycle.iter().map(|o| (o[0], o[1])).collect();
         // At the end of cycle c the register outputs hold the value
@@ -249,7 +229,7 @@ mod tests {
         let cfg = SimConfig::default();
         // Two very different input sequences.
         let run = |vectors: Vec<Vec<bool>>| {
-            simulate_wddl(&nl, &lib, None, &cfg, &pairs, &vectors).unwrap()
+            simulate(&nl, &lib, None, &cfg, CycleDriver::Wddl(&pairs), &vectors).unwrap()
         };
         let r1 = run(vec![vec![true, true]; 4]);
         let r2 = run(vec![
@@ -276,7 +256,7 @@ mod tests {
             ..Default::default()
         };
         let vectors = vec![vec![true, true]; 3];
-        let r = simulate_wddl(&nl, &lib, None, &cfg, &pairs, &vectors).unwrap();
+        let r = simulate(&nl, &lib, None, &cfg, CycleDriver::Wddl(&pairs), &vectors).unwrap();
         assert!(r.wddl_alarms.iter().any(|&a| a > 0), "no alarm raised");
     }
 
@@ -298,8 +278,9 @@ mod tests {
             vec![vec![false, false], vec![true, false], vec![true, true]],
         ];
         for vectors in &windows {
-            let legacy = simulate_wddl(&nl, &lib, None, &cfg, &pairs, vectors).unwrap();
-            comp.run_wddl(&mut scratch, &pairs, vectors, ..);
+            let legacy =
+                simulate(&nl, &lib, None, &cfg, CycleDriver::Wddl(&pairs), vectors).unwrap();
+            comp.run(&mut scratch, CycleDriver::Wddl(&pairs), vectors, true, ..);
             let legacy_bits: Vec<u64> = legacy.trace.iter().map(|x| x.to_bits()).collect();
             let compiled_bits: Vec<u64> = scratch.trace().iter().map(|x| x.to_bits()).collect();
             assert_eq!(legacy_bits, compiled_bits);
@@ -321,11 +302,7 @@ mod glitch_free_tests {
         cfg: &SimConfig,
         vectors: &[Vec<bool>],
     ) -> SimResult {
-        let load = LoadModel::try_build(nl, lib, None).unwrap();
-        let comp = CompiledSim::build(nl, lib, &load, cfg).unwrap();
-        let mut scratch = EngineScratch::new();
-        comp.run_single_ended_glitch_free(&mut scratch, vectors, ..);
-        scratch.take_sim_result()
+        simulate(nl, lib, None, cfg, CycleDriver::GlitchFree, vectors).unwrap()
     }
 
     #[test]
@@ -379,7 +356,7 @@ mod glitch_free_tests {
         let vectors: Vec<Vec<bool>> = (0..16u32)
             .map(|i| vec![i & 1 == 1, i >> 1 & 1 == 1, i >> 2 & 1 == 1])
             .collect();
-        let ev = simulate_single_ended(&nl, &lib, None, &cfg, &vectors).unwrap();
+        let ev = simulate(&nl, &lib, None, &cfg, CycleDriver::SingleEnded, &vectors).unwrap();
         let gf = glitch_free(&nl, &lib, &cfg, &vectors);
         let ev_total: f64 = ev.cycle_energy_fj.iter().sum();
         let gf_total: f64 = gf.cycle_energy_fj.iter().sum();
@@ -422,9 +399,16 @@ mod crosstalk_tests {
             samples_per_cycle: 40,
             ..Default::default()
         };
-        simulate_single_ended(nl, &lib, Some(par), &cfg, &vectors)
-            .unwrap()
-            .cycle_energy_fj[1]
+        simulate(
+            nl,
+            &lib,
+            Some(par),
+            &cfg,
+            CycleDriver::SingleEnded,
+            &vectors,
+        )
+        .unwrap()
+        .cycle_energy_fj[1]
     }
 
     #[test]

@@ -420,6 +420,13 @@ impl<W: LaneWord> LaneScratch<W> {
         self.cycle_energy[cycle * W::LANES + lane]
     }
 
+    /// One lane's rising-transition count of one cycle: at one lane
+    /// every simulated cycle's, at more lanes 0 for cycles that were not
+    /// measured (their rises are in [`Self::total_rises`] only).
+    pub fn lane_rises(&self, cycle: usize, lane: usize) -> u64 {
+        self.cycle_rises[cycle * W::LANES + lane]
+    }
+
     /// Rising transitions summed over every simulated cycle and live
     /// lane of the last run, measured or not — a deterministic function
     /// of (design, stimuli). Settled cycles the kernel did not

@@ -87,7 +87,7 @@ fn sanitize(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate_single_ended, SimConfig};
+    use crate::{simulate, CycleDriver, SimConfig};
     use secflow_cells::Library;
     use secflow_netlist::GateKind;
 
@@ -114,7 +114,15 @@ mod tests {
             record_waveform: true,
             ..Default::default()
         };
-        let r = simulate_single_ended(&nl, &lib, None, &cfg, &[vec![true], vec![false]]).unwrap();
+        let r = simulate(
+            &nl,
+            &lib,
+            None,
+            &cfg,
+            CycleDriver::SingleEnded,
+            &[vec![true], vec![false]],
+        )
+        .unwrap();
         assert!(!r.waveform.is_empty());
         let vcd = write_vcd(&nl, &r.waveform, "t");
         assert!(vcd.contains("$var wire 1"));
@@ -136,7 +144,15 @@ mod tests {
             samples_per_cycle: 20,
             ..Default::default()
         };
-        let r = simulate_single_ended(&nl, &lib, None, &cfg, &[vec![true]]).unwrap();
+        let r = simulate(
+            &nl,
+            &lib,
+            None,
+            &cfg,
+            CycleDriver::SingleEnded,
+            &[vec![true]],
+        )
+        .unwrap();
         assert!(r.waveform.is_empty());
     }
 

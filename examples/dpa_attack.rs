@@ -12,7 +12,7 @@ use secflow::crypto::dpa_module::{des_dpa_design, PAPER_KEY};
 use secflow::dpa::attack::mtd_scan;
 use secflow::dpa::harness::{collect_des_traces, DesTarget};
 use secflow::flow::{run_regular_flow, run_secure_flow, FlowOptions};
-use secflow::sim::{SimBackend, SimConfig};
+use secflow::sim::{CycleDriver, SimBackend, SimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n: usize = std::env::args()
@@ -39,8 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 netlist: &regular.netlist,
                 lib: &lib,
                 parasitics: Some(&regular.parasitics),
-                wddl_inputs: None,
-                glitch_free: false,
+                driver: CycleDriver::SingleEnded,
                 backend: SimBackend::Event,
             },
         ),
@@ -50,8 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 netlist: &secure.substitution.differential,
                 lib: &secure.substitution.diff_lib,
                 parasitics: Some(&secure.parasitics),
-                wddl_inputs: Some(&secure.substitution.input_pairs),
-                glitch_free: false,
+                driver: CycleDriver::Wddl(&secure.substitution.input_pairs),
                 backend: SimBackend::Event,
             },
         ),

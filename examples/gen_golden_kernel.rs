@@ -20,7 +20,7 @@ use secflow::cells::Library;
 use secflow::crypto::dpa_module::des_dpa_design;
 use secflow::dpa::harness::{collect_des_traces, DesTarget, TraceSet};
 use secflow::flow::substitute;
-use secflow::sim::{SimBackend, SimConfig};
+use secflow::sim::{CycleDriver, SimBackend, SimConfig};
 use secflow::synth::{map_design, MapOptions};
 
 fn render(set: &TraceSet) -> String {
@@ -51,8 +51,7 @@ fn main() {
             netlist: &mapped,
             lib: &lib,
             parasitics: None,
-            wddl_inputs: None,
-            glitch_free: false,
+            driver: CycleDriver::SingleEnded,
             backend: SimBackend::Event,
         },
         &cfg,
@@ -66,8 +65,7 @@ fn main() {
             netlist: &sub.differential,
             lib: &sub.diff_lib,
             parasitics: None,
-            wddl_inputs: Some(&sub.input_pairs),
-            glitch_free: false,
+            driver: CycleDriver::Wddl(&sub.input_pairs),
             backend: SimBackend::Event,
         },
         &cfg,

@@ -5,9 +5,10 @@
 //! would corrupt every downstream MTD/attack figure. These tests pin
 //! that contract three ways:
 //!
-//! 1. full campaigns on the golden DES regular and WDDL netlists must
-//!    match the event backend byte-for-byte (`f64::to_bits`) at 1, 2
-//!    and 8 worker threads;
+//! 1. full campaigns on the golden DES regular and WDDL netlists, and
+//!    on both extracted DES implementations, must match the event
+//!    backend byte-for-byte (`f64::to_bits`) at 1, 2 and 8 worker
+//!    threads;
 //! 2. ragged campaign sizes (1, 63, 64, 65, 2500 — non-multiples of
 //!    the 64-lane width) must match exactly, proving dead-lane masking
 //!    never leaks into the live lanes;
@@ -21,7 +22,7 @@ use secflow::exec::with_threads;
 use secflow::flow::substitute;
 use secflow::netlist::{GateKind, NetId, Netlist};
 use secflow::sim::{
-    BitScratch, BitSim, CompiledSim, EngineScratch, LoadModel, SimBackend, SimConfig,
+    BitScratch, BitSim, CompiledSim, CycleDriver, EngineScratch, LoadModel, SimBackend, SimConfig,
 };
 use secflow::synth::{map_design, MapOptions};
 use secflow_testkit::Gen;
@@ -56,8 +57,7 @@ fn regular_des_campaign_is_byte_identical_at_1_2_and_8_threads() {
         netlist: &mapped,
         lib: &lib,
         parasitics: None,
-        wddl_inputs: None,
-        glitch_free: false,
+        driver: CycleDriver::SingleEnded,
         backend: SimBackend::Event,
     };
     let cfg = SimConfig {
@@ -80,8 +80,7 @@ fn wddl_des_campaign_is_byte_identical_at_1_2_and_8_threads() {
         netlist: &sub.differential,
         lib: &sub.diff_lib,
         parasitics: None,
-        wddl_inputs: Some(&sub.input_pairs),
-        glitch_free: false,
+        driver: CycleDriver::Wddl(&sub.input_pairs),
         backend: SimBackend::Event,
     };
     let cfg = SimConfig {
@@ -102,13 +101,12 @@ fn wddl_des_campaign_is_byte_identical_at_1_2_and_8_threads() {
 fn noisy_and_glitch_free_campaigns_are_byte_identical() {
     let lib = Library::lib180();
     let mapped = map_design(&des_dpa_design(), &lib, &MapOptions::default()).expect("mapping");
-    for glitch_free in [false, true] {
+    for driver in [CycleDriver::SingleEnded, CycleDriver::GlitchFree] {
         let target = DesTarget {
             netlist: &mapped,
             lib: &lib,
             parasitics: None,
-            wddl_inputs: None,
-            glitch_free,
+            driver,
             backend: SimBackend::Event,
         };
         let cfg = SimConfig {
@@ -119,7 +117,7 @@ fn noisy_and_glitch_free_campaigns_are_byte_identical() {
         };
         let event = campaign(&target, &cfg, 70, 1);
         let bs = campaign(&target.with_backend(SimBackend::Bitslice), &cfg, 70, 2);
-        assert_identical(&event, &bs, &format!("noisy glitch_free={glitch_free}"));
+        assert_identical(&event, &bs, &format!("noisy {driver:?}"));
     }
 }
 
@@ -133,8 +131,7 @@ fn ragged_campaign_sizes_match_the_event_kernel() {
         netlist: &mapped,
         lib: &lib,
         parasitics: None,
-        wddl_inputs: None,
-        glitch_free: false,
+        driver: CycleDriver::SingleEnded,
         backend: SimBackend::Event,
     };
     let cfg = SimConfig {
@@ -151,32 +148,57 @@ fn ragged_campaign_sizes_match_the_event_kernel() {
 /// The crosstalk adjustment depends on *per-lane* transition history
 /// of coupled neighbours, the one piece of engine state a naive
 /// bitslice drops. Extracted layout parasitics (with couplings) must
-/// therefore also survive the backend swap byte-for-byte.
+/// therefore also survive the backend swap byte-for-byte: on the WDDL
+/// implementation, and on the regular one under both the event-driven
+/// and the glitch-free power model, at 1, 2 and 8 threads.
 #[test]
 fn wddl_campaign_with_extracted_parasitics_is_byte_identical() {
-    use secflow::flow::{run_secure_flow, FlowOptions};
+    use secflow::flow::{run_regular_flow, run_secure_flow, FlowOptions};
     let lib = Library::lib180();
     let opts = FlowOptions {
         anneal_moves_per_gate: 40,
         ..Default::default()
     };
     let sec = run_secure_flow(&des_dpa_design(), &lib, &opts).expect("secure flow");
+    let reg = run_regular_flow(&des_dpa_design(), &lib, &opts).expect("regular flow");
     let sub = &sec.substitution;
-    let target = DesTarget {
+    let wddl = DesTarget {
         netlist: &sub.differential,
         lib: &sub.diff_lib,
         parasitics: Some(&sec.parasitics),
-        wddl_inputs: Some(&sub.input_pairs),
-        glitch_free: false,
+        driver: CycleDriver::Wddl(&sub.input_pairs),
         backend: SimBackend::Event,
+    };
+    let regular = DesTarget {
+        netlist: &reg.netlist,
+        lib: &lib,
+        parasitics: Some(&reg.parasitics),
+        driver: CycleDriver::SingleEnded,
+        backend: SimBackend::Event,
+    };
+    let glitch_free = DesTarget {
+        driver: CycleDriver::GlitchFree,
+        ..regular
     };
     let cfg = SimConfig {
         samples_per_cycle: 50,
         ..Default::default()
     };
-    let event = campaign(&target, &cfg, 12, 1);
-    let bs = campaign(&target.with_backend(SimBackend::Bitslice), &cfg, 12, 2);
-    assert_identical(&event, &bs, "wddl with parasitics");
+    for (label, target, n) in [
+        ("wddl", wddl, 12),
+        ("regular", regular, 70),
+        ("regular glitch-free", glitch_free, 70),
+    ] {
+        let event = campaign(&target, &cfg, n, 1);
+        for threads in [1usize, 2, 8] {
+            let bs = campaign(&target.with_backend(SimBackend::Bitslice), &cfg, n, threads);
+            assert_identical(
+                &event,
+                &bs,
+                &format!("{label} with parasitics at {threads} threads"),
+            );
+        }
+    }
 }
 
 /// Draws a random acyclic gate-level netlist over lib180 cells, with
@@ -305,15 +327,16 @@ fn prop_random_netlists_match_event_kernel_per_lane() {
             }
         };
 
+        let se = CycleDriver::SingleEnded;
         let mut bs = BitScratch::new();
         let mut bt = BitScratch::new();
-        sim.run_single_ended(&mut bs, &packed, active, ..);
+        sim.run(&mut bs, se, &packed, active, ..);
         let [events, evals, rises] = expected_work(&mut |k| {
-            sim.run_single_ended(&mut bt, &packed[..k], active, ..);
+            sim.run(&mut bt, se, &packed[..k], active, ..);
             [bt.events_processed(), bt.gate_evals(), bt.total_rises()]
         });
         let mut bm = BitScratch::new();
-        sim.run_single_ended(&mut bm, &packed, active, m..=m);
+        sim.run(&mut bm, se, &packed, active, m..=m);
         assert_eq!(bm.total_rises(), rises, "measured bitslice rises");
         assert_eq!(bm.events_processed(), events, "measured bitslice events");
         assert_eq!(bm.gate_evals(), evals, "measured bitslice evals");
@@ -323,13 +346,13 @@ fn prop_random_netlists_match_event_kernel_per_lane() {
         let mut em = EngineScratch::new();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (l, win) in windows.iter().enumerate() {
-            comp.run_single_ended(&mut es, win, ..);
+            comp.run(&mut es, se, win, true, ..);
             // Per-cycle toggle vector: the power model's currency.
-            let toggles: Vec<u64> = (0..n_cycles).map(|c| bs.cycle_rises(c, l)).collect();
+            let toggles: Vec<u64> = (0..n_cycles).map(|c| bs.lane_rises(c, l)).collect();
             assert_eq!(&toggles[..], es.cycle_rises(), "toggles lane {l}");
             for c in 0..n_cycles {
                 assert_eq!(
-                    bs.cycle_energy_fj(c, l).to_bits(),
+                    bs.lane_energy_fj(c, l).to_bits(),
                     es.cycle_energy_fj()[c].to_bits(),
                     "energy lane {l} cycle {c}"
                 );
@@ -340,20 +363,20 @@ fn prop_random_netlists_match_event_kernel_per_lane() {
             }
 
             // The measured cycle, on both kernels.
-            comp.run_single_ended(&mut em, win, m..=m);
+            comp.run(&mut em, se, win, true, m..=m);
             let want = bits(es.cycle_trace(m));
             assert_eq!(bits(em.cycle_trace(m)), want, "measured event trace lane {l}");
-            assert_eq!(bits(&bm.cycle_trace(m, l)), want, "measured bitslice trace lane {l}");
+            assert_eq!(bits(&bm.lane_cycle_trace(m, l)), want, "measured bitslice trace lane {l}");
             let e = es.cycle_energy_fj()[m].to_bits();
             assert_eq!(em.cycle_energy_fj()[m].to_bits(), e, "measured event energy lane {l}");
-            assert_eq!(bm.cycle_energy_fj(m, l).to_bits(), e, "measured bitslice energy lane {l}");
-            assert_eq!(bm.cycle_rises(m, l), es.cycle_rises()[m], "measured rises lane {l}");
+            assert_eq!(bm.lane_energy_fj(m, l).to_bits(), e, "measured bitslice energy lane {l}");
+            assert_eq!(bm.lane_rises(m, l), es.cycle_rises()[m], "measured rises lane {l}");
             let rises: Vec<u64> = (0..n_cycles)
                 .map(|c| if settles && c != m { 0 } else { es.cycle_rises()[c] })
                 .collect();
             assert_eq!(em.cycle_rises(), &rises[..], "measured event rises lane {l}");
             let [events, evals, _] = expected_work(&mut |k| {
-                comp.run_single_ended(&mut et, &win[..k], ..);
+                comp.run(&mut et, se, &win[..k], true, ..);
                 [et.events_processed(), et.gate_evals(), 0]
             });
             assert_eq!(em.events_processed(), events, "events lane {l}");

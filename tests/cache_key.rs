@@ -13,7 +13,7 @@ use std::collections::HashSet;
 
 use secflow::flow::{DecomposeStyle, FlowOptions};
 use secflow::serve::{flow_options_bytes, sim_config_bytes, stage_key, CacheStage};
-use secflow::sim::{SimBackend, SimConfig};
+use secflow::sim::SimConfig;
 
 /// One mutation per [`FlowOptions`] field (nested structs included).
 fn flow_option_mutations() -> Vec<(&'static str, FlowOptions)> {
@@ -54,7 +54,6 @@ fn flow_option_mutations() -> Vec<(&'static str, FlowOptions)> {
         }),
         m("verify", &|o| o.verify = !o.verify),
         m("bdd_gate_limit", &|o| o.bdd_gate_limit += 1),
-        m("sim_backend", &|o| o.sim_backend = SimBackend::Bitslice),
     ]
 }
 
@@ -164,11 +163,11 @@ fn golden_pinned_hashes() {
     let opts = flow_options_bytes(&FlowOptions::default());
     assert_eq!(
         stage_key(b"builtin:des_dpa", &opts, CacheStage::Map).to_hex(),
-        "d284fe521026ed6fdbb7393c7ef7db75",
+        "35509198fa820ebee60c868f2372a6e6",
     );
     assert_eq!(
         stage_key(b"builtin:des_dpa/secure", &opts, CacheStage::Backend).to_hex(),
-        "562d3e3b55b3d956e581e8cc2714bcf9",
+        "b56924e28d9f307a456a30d687d066b9",
     );
     let cfg = sim_config_bytes(&SimConfig::default());
     assert_eq!(

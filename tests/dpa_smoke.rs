@@ -13,7 +13,7 @@ use secflow::dpa::stats::EnergyStats;
 use secflow::flow::{
     run_regular_flow, run_secure_flow, FlowOptions, RegularFlowResult, SecureFlowResult,
 };
-use secflow::sim::{SimBackend, SimConfig};
+use secflow::sim::{CycleDriver, SimBackend, SimConfig};
 
 const N_TRACES: usize = 250;
 const SEED: u64 = 11;
@@ -58,8 +58,7 @@ fn regular_traces(n: usize, seed: u64) -> TraceSet {
             netlist: &f.regular.netlist,
             lib: &f.lib,
             parasitics: Some(&f.regular.parasitics),
-            wddl_inputs: None,
-            glitch_free: false,
+            driver: CycleDriver::SingleEnded,
             backend: SimBackend::Event,
         },
         &sim_config(),
@@ -77,8 +76,7 @@ fn secure_traces(n: usize, seed: u64) -> TraceSet {
             netlist: &f.secure.substitution.differential,
             lib: &f.secure.substitution.diff_lib,
             parasitics: Some(&f.secure.parasitics),
-            wddl_inputs: Some(&f.secure.substitution.input_pairs),
-            glitch_free: false,
+            driver: CycleDriver::Wddl(&f.secure.substitution.input_pairs),
             backend: SimBackend::Event,
         },
         &sim_config(),

@@ -16,7 +16,7 @@ use secflow::dpa::harness::{collect_des_traces, DesTarget, TraceSet};
 use secflow::exec::with_threads;
 use secflow::extract::{extract, Parasitics, Technology};
 use secflow::pnr::{place, route, PlaceOptions, RouteOptions};
-use secflow::sim::{SimBackend, SimConfig};
+use secflow::sim::{CycleDriver, SimBackend, SimConfig};
 use secflow::synth::{map_design, MapOptions};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -42,8 +42,7 @@ fn campaign_and_dpa_are_identical_across_thread_counts() {
         netlist: &mapped,
         lib: &lib,
         parasitics: None,
-        wddl_inputs: None,
-        glitch_free: false,
+        driver: CycleDriver::SingleEnded,
         backend: SimBackend::Event,
     };
 

@@ -17,7 +17,7 @@ use secflow::netlist::{parse_verilog, GateKind, Netlist, NetlistError};
 use secflow::pnr::{
     place, route, GridPitch, PlaceError, PlaceOptions, RouteError, RouteOptions,
 };
-use secflow::sim::{simulate_single_ended, BitSim, LoadModel, SimConfig, SimError};
+use secflow::sim::{simulate, BitSim, CycleDriver, LoadModel, SimConfig, SimError};
 use secflow::synth::{map_design, Design, MapError, MapOptions};
 use secflow_testkit::fault;
 
@@ -236,18 +236,27 @@ fn run_battery() {
         ..Default::default()
     };
     let vectors = vec![vec![true]];
-    let e = simulate_single_ended(
+    let se = CycleDriver::SingleEnded;
+    let e = simulate(
         &fault::combinational_loop_netlist(),
         &lib,
         None,
         &cfg,
+        se,
         &[vec![]],
     )
     .expect_err("cyclic netlist must not simulate");
     assert!(matches!(e, SimError::CombinationalCycle { .. }), "{e:?}");
     assert_flow_error(e, Stage::Sim);
-    let e = simulate_single_ended(&fault::unknown_cell_netlist(), &lib, None, &cfg, &vectors)
-        .expect_err("unknown cell must not simulate");
+    let e = simulate(
+        &fault::unknown_cell_netlist(),
+        &lib,
+        None,
+        &cfg,
+        se,
+        &vectors,
+    )
+    .expect_err("unknown cell must not simulate");
     assert!(
         matches!(&e, SimError::UnknownCell { cell, .. } if cell == "NOT_A_CELL"),
         "{e:?}"
@@ -371,7 +380,8 @@ fn wrong_pin_counts_are_a_typed_sim_error() {
     for (label, src) in BAD_PIN_NETLISTS {
         let nl = parse_bad(src, &lib);
         let vectors = vec![vec![false; nl.inputs().len()]];
-        let e = simulate_single_ended(&nl, &lib, None, &cfg, &vectors).expect_err(label);
+        let e =
+            simulate(&nl, &lib, None, &cfg, CycleDriver::SingleEnded, &vectors).expect_err(label);
         assert!(
             matches!(&e, SimError::PinCount { gate, cell, .. } if gate == "g0" && cell == "AND2"),
             "{label}: {e:?}"

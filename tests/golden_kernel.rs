@@ -16,7 +16,7 @@ use secflow::crypto::dpa_module::des_dpa_design;
 use secflow::dpa::harness::{collect_des_traces, DesTarget};
 use secflow::exec::with_threads;
 use secflow::flow::substitute;
-use secflow::sim::{SimBackend, SimConfig};
+use secflow::sim::{CycleDriver, SimBackend, SimConfig};
 use secflow::synth::{map_design, MapOptions};
 
 /// Parsed golden file: per-encryption `(energy_bits, trace_bits)`.
@@ -81,8 +81,7 @@ fn single_ended_campaign_matches_golden_at_all_thread_counts() {
             netlist: &mapped,
             lib: &lib,
             parasitics: None,
-            wddl_inputs: None,
-            glitch_free: false,
+            driver: CycleDriver::SingleEnded,
             backend: SimBackend::Event,
         },
     );
@@ -99,8 +98,7 @@ fn wddl_campaign_matches_golden_at_all_thread_counts() {
             netlist: &sub.differential,
             lib: &sub.diff_lib,
             parasitics: None,
-            wddl_inputs: Some(&sub.input_pairs),
-            glitch_free: false,
+            driver: CycleDriver::Wddl(&sub.input_pairs),
             backend: SimBackend::Event,
         },
     );

@@ -25,7 +25,6 @@
 //! the look-ahead of the measured-cycle mode. Constructed cases below
 //! fail one clause of the settle test each.
 
-use std::ops::Range;
 use std::sync::OnceLock;
 
 use secflow::cells::Library;
@@ -36,7 +35,9 @@ use secflow::flow::{
 };
 use secflow::netlist::{GateKind, NetId, Netlist};
 use secflow::rand::{RngExt, SeedableRng, StdRng};
-use secflow::sim::{BitScratch, BitSim, CompiledSim, EngineScratch, LoadModel, SimConfig};
+use secflow::sim::{
+    BitScratch, BitSim, CompiledSim, CycleDriver, EngineScratch, LoadModel, SimConfig,
+};
 
 const LANES: usize = 64;
 const CYCLES: usize = 5;
@@ -61,8 +62,7 @@ struct Imp<'a> {
     netlist: &'a Netlist,
     lib: &'a Library,
     parasitics: &'a Parasitics,
-    /// `Some` selects the WDDL driver.
-    pairs: Option<&'a [(NetId, NetId)]>,
+    driver: CycleDriver<'a>,
 }
 
 fn implementations() -> [Imp<'static>; 2] {
@@ -74,14 +74,14 @@ fn implementations() -> [Imp<'static>; 2] {
             netlist: &regular.netlist,
             lib,
             parasitics: &regular.parasitics,
-            pairs: None,
+            driver: CycleDriver::SingleEnded,
         },
         Imp {
             name: "secure",
             netlist: &sub.differential,
             lib: &sub.diff_lib,
             parasitics: &secure.parasitics,
-            pairs: Some(&sub.input_pairs),
+            driver: CycleDriver::Wddl(&sub.input_pairs),
         },
     ]
 }
@@ -125,33 +125,6 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-fn run_event(
-    comp: &CompiledSim,
-    s: &mut EngineScratch,
-    imp: &Imp<'_>,
-    win: &[Vec<bool>],
-    measured: Range<usize>,
-) {
-    match imp.pairs {
-        Some(pairs) => comp.run_wddl(s, pairs, win, measured),
-        None => comp.run_single_ended(s, win, measured),
-    }
-}
-
-fn run_bitslice(
-    sim: &BitSim,
-    s: &mut BitScratch,
-    imp: &Imp<'_>,
-    packed: &[Vec<u64>],
-    active: u64,
-    measured: Range<usize>,
-) {
-    match imp.pairs {
-        Some(pairs) => sim.run_wddl(s, pairs, packed, active, measured),
-        None => sim.run_single_ended(s, packed, active, measured),
-    }
-}
-
 /// Everything a whole-window scalar run reports for one lane.
 struct Reference {
     trace: Vec<u64>,
@@ -172,7 +145,7 @@ fn reference(
 ) -> Reference {
     let prefix = (0..=CYCLES)
         .map(|k| {
-            run_event(comp, s, imp, &win[..k], 0..k);
+            comp.run(s, imp.driver, &win[..k], true, 0..k);
             [
                 s.events_processed(),
                 s.gate_evals(),
@@ -230,9 +203,9 @@ fn measured_cycles_equal_whole_window_cycles_on_both_kernels() {
             let comp = CompiledSim::build(imp.netlist, imp.lib, &load, &cfg).unwrap();
             let sim = BitSim::build(imp.netlist, imp.lib, &load, &cfg).unwrap();
             let label = format!("{} at {} ps / {spc} spc", imp.name, cfg.period_ps);
-            let (settles, bs_settles) = match imp.pairs {
-                Some(_) => (comp.settles_wddl(), sim.settles_wddl()),
-                None => (comp.settles_single_ended(), sim.settles_single_ended()),
+            let (settles, bs_settles) = match imp.driver {
+                CycleDriver::Wddl(_) => (comp.settles_wddl(), sim.settles_wddl()),
+                _ => (comp.settles_single_ended(), sim.settles_single_ended()),
             };
             assert_eq!(
                 bs_settles, settles,
@@ -252,7 +225,7 @@ fn measured_cycles_equal_whole_window_cycles_on_both_kernels() {
                 .collect();
             for (l, (win, r)) in windows.iter().zip(&refs).enumerate() {
                 for m in 0..CYCLES {
-                    run_event(&comp, &mut s, &imp, win, m..m + 1);
+                    comp.run(&mut s, imp.driver, win, true, m..m + 1);
                     let at = format!("{label}, event lane {l}, cycle {m}");
                     assert_eq!(
                         bits(s.cycle_trace(m)),
@@ -289,7 +262,7 @@ fn measured_cycles_equal_whole_window_cycles_on_both_kernels() {
                 let mut full = BitScratch::new();
                 let prefix: Vec<[u64; 3]> = (0..=CYCLES)
                     .map(|k| {
-                        run_bitslice(&sim, &mut full, &imp, &packed[..k], active, 0..k);
+                        sim.run(&mut full, imp.driver, &packed[..k], active, 0..k);
                         [
                             full.events_processed(),
                             full.gate_evals(),
@@ -305,7 +278,7 @@ fn measured_cycles_equal_whole_window_cycles_on_both_kernels() {
                 );
                 let mut bs = BitScratch::new();
                 for m in 0..CYCLES {
-                    run_bitslice(&sim, &mut bs, &imp, &packed, active, m..m + 1);
+                    sim.run(&mut bs, imp.driver, &packed, active, m..m + 1);
                     let at = format!("{label}, {lanes} lanes, cycle {m}");
                     let [events, evals, rises] = if settles {
                         own_work(&prefix, m)
@@ -318,13 +291,13 @@ fn measured_cycles_equal_whole_window_cycles_on_both_kernels() {
                     for (l, r) in refs[..lanes].iter().enumerate() {
                         let at = format!("{at}, lane {l}");
                         let want = &r.trace[m * spc..(m + 1) * spc];
-                        assert_eq!(bits(&bs.cycle_trace(m, l)), want, "{at}");
+                        assert_eq!(bits(&bs.lane_cycle_trace(m, l)), want, "{at}");
                         assert_eq!(
-                            bs.cycle_energy_fj(m, l).to_bits(),
+                            bs.lane_energy_fj(m, l).to_bits(),
                             r.energy[m],
                             "{at}: energy"
                         );
-                        assert_eq!(bs.cycle_rises(m, l), r.rises[m], "{at}: rises");
+                        assert_eq!(bs.lane_rises(m, l), r.rises[m], "{at}: rises");
                         for (c, outs) in r.outputs.iter().enumerate() {
                             let got: Vec<bool> =
                                 (0..n_out).map(|j| bs.output_bit(c, j, l)).collect();
@@ -371,7 +344,7 @@ fn a_rise_at_a_cycle_edge_counts_in_the_bin_it_rounds_into() {
     let win = vec![vec![true, true], vec![true, true]];
 
     let mut full = EngineScratch::new();
-    comp.run_single_ended(&mut full, &win, ..);
+    comp.run(&mut full, CycleDriver::SingleEnded, &win, true, ..);
     let want = bits(full.cycle_trace(0));
     assert!(
         full.cycle_trace(0)[29] > 0.0,
@@ -380,12 +353,12 @@ fn a_rise_at_a_cycle_edge_counts_in_the_bin_it_rounds_into() {
     assert_eq!(full.cycle_rises(), &[0, 2], "both rises belong to cycle 1");
 
     let mut s = EngineScratch::new();
-    comp.run_single_ended(&mut s, &win, 0..1);
+    comp.run(&mut s, CycleDriver::SingleEnded, &win, true, 0..1);
     assert_eq!(bits(s.cycle_trace(0)), want, "event kernel");
     let packed = vec![vec![1u64, 1], vec![1, 1]];
     let mut bs = BitScratch::new();
-    sim.run_single_ended(&mut bs, &packed, 1, 0..1);
-    assert_eq!(bits(&bs.cycle_trace(0, 0)), want, "bit-sliced kernel");
+    sim.run(&mut bs, CycleDriver::SingleEnded, &packed, 1, 0..1);
+    assert_eq!(bits(&bs.lane_cycle_trace(0, 0)), want, "bit-sliced kernel");
 }
 
 /// Runs `win` on both kernels measuring each cycle in turn, and checks
@@ -404,21 +377,21 @@ fn assert_every_cycle_simulated(
     assert!(!comp.settles_single_ended() && !sim.settles_single_ended());
     let n = win.len();
     let mut full = EngineScratch::new();
-    comp.run_single_ended(&mut full, win, ..);
+    comp.run(&mut full, CycleDriver::SingleEnded, win, true, ..);
     let packed: Vec<Vec<u64>> = win
         .iter()
         .map(|v| v.iter().map(|&b| u64::from(b)).collect())
         .collect();
     let mut bfull = BitScratch::new();
-    sim.run_single_ended(&mut bfull, &packed, 1, ..);
+    sim.run(&mut bfull, CycleDriver::SingleEnded, &packed, 1, ..);
     let (mut s, mut bs) = (EngineScratch::new(), BitScratch::new());
     for m in 0..n {
-        comp.run_single_ended(&mut s, win, m..=m);
-        sim.run_single_ended(&mut bs, &packed, 1, m..=m);
+        comp.run(&mut s, CycleDriver::SingleEnded, win, true, m..=m);
+        sim.run(&mut bs, CycleDriver::SingleEnded, &packed, 1, m..=m);
         let want = bits(full.cycle_trace(m));
         assert_eq!(bits(s.cycle_trace(m)), want, "event trace of cycle {m}");
         assert_eq!(
-            bits(&bs.cycle_trace(m, 0)),
+            bits(&bs.lane_cycle_trace(m, 0)),
             want,
             "bit-sliced trace of cycle {m}"
         );
@@ -429,7 +402,7 @@ fn assert_every_cycle_simulated(
             "event energy of cycle {m}"
         );
         assert_eq!(
-            bs.cycle_energy_fj(m, 0).to_bits(),
+            bs.lane_energy_fj(m, 0).to_bits(),
             e,
             "bit-sliced energy of cycle {m}"
         );
@@ -513,7 +486,7 @@ fn a_late_rise_whose_deposit_crosses_the_edge_simulates_every_cycle() {
     let win = vec![vec![true], vec![false], vec![true]];
     let comp = CompiledSim::build(&nl, &lib, &load, &late).unwrap();
     let mut full = EngineScratch::new();
-    comp.run_single_ended(&mut full, &win, ..);
+    comp.run(&mut full, CycleDriver::SingleEnded, &win, true, ..);
     assert_eq!(full.cycle_rises()[1], 0, "cycle 1 only falls");
     assert!(
         full.cycle_trace(1).iter().sum::<f64>() > 0.0,
@@ -557,10 +530,10 @@ fn a_crosstalk_window_longer_than_the_quiet_gap_simulates_every_cycle() {
     };
     let win = vec![vec![true, false], vec![true, true]];
     let mut quiet = EngineScratch::new();
-    comp.run_single_ended(&mut quiet, &win, ..);
+    comp.run(&mut quiet, CycleDriver::SingleEnded, &win, true, ..);
     let comp = CompiledSim::build(&nl, &lib, &load, &long).unwrap();
     let mut full = EngineScratch::new();
-    comp.run_single_ended(&mut full, &win, ..);
+    comp.run(&mut full, CycleDriver::SingleEnded, &win, true, ..);
     assert_ne!(
         full.cycle_energy_fj()[1].to_bits(),
         quiet.cycle_energy_fj()[1].to_bits(),
@@ -589,9 +562,9 @@ fn record_waveform_records_every_cycle_of_a_measured_run() {
 
     let win = vec![vec![true], vec![false], vec![true]];
     let mut s = EngineScratch::new();
-    comp.run_single_ended(&mut s, &win, ..);
+    comp.run(&mut s, CycleDriver::SingleEnded, &win, true, ..);
     let want = s.take_sim_result().waveform;
-    comp.run_single_ended(&mut s, &win, 1..=1);
+    comp.run(&mut s, CycleDriver::SingleEnded, &win, true, 1..=1);
     let got = s.take_sim_result().waveform;
     assert_eq!(got, want);
     for c in 0..win.len() as u64 {
@@ -635,7 +608,7 @@ fn a_register_switching_at_the_edge_simulates_every_cycle() {
     let win = vec![vec![true], vec![true]];
     let comp = CompiledSim::build(&nl, &lib, &load, &at_edge).unwrap();
     let mut full = EngineScratch::new();
-    comp.run_single_ended(&mut full, &win, ..);
+    comp.run(&mut full, CycleDriver::SingleEnded, &win, true, ..);
     assert!(
         full.cycle_trace(0)[29] > 0.0,
         "q's rise at 8000 ps must land in bin 29"

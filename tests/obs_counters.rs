@@ -18,7 +18,7 @@ use secflow::dpa::harness::{collect_des_traces, DesTarget};
 use secflow::flow::{run_secure_flow, FlowOptions};
 use secflow::netlist::Netlist;
 use secflow::obs::{self, Counter, Gauge};
-use secflow::sim::{SimBackend, SimConfig};
+use secflow::sim::{CycleDriver, SimBackend, SimConfig};
 use secflow::synth::{map_design, MapOptions};
 
 const N_TRACES: usize = 24;
@@ -85,10 +85,10 @@ fn fixture() -> &'static (Library, Netlist) {
 }
 
 fn campaign_report_on(threads: usize, backend: SimBackend) -> obs::Report {
-    model_report_on(threads, backend, false)
+    model_report_on(threads, backend, CycleDriver::SingleEnded)
 }
 
-fn model_report_on(threads: usize, backend: SimBackend, glitch_free: bool) -> obs::Report {
+fn model_report_on(threads: usize, backend: SimBackend, driver: CycleDriver) -> obs::Report {
     let (lib, nl) = fixture();
     let cfg = SimConfig {
         samples_per_cycle: 100,
@@ -98,8 +98,7 @@ fn model_report_on(threads: usize, backend: SimBackend, glitch_free: bool) -> ob
         netlist: nl,
         lib,
         parasitics: None,
-        wddl_inputs: None,
-        glitch_free,
+        driver,
         backend,
     };
     let ((), report) = secflow::exec::with_threads(threads, || {
@@ -202,10 +201,11 @@ fn bitslice_counters_match_golden_at_1_2_and_8_threads() {
 /// (1, 1 and 22 live lanes), and dead lanes count no rises.
 #[test]
 fn glitch_free_bitslice_rises_match_the_event_kernel_at_1_2_and_8_threads() {
-    let scalar = model_report_on(1, SimBackend::Event, true).counter(Counter::SimRises);
+    let gf = CycleDriver::GlitchFree;
+    let scalar = model_report_on(1, SimBackend::Event, gf).counter(Counter::SimRises);
     assert!(scalar > 0);
     for threads in [1usize, 2, 8] {
-        let r = model_report_on(threads, SimBackend::Bitslice, true);
+        let r = model_report_on(threads, SimBackend::Bitslice, gf);
         assert_eq!(
             r.counter(Counter::SimBitsliceRises),
             scalar,
@@ -323,8 +323,7 @@ fn dpa_class_table_matches_golden_at_1_2_and_8_threads() {
         netlist: nl,
         lib,
         parasitics: None,
-        wddl_inputs: None,
-        glitch_free: false,
+        driver: CycleDriver::SingleEnded,
         backend: SimBackend::Bitslice,
     };
     // Under a capture, so that the campaign's counters stay out of the

@@ -102,7 +102,7 @@ fn json_corpus() -> Vec<String> {
             "n":500,"seed":271828,"options":{"seed":2}}"#,
         r#"{"job":"campaign","attack":"dpa","n":150,"seed":1,"key":46}"#,
         r#"{"job":"campaign","n":6,"options":{"route_layers":1,"verify":false}}"#,
-        r#"{"job":"campaign","options":{"sim_backend":"bitslice","decompose_style":"shielded",
+        r#"{"job":"campaign","options":{"decompose_style":"shielded",
             "fill_factor":0.7,"aspect_ratio":1.25,"place_restarts":2,"route_max_iterations":40,
             "bdd_gate_limit":1500},"sim":{"period_ps":8000,"noise_sigma":0.5e-1,"noise_seed":7,
             "precharge_fraction":-0.0,"record_waveform":false}}"#,

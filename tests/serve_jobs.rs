@@ -45,7 +45,7 @@ fn warm_resubmission_executes_zero_stages() {
     // The cold run did real work...
     assert!(cold_report.counter(Counter::PlaceMoves) > 0, "cold run placed");
     assert!(cold_report.counter(Counter::RouteNets) > 0, "cold run routed");
-    assert!(cold_report.counter(Counter::SimWindows) > 0, "cold run simulated");
+    assert!(cold_report.counter(Counter::SimBitsliceLanes) > 0, "cold run simulated");
     assert!(cold_report.counter(Counter::ServeCacheMisses) > 0);
 
     let (warm, warm_report) =
@@ -55,7 +55,7 @@ fn warm_resubmission_executes_zero_stages() {
     assert!(warm.cached_response, "resubmission must hit the response cache");
     assert_eq!(warm_report.counter(Counter::PlaceMoves), 0, "warm run re-placed");
     assert_eq!(warm_report.counter(Counter::RouteNets), 0, "warm run re-routed");
-    assert_eq!(warm_report.counter(Counter::SimWindows), 0, "warm run re-simulated");
+    assert_eq!(warm_report.counter(Counter::SimBitsliceLanes), 0, "warm run re-simulated");
     assert!(warm_report.counter(Counter::ServeCacheHits) > 0);
     assert_eq!(warm_report.counter(Counter::ServeJobs), 1);
     assert_eq!(cold.payload, warm.payload, "cached payload must be byte-identical");
@@ -84,7 +84,7 @@ fn one_campaign_simulates_once_whatever_the_attack_and_trace_path() {
 
     let (first, first_report) = run(&request("dpa", "streaming"));
     assert!(
-        first_report.counter(Counter::SimWindows) > 0,
+        first_report.counter(Counter::SimBitsliceLanes) > 0,
         "the first job simulated"
     );
     let mut later = Vec::new();
@@ -92,7 +92,7 @@ fn one_campaign_simulates_once_whatever_the_attack_and_trace_path() {
         let (out, report) = run(&request(attack, path));
         assert!(!out.cached_response, "{attack}/{path} is a new request");
         assert_eq!(
-            report.counter(Counter::SimWindows),
+            report.counter(Counter::SimBitsliceLanes),
             0,
             "{attack}/{path} re-simulated the campaign"
         );
@@ -146,7 +146,7 @@ fn a_new_campaign_on_a_built_implementation_runs_no_backend_stage() {
     ] {
         assert_eq!(second.counter(counter), 0, "the second job {what}");
     }
-    assert!(second.counter(Counter::SimWindows) > 0, "the second job simulated");
+    assert!(second.counter(Counter::SimBitsliceLanes) > 0, "the second job simulated");
     assert_eq!(
         second.counter(Counter::ServeCacheMisses),
         2,

@@ -7,7 +7,7 @@ use secflow::cells::Library;
 use secflow::crypto::dpa_module::{des_dpa_design, encrypt};
 use secflow::flow::{run_secure_flow, FlowOptions};
 use secflow::sim::functional::run_cycles;
-use secflow::sim::{simulate_single_ended, SimConfig};
+use secflow::sim::{simulate, CycleDriver, SimConfig};
 use secflow::synth::{map_design, simulate_seq, MapOptions, SeqState};
 
 fn stimuli() -> Vec<(u8, u8)> {
@@ -82,7 +82,7 @@ fn all_simulators_agree_with_the_model() {
         samples_per_cycle: 100,
         ..Default::default()
     };
-    let sim = simulate_single_ended(&nl, &lib, None, &cfg, &vecs).unwrap();
+    let sim = simulate(&nl, &lib, None, &cfg, CycleDriver::SingleEnded, &vecs).unwrap();
     let event_out: Vec<(u8, u8)> = sim.outputs_per_cycle.iter().map(|o| decode(o)).collect();
 
     // 4. Software model (2-cycle pipeline latency).
@@ -110,12 +110,12 @@ fn secure_flow_differential_sim_agrees_with_model() {
         ..Default::default()
     };
     let vecs = vectors(key);
-    let sim = secflow::sim::simulate_wddl(
+    let sim = simulate(
         &sub.differential,
         &sub.diff_lib,
         Some(&sec.parasitics),
         &cfg,
-        &sub.input_pairs,
+        CycleDriver::Wddl(&sub.input_pairs),
         &vecs,
     )
     .unwrap();

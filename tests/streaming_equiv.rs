@@ -23,7 +23,7 @@ use secflow::dpa::harness::{
 };
 use secflow::dpa::streaming::{CpaStream, DpaStream};
 use secflow::exec::with_threads;
-use secflow::sim::{SimBackend, SimConfig};
+use secflow::sim::{CycleDriver, SimBackend, SimConfig};
 use secflow::synth::{map_design, MapOptions};
 use secflow_testkit::prop_check;
 
@@ -175,8 +175,7 @@ fn fused_campaign_is_identical_across_threads_and_chunks() {
         netlist: &mapped,
         lib: &lib,
         parasitics: None,
-        wddl_inputs: None,
-        glitch_free: false,
+        driver: CycleDriver::SingleEnded,
         backend: SimBackend::Bitslice,
     };
     let program = CampaignProgram::build(&target, &cfg).expect("program");
