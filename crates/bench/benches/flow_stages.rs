@@ -1,152 +1,34 @@
-//! Micro-benchmarks of every flow stage: the two paper insertions
-//! (cell substitution, interconnect decomposition) plus synthesis,
-//! placement, routing, extraction, simulation and equivalence
-//! checking — the data behind the E8 runtime claims.
+//! The four benchmark groups that write a committed
+//! `results/BENCH_*.json`: thread scaling of a trace campaign
+//! (`exec_speedup`), the observability layer's cost (`obs_overhead`),
+//! the job server's warm-vs-cold cache (`serve_cache`) and the fused
+//! streaming campaign against materialize-then-attack (`stream_1m`).
+//! Per-stage times of whole flows come from `secbench`'s traced
+//! per-layer shares and from `exp_runtime_39k`.
 //!
 //! Runs on the in-repo median-of-K timing harness
 //! (`secflow_testkit::timing`); each measurement prints one JSON line:
 //!
 //! ```text
-//! {"bench":"cell_substitution/2000","median_ns":…,"min_ns":…,"max_ns":…,"k":5}
+//! {"bench":"serve_cache/warm_resubmission","median_ns":…,"min_ns":…,"max_ns":…,"k":5}
 //! ```
 //!
 //! Invoke with `cargo bench --offline` or
-//! `cargo bench --offline -- substitution` to filter by name.
+//! `cargo bench --offline -- serve_cache` to filter by name.
 
 use std::hint::black_box;
 
 use secflow_cells::Library;
-use secflow_core::{decompose, run_secure_flow, substitute, FlowOptions, WddlLibrary};
-use secflow_crypto::bench_gen::synthetic_design;
+use secflow_core::substitute;
 use secflow_crypto::dpa_module::des_dpa_design;
-use secflow_dpa::attack::dpa_attack;
 use secflow_dpa::harness::{collect_des_traces, DesTarget};
-use secflow_lec::check_equiv_with_parity;
-use secflow_pnr::{place, route, GridPitch, PlaceOptions, RouteOptions};
 use secflow_sim::{CycleDriver, SimBackend, SimConfig};
 use secflow_synth::{map_design, MapOptions};
-use secflow_testkit::timing::{bench, time_median, Measurement};
+use secflow_testkit::timing::{time_median, Measurement};
 
 /// Median-of-K runs per measurement; small because the individual
 /// stages are long relative to timer noise.
 const K: usize = 5;
-
-fn bench_substitution(filter: &str) {
-    if !"cell_substitution".contains(filter) {
-        return;
-    }
-    let lib = Library::lib180();
-    for &gates in &[500usize, 2000, 8000] {
-        let design = synthetic_design("sub", gates, 64, 3);
-        let mapped = map_design(&design, &lib, &MapOptions::default()).expect("map");
-        bench(&format!("cell_substitution/{gates}"), K, || {
-            substitute(black_box(&mapped), &lib).expect("substitute");
-        });
-    }
-}
-
-fn bench_decomposition(filter: &str) {
-    if !"interconnect_decomposition_des".contains(filter) {
-        return;
-    }
-    let lib = Library::lib180();
-    let design = des_dpa_design();
-    let mapped = map_design(&design, &lib, &MapOptions::default()).expect("map");
-    let sub = substitute(&mapped, &lib).expect("substitute");
-    let placed = place(
-        &sub.fat,
-        &sub.fat_lib,
-        &PlaceOptions {
-            pitch: GridPitch::Fat,
-            anneal_moves_per_gate: 20,
-            ..Default::default()
-        },
-    )
-    .expect("place");
-    let routed = route(&sub.fat, &sub.fat_lib, &placed, &RouteOptions::default()).expect("route");
-    bench("interconnect_decomposition_des", K, || {
-        black_box(decompose(black_box(&routed), &sub).expect("decompose"));
-    });
-}
-
-fn bench_pnr(filter: &str) {
-    if !"place_and_route_des".contains(filter) {
-        return;
-    }
-    let lib = Library::lib180();
-    let design = des_dpa_design();
-    let mapped = map_design(&design, &lib, &MapOptions::default()).expect("map");
-    let opts = PlaceOptions {
-        anneal_moves_per_gate: 40,
-        ..Default::default()
-    };
-    bench("place_and_route_des/placement", K, || {
-        black_box(place(black_box(&mapped), &lib, &opts).expect("place"));
-    });
-    let placed = place(&mapped, &lib, &opts).expect("place");
-    bench("place_and_route_des/routing", K, || {
-        route(black_box(&mapped), &lib, &placed, &RouteOptions::default()).expect("route");
-    });
-}
-
-fn bench_wddl_library(filter: &str) {
-    if !"wddl_derive_base_cells".contains(filter) {
-        return;
-    }
-    let lib = Library::lib180();
-    bench("wddl_derive_base_cells", K, || {
-        let mut w = WddlLibrary::new(black_box(&lib));
-        black_box(w.derive_base_cells());
-    });
-}
-
-fn bench_lec(filter: &str) {
-    if !"lec_fat_vs_original_des".contains(filter) {
-        return;
-    }
-    let lib = Library::lib180();
-    let design = des_dpa_design();
-    let mapped = map_design(&design, &lib, &MapOptions::default()).expect("map");
-    let sub = substitute(&mapped, &lib).expect("substitute");
-    bench("lec_fat_vs_original_des", K, || {
-        check_equiv_with_parity(
-            black_box(&mapped),
-            &lib,
-            &sub.fat,
-            &sub.fat_lib,
-            Some(&sub.fat_output_parity),
-            Some(&sub.fat_register_parity),
-        )
-        .expect("lec");
-    });
-}
-
-fn bench_power_sim_and_attack(filter: &str) {
-    if !"dpa_pipeline".contains(filter) {
-        return;
-    }
-    let lib = Library::lib180();
-    let design = des_dpa_design();
-    let secure = run_secure_flow(&design, &lib, &FlowOptions::default()).expect("flow");
-    let cfg = SimConfig {
-        samples_per_cycle: 200,
-        ..Default::default()
-    };
-    let target = DesTarget {
-        netlist: &secure.substitution.differential,
-        lib: &secure.substitution.diff_lib,
-        parasitics: Some(&secure.parasitics),
-        driver: CycleDriver::Wddl(&secure.substitution.input_pairs),
-        backend: SimBackend::Event,
-    };
-    bench("dpa_pipeline/simulate_50_encryptions_wddl", K, || {
-        black_box(collect_des_traces(black_box(&target), &cfg, 46, 50, 1).expect("campaign"));
-    });
-    let set = collect_des_traces(&target, &cfg, 46, 200, 1).expect("campaign");
-    bench("dpa_pipeline/dpa_attack_200_traces_64_keys", K, || {
-        black_box(dpa_attack(black_box(&set.traces), 64, set.selector()).expect("dpa"));
-    });
-}
 
 fn bench_exec_speedup(filter: &str) {
     if !"exec_speedup".contains(filter) {
@@ -539,28 +421,11 @@ fn main() {
         .find(|a| !a.starts_with('-'))
         .unwrap_or_default();
     let smoke = std::env::args().any(|a| a == "--smoke");
-    const GROUPS: [&str; 10] = [
-        "cell_substitution",
-        "interconnect_decomposition_des",
-        "place_and_route_des",
-        "wddl_derive_base_cells",
-        "lec_fat_vs_original_des",
-        "dpa_pipeline",
-        "exec_speedup",
-        "obs_overhead",
-        "serve_cache",
-        "stream_1m",
-    ];
+    const GROUPS: [&str; 4] = ["exec_speedup", "obs_overhead", "serve_cache", "stream_1m"];
     if !GROUPS.iter().any(|g| g.contains(filter.as_str())) {
         eprintln!("no bench group matches `{filter}`; groups: {GROUPS:?}");
         return;
     }
-    bench_substitution(&filter);
-    bench_decomposition(&filter);
-    bench_pnr(&filter);
-    bench_wddl_library(&filter);
-    bench_lec(&filter);
-    bench_power_sim_and_attack(&filter);
     bench_exec_speedup(&filter);
     bench_obs_overhead(&filter, smoke);
     bench_serve_cache(&filter, smoke);

@@ -17,8 +17,8 @@ use secflow_dpa::stats::EnergyStats;
 
 fn main() {
     let mut opts = secflow_bench::CommonOpts::parse();
-    let n: usize = opts.args.first().and_then(|a| a.parse().ok()).unwrap_or(2000);
-    let seed: u64 = opts.args.get(1).and_then(|a| a.parse().ok()).unwrap_or(1);
+    let n: usize = opts.positional(2000);
+    let seed: u64 = opts.positional(1);
     let _run = opts.start_run("exp_area_energy");
 
     eprintln!("building both implementations through the flows...");

@@ -18,8 +18,8 @@ use secflow_dpa::harness::collect_des_traces;
 
 fn main() {
     let mut opts = secflow_bench::CommonOpts::parse();
-    let n: usize = opts.args.first().and_then(|a| a.parse().ok()).unwrap_or(2500);
-    let seed: u64 = opts.args.get(1).and_then(|a| a.parse().ok()).unwrap_or(1);
+    let n: usize = opts.positional(2500);
+    let seed: u64 = opts.positional(1);
     let step = (n / 40).max(10);
     let _run = opts.start_run("exp_cpa");
 

@@ -16,8 +16,8 @@ use secflow_dpa::dfa::glitch_sweep;
 
 fn main() {
     let mut opts = secflow_bench::CommonOpts::parse();
-    let n: usize = opts.args.first().and_then(|a| a.parse().ok()).unwrap_or(60);
-    let seed: u64 = opts.args.get(1).and_then(|a| a.parse().ok()).unwrap_or(5);
+    let n: usize = opts.positional(60);
+    let seed: u64 = opts.positional(5);
     let _run = opts.start_run("exp_dfa_glitch");
 
     eprintln!("building the secure implementation...");

@@ -22,12 +22,8 @@ fn main() {
     let mut opts = secflow_bench::CommonOpts::parse();
     let smoke = opts.take_flag("--smoke");
     let default_n = if smoke { 150 } else { 2000 };
-    let n: usize = opts
-        .args
-        .first()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_n);
-    let seed: u64 = opts.args.get(1).and_then(|a| a.parse().ok()).unwrap_or(1);
+    let n: usize = opts.positional(default_n);
+    let seed: u64 = opts.positional(1);
     let step = (n / 40).max(10);
     let _run = opts.start_run("exp_fig6_mtd");
 

@@ -57,8 +57,8 @@ impl Outcome {
 
 fn main() {
     let mut opts = secflow_bench::CommonOpts::parse();
-    let n: usize = opts.args.first().and_then(|a| a.parse().ok()).unwrap_or(1000);
-    let seed: u64 = opts.args.get(1).and_then(|a| a.parse().ok()).unwrap_or(1);
+    let n: usize = opts.positional(1000);
+    let seed: u64 = opts.positional(1);
     let _run = opts.start_run("exp_mismatch_ablation");
 
     eprintln!("building the secure implementation (paper flow)...");

@@ -40,24 +40,10 @@ fn peak_rss_kb() -> Option<u64> {
 fn main() {
     let mut opts = secflow_bench::CommonOpts::parse();
     let smoke = opts.take_flag("--smoke");
-    let store_root = match opts.args.iter().position(|a| a == "--trace-store") {
-        Some(i) => {
-            if i + 1 >= opts.args.len() {
-                eprintln!("error: --trace-store requires a directory");
-                std::process::exit(2);
-            }
-            opts.args.remove(i);
-            Some(std::path::PathBuf::from(opts.args.remove(i)))
-        }
-        None => None,
-    };
+    let store_root: Option<std::path::PathBuf> = opts.value("--trace-store");
     let default_n = if smoke { 3000 } else { 1_000_000 };
-    let n: usize = opts
-        .args
-        .first()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_n);
-    let seed: u64 = opts.args.get(1).and_then(|a| a.parse().ok()).unwrap_or(1);
+    let n: usize = opts.positional(default_n);
+    let seed: u64 = opts.positional(1);
     let step = (n / 40).max(10);
     let _run = opts.start_run("exp_mtd_1m");
 

@@ -72,12 +72,8 @@ fn synthetic_routes(
 
 fn main() {
     let mut opts = secflow_bench::CommonOpts::parse();
-    let target: usize = opts
-        .args
-        .first()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(72_000);
-    let seed: u64 = opts.args.get(1).and_then(|a| a.parse().ok()).unwrap_or(7);
+    let target: usize = opts.positional(72_000);
+    let seed: u64 = opts.positional(7);
     let _run = opts.start_run("exp_runtime_39k");
 
     println!("=== E8: flow-insertion runtime at the paper's 39 K-gate scale ===");

@@ -20,8 +20,8 @@ use secflow_sim::simulate;
 
 fn main() {
     let mut opts = secflow_bench::CommonOpts::parse();
-    let n: usize = opts.args.first().and_then(|a| a.parse().ok()).unwrap_or(400);
-    let seed: u64 = opts.args.get(1).and_then(|a| a.parse().ok()).unwrap_or(3);
+    let n: usize = opts.positional(400);
+    let seed: u64 = opts.positional(3);
     let _run = opts.start_run("exp_timing_idle");
 
     eprintln!("building both implementations through the flows...");

@@ -124,28 +124,6 @@ pub fn paper_sim_config() -> SimConfig {
     SimConfig::default()
 }
 
-/// Strips a `--threads N` flag from `args`, applies it via
-/// [`secflow_exec::set_threads`], and returns the effective worker
-/// count. Exits with status 2 on a malformed value; leaves every
-/// other argument in place, so positional parsing can proceed on the
-/// remainder.
-pub fn parse_threads(args: &mut Vec<String>) -> usize {
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--threads" {
-            let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
-                eprintln!("error: --threads requires a positive integer");
-                std::process::exit(2);
-            };
-            secflow_exec::set_threads(n);
-            args.drain(i..i + 2);
-        } else {
-            i += 1;
-        }
-    }
-    secflow_exec::effective_threads()
-}
-
 /// Emits the experiment's run-info JSON line to **stderr** — stderr so
 /// experiment stdout stays byte-identical across thread counts (the
 /// determinism gate compares it). Called only after *all* option
@@ -157,42 +135,18 @@ pub fn emit_run_info(exp: &str, threads: usize) {
     eprintln!("{}", obj.build());
 }
 
-/// Strips a `--obs PATH` flag from `args` and returns the metrics
-/// output path, falling back to a non-empty `SECFLOW_OBS` environment
-/// variable. Exits with status 2 if the flag is given without a path.
-/// Like [`parse_threads`], leaves every other argument in place.
-pub fn parse_obs(args: &mut Vec<String>) -> Option<std::path::PathBuf> {
-    let mut path = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--obs" {
-            let Some(p) = args.get(i + 1).filter(|p| !p.is_empty()) else {
-                eprintln!("error: --obs requires an output path");
-                std::process::exit(2);
-            };
-            path = Some(std::path::PathBuf::from(p));
-            args.drain(i..i + 2);
-        } else {
-            i += 1;
-        }
-    }
-    path.or_else(|| {
-        std::env::var("SECFLOW_OBS")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .map(std::path::PathBuf::from)
-    })
-}
-
-/// The options every experiment binary shares — `--threads N` and
-/// `--obs PATH` — parsed in one pass, plus the remaining (positional)
-/// arguments. This is the single entry point the `exp_*` binaries
-/// use, so a new shared flag is added here once rather than in each:
+/// The arguments of an experiment binary. [`CommonOpts::parse`] reads
+/// the options every binary shares, `--threads N` and `--obs PATH`;
+/// the binary then takes its own flags ([`Self::take_flag`],
+/// [`Self::value`]) and, after every flag, its positionals
+/// ([`Self::positional`]). [`Self::start_run`] refuses whatever is
+/// left or malformed, so a mistyped flag, a bad number or an extra
+/// argument exits 2 instead of running with defaults:
 ///
 /// ```no_run
 /// let mut opts = secflow_bench::CommonOpts::parse();
 /// let smoke = opts.take_flag("--smoke");
-/// let n: usize = opts.args.first().and_then(|a| a.parse().ok()).unwrap_or(2000);
+/// let n: usize = opts.positional(if smoke { 150 } else { 2000 });
 /// let _run = opts.start_run("exp_example");
 /// ```
 pub struct CommonOpts {
@@ -201,70 +155,144 @@ pub struct CommonOpts {
     /// Metrics output path from `--obs` / `SECFLOW_OBS`, if any.
     /// Consumed by [`CommonOpts::start_run`].
     pub obs: Option<std::path::PathBuf>,
-    /// Arguments left over after the shared flags were stripped, in
-    /// their original order — positional parsing proceeds on these.
-    pub args: Vec<String>,
+    /// Arguments not read yet, in their original order.
+    args: Vec<String>,
+    /// The first value or positional that failed to parse.
+    malformed: Option<String>,
 }
 
 impl CommonOpts {
-    /// Parses the shared flags out of `std::env::args()`. Exits with
-    /// status 2 on a malformed value, before any run-info line is
-    /// emitted.
+    /// Reads `--threads` and `--obs` from `std::env::args()`, applies
+    /// the thread count and falls back to a non-empty `SECFLOW_OBS`
+    /// for the metrics path. Usage errors are reported by
+    /// [`Self::start_run`].
     pub fn parse() -> CommonOpts {
-        let mut args: Vec<String> = std::env::args().skip(1).collect();
-        let threads = parse_threads(&mut args);
-        let obs = parse_obs(&mut args);
-        CommonOpts { threads, obs, args }
+        let mut opts = CommonOpts::new(std::env::args().skip(1).collect());
+        if let Some(n) = opts.value("--threads") {
+            secflow_exec::set_threads(n);
+        }
+        opts.threads = secflow_exec::effective_threads();
+        opts.obs = opts.value("--obs").or_else(|| {
+            std::env::var("SECFLOW_OBS")
+                .ok()
+                .filter(|v| !v.is_empty())
+                .map(std::path::PathBuf::from)
+        });
+        opts
     }
 
-    /// Strips every occurrence of a boolean flag (e.g. `--smoke`) from
-    /// the remaining arguments; returns whether it was present.
+    /// Options over `args` (without the program name), nothing read
+    /// yet and no shared flag applied.
+    fn new(args: Vec<String>) -> CommonOpts {
+        CommonOpts {
+            threads: 0,
+            obs: None,
+            args,
+            malformed: None,
+        }
+    }
+
+    /// Takes every occurrence of a boolean flag (e.g. `--smoke`);
+    /// returns whether it was present.
     pub fn take_flag(&mut self, name: &str) -> bool {
         let present = self.args.iter().any(|a| a == name);
         self.args.retain(|a| a != name);
         present
     }
 
+    /// Takes every `name VALUE` pair and returns the last value,
+    /// parsed; `None` if the flag is absent. A missing, empty or
+    /// malformed value is kept for [`Self::check`] to report.
+    pub fn value<T: std::str::FromStr>(&mut self, name: &str) -> Option<T> {
+        let mut last = None;
+        while let Some(i) = self.args.iter().position(|a| a == name) {
+            self.args.remove(i);
+            let v = (i < self.args.len()).then(|| self.args.remove(i));
+            last = match v.filter(|v| !v.is_empty()) {
+                Some(v) => self.parsed(&v, format!("invalid value `{v}` for {name}")),
+                None => {
+                    self.malformed
+                        .get_or_insert(format!("{name} requires a value"));
+                    None
+                }
+            };
+        }
+        last
+    }
+
+    /// Takes the next positional argument (one not starting with
+    /// `--`), parsed, or returns `default` if none is left. Take every
+    /// flag first, so that no flag's value is read as a positional. A
+    /// malformed argument is kept for [`Self::check`] to report.
+    pub fn positional<T: std::str::FromStr>(&mut self, default: T) -> T {
+        let Some(i) = self.args.iter().position(|a| !a.starts_with("--")) else {
+            return default;
+        };
+        let a = self.args.remove(i);
+        self.parsed(&a, format!("invalid argument `{a}`"))
+            .unwrap_or(default)
+    }
+
+    /// `text` parsed, or `None` with `what` kept as the first malformed
+    /// argument.
+    fn parsed<T: std::str::FromStr>(&mut self, text: &str, what: String) -> Option<T> {
+        let v = text.parse().ok();
+        if v.is_none() {
+            self.malformed.get_or_insert(what);
+        }
+        v
+    }
+
+    /// Checks that every argument was read and parsed; the error names
+    /// the first unknown flag, else the first malformed value, else
+    /// the first argument beyond the positionals the binary takes.
+    fn check(&self) -> Result<(), String> {
+        if let Some(flag) = self.args.iter().find(|a| a.starts_with("--")) {
+            return Err(format!("unknown option `{flag}`"));
+        }
+        if let Some(msg) = &self.malformed {
+            return Err(msg.clone());
+        }
+        match self.args.first() {
+            Some(extra) => Err(format!("unexpected argument `{extra}`")),
+            None => Ok(()),
+        }
+    }
+
     /// Emits the run-info line and arms observability — call once all
-    /// experiment-specific parsing has succeeded. Equivalent to
-    /// [`start_run`] with this struct's fields; the obs path is
-    /// consumed.
+    /// experiment-specific parsing is done. A usage error
+    /// ([`Self::check`]) exits with status 2 and one stderr line
+    /// instead, before any run-info line. The returned guard must be
+    /// kept alive for the whole run: metrics are written when it drops.
     pub fn start_run(&mut self, exp: &'static str) -> RunInfo {
-        start_run(exp, self.threads, self.obs.take())
+        if let Err(e) = self.check() {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+        emit_run_info(exp, self.threads);
+        let obs_path = self.obs.take();
+        if obs_path.is_some() && !secflow_obs::start() {
+            eprintln!("error: observability session already active");
+            std::process::exit(2);
+        }
+        RunInfo {
+            exp,
+            threads: self.threads,
+            obs_path,
+        }
     }
 }
 
-/// RAII guard for one experiment run: emits the run-info line and, if
-/// an observability path was requested, starts the session. On drop it
-/// finishes the session and writes the metrics JSON plus the chrome
-/// trace next to it.
-///
-/// Construct with [`start_run`] *after* all option parsing, so usage
-/// errors never produce a run-info line or a partial metrics file.
+/// RAII guard for one experiment run: if an observability path was
+/// requested, the session runs until the guard drops, which finishes
+/// it and writes the metrics JSON plus the chrome trace next to it.
+/// Made by [`CommonOpts::start_run`] *after* all option parsing, so
+/// usage errors never produce a run-info line or a partial metrics
+/// file.
 pub struct RunInfo {
     exp: &'static str,
     threads: usize,
     obs_path: Option<std::path::PathBuf>,
-}
-
-/// Emits the run-info stderr line and arms observability when
-/// `obs_path` is set (from [`parse_obs`]). The returned guard must be
-/// kept alive for the whole run: metrics are written when it drops.
-pub fn start_run(
-    exp: &'static str,
-    threads: usize,
-    obs_path: Option<std::path::PathBuf>,
-) -> RunInfo {
-    emit_run_info(exp, threads);
-    if obs_path.is_some() && !secflow_obs::start() {
-        eprintln!("error: observability session already active");
-        std::process::exit(2);
-    }
-    RunInfo {
-        exp,
-        threads,
-        obs_path,
-    }
 }
 
 impl Drop for RunInfo {
@@ -301,4 +329,78 @@ pub fn header(title: &str) {
 pub fn header_cols(title: &str, col1: &str, col2: &str) {
     println!("\n=== {title} ===");
     println!("{:<38} {col1:>16} {col2:>16}", "metric");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn opts(args: &[&str]) -> CommonOpts {
+        CommonOpts::new(args.iter().map(|a| a.to_string()).collect())
+    }
+
+    /// Reads `args` as `exp_mtd_1m` does: `--smoke`, `--trace-store
+    /// DIR` and two numeric positionals.
+    fn read(args: &[&str]) -> (Result<(), String>, bool, Option<String>, usize, u64) {
+        let mut o = opts(args);
+        let smoke = o.take_flag("--smoke");
+        let store = o.value("--trace-store");
+        let n = o.positional(3000);
+        let seed = o.positional(1);
+        (o.check(), smoke, store, n, seed)
+    }
+
+    #[test]
+    fn flags_values_and_positionals_are_read_in_any_order() {
+        assert_eq!(read(&[]), (Ok(()), false, None, 3000, 1));
+        assert_eq!(read(&["400"]), (Ok(()), false, None, 400, 1));
+        let store = Some("d".to_string());
+        for args in [
+            ["--smoke", "--trace-store", "d", "5", "9"],
+            ["5", "--trace-store", "d", "9", "--smoke"],
+        ] {
+            assert_eq!(read(&args), (Ok(()), true, store.clone(), 5, 9));
+        }
+    }
+
+    #[test]
+    fn unknown_flags_bad_numbers_and_extra_arguments_are_refused() {
+        for (args, err) in [
+            (
+                &["--sim-backend", "bitslice"][..],
+                "unknown option `--sim-backend`",
+            ),
+            (&["400", "--smoke=1"], "unknown option `--smoke=1`"),
+            (&["abc"], "invalid argument `abc`"),
+            (&["400", "-1"], "invalid argument `-1`"),
+            (&["1", "2", "3"], "unexpected argument `3`"),
+            (&["--trace-store"], "--trace-store requires a value"),
+            (
+                &["--trace-store", "", "5"],
+                "--trace-store requires a value",
+            ),
+        ] {
+            assert_eq!(read(args).0, Err(err.to_string()), "{args:?}");
+        }
+        // A binary that reads no argument refuses any.
+        assert_eq!(opts(&["5"]).check(), Err("unexpected argument `5`".into()));
+    }
+
+    #[test]
+    fn shared_values_take_the_last_occurrence_and_refuse_bad_ones() {
+        let mut o = opts(&["--threads", "3", "--obs", "m.json", "--threads", "4"]);
+        assert_eq!(o.value::<usize>("--threads"), Some(4));
+        assert_eq!(o.value("--obs"), Some(std::path::PathBuf::from("m.json")));
+        assert_eq!(o.check(), Ok(()));
+        for (args, err) in [
+            (["--threads", "x"], "invalid value `x` for --threads"),
+            (["--threads", "-2"], "invalid value `-2` for --threads"),
+            (["--obs", ""], "--obs requires a value"),
+        ] {
+            let mut o = opts(&args);
+            assert_eq!(o.value::<usize>("--threads"), None);
+            assert_eq!(o.value::<std::path::PathBuf>("--obs"), None);
+            assert_eq!(o.check(), Err(err.to_string()), "{args:?}");
+        }
+    }
 }

@@ -120,17 +120,11 @@ impl CampaignProgram {
     /// from its own stream), so the program is built against a
     /// zero-noise copy of `cfg`.
     ///
-    /// The backend/config combination is validated *first*
-    /// ([`SimConfig::validate_backend`]), so an unsupported request —
-    /// e.g. `record_waveform` on the bit-sliced backend — fails with
-    /// its typed error before any compilation work.
-    ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if validation fails, the target netlist is
-    /// cyclic, or it references cells missing from its library.
+    /// Returns [`SimError`] if the target netlist is cyclic, or it
+    /// references cells missing from its library.
     pub fn build(target: &DesTarget<'_>, cfg: &SimConfig) -> Result<CampaignProgram, SimError> {
-        cfg.validate_backend(target.backend)?;
         let load = LoadModel::try_build(target.netlist, target.lib, target.parasitics)?;
         let window_cfg = SimConfig {
             noise_sigma: 0.0,
@@ -150,14 +144,6 @@ impl CampaignProgram {
                 &window_cfg,
             )?),
         })
-    }
-
-    /// The backend this program was compiled for.
-    pub fn backend(&self) -> SimBackend {
-        match self {
-            CampaignProgram::Event(_) => SimBackend::Event,
-            CampaignProgram::Bitslice(_) => SimBackend::Bitslice,
-        }
     }
 
     /// The campaign's lane batches for `n` encryptions at this
@@ -257,9 +243,8 @@ pub fn collect_des_traces(
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if `cfg` requests a feature `program`'s
-/// backend does not support, and [`SimError::CiphertextMismatch`] as
-/// [`collect_des_traces`] does.
+/// Returns [`SimError::CiphertextMismatch`] as [`collect_des_traces`]
+/// does.
 ///
 /// # Panics
 ///
@@ -272,7 +257,7 @@ pub fn collect_des_traces_with(
     n: usize,
     seed: u64,
 ) -> Result<TraceSet, SimError> {
-    let campaign = Campaign::new(program, target, cfg, key, n, seed)?;
+    let campaign = Campaign::new(program, target, cfg, key, n, seed);
     let _campaign = obs::span("dpa.campaign");
     let mut set = TraceSet {
         samples_per_trace: cfg.samples_per_cycle,
@@ -297,8 +282,7 @@ struct Campaign<'a> {
 }
 
 impl<'a> Campaign<'a> {
-    /// Checks `cfg` against the program's backend and draws the
-    /// plaintexts.
+    /// Draws the plaintexts.
     fn new(
         program: &'a CampaignProgram,
         target: &'a DesTarget<'a>,
@@ -306,19 +290,18 @@ impl<'a> Campaign<'a> {
         key: u8,
         n: usize,
         seed: u64,
-    ) -> Result<Self, SimError> {
+    ) -> Self {
         assert!(key < 64);
-        cfg.validate_backend(program.backend())?;
         // Plaintexts are drawn sequentially up front — cheap, and it
         // keeps the campaign identical to the serial harness for a
         // given seed. Only the per-encryption simulation is parallel.
-        Ok(Campaign {
+        Campaign {
             program,
             target,
             cfg,
             key,
             plaintexts: draw_plaintexts(n, seed),
-        })
+        }
     }
 
     /// Simulates the campaign in blocks of about `chunk` encryptions,
@@ -703,7 +686,7 @@ pub fn collect_des_analysis_streaming(
     store_dir: Option<&Path>,
 ) -> Result<CampaignAnalysis, CampaignError> {
     plan.check()?;
-    let campaign = Campaign::new(program, target, cfg, key, n, seed)?;
+    let campaign = Campaign::new(program, target, cfg, key, n, seed);
     let _campaign = obs::span("dpa.campaign.stream");
     let mut sinks = StreamSinks::build(plan)?;
     let mut writer = match store_dir {

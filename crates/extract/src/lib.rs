@@ -694,113 +694,3 @@ mod tests {
         assert_eq!(a.nets, b.nets);
     }
 }
-
-/// Writes the extracted design as a SPICE-like netlist: one subcircuit
-/// call per gate and an RC element pair per net — the "spice netlists,
-/// which include the layout parasitics" that the paper extracts in
-/// Virtuoso before simulation.
-///
-/// The text is for inspection and diffing; the workspace's simulator
-/// consumes [`Parasitics`] directly.
-pub fn write_spice(nl: &Netlist, parasitics: &Parasitics, title: &str) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "* {title} — extracted netlist with layout parasitics");
-    let _ = writeln!(s, ".GLOBAL VDD VSS");
-    for (i, g) in nl.gates().iter().enumerate() {
-        let pins: Vec<String> = g
-            .inputs
-            .iter()
-            .chain(g.outputs.iter())
-            .map(|&n| sanitize_node(&nl.net(n).name))
-            .collect();
-        let _ = writeln!(
-            s,
-            "X{i}_{} {} {}",
-            sanitize_node(&g.name),
-            pins.join(" "),
-            g.cell
-        );
-    }
-    let mut r_count = 0usize;
-    let mut c_count = 0usize;
-    for id in nl.net_ids() {
-        let p = parasitics.net(id);
-        if p.r_ohm == 0.0 && p.c_ground_ff == 0.0 && p.couplings.is_empty() {
-            continue;
-        }
-        let node = sanitize_node(&nl.net(id).name);
-        if p.r_ohm > 0.0 {
-            // Lumped wire resistance between the driver-side node and
-            // the loads-side node.
-            let _ = writeln!(s, "R{r_count} {node}_drv {node} {:.3}", p.r_ohm);
-            r_count += 1;
-        }
-        if p.c_ground_ff > 0.0 {
-            let _ = writeln!(s, "C{c_count} {node} VSS {:.3}f", p.c_ground_ff);
-            c_count += 1;
-        }
-        for &(other, cc) in &p.couplings {
-            // Emit each coupling once (low id side).
-            if id < other {
-                let _ = writeln!(
-                    s,
-                    "C{c_count} {node} {} {:.3}f",
-                    sanitize_node(&nl.net(other).name),
-                    cc
-                );
-                c_count += 1;
-            }
-        }
-    }
-    let _ = writeln!(s, ".END");
-    s
-}
-
-/// SPICE node names: conservative character set.
-fn sanitize_node(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
-}
-
-#[cfg(test)]
-mod spice_tests {
-    use super::*;
-    use secflow_netlist::GateKind;
-    use secflow_pnr::{GridPitch, PlacedCell, PlacedDesign, Point, RoutedNet, Segment, LAYER_H};
-
-    #[test]
-    fn spice_netlist_lists_gates_and_rc() {
-        let mut nl = Netlist::new("sp");
-        let a = nl.add_input("a");
-        let y = nl.add_net("y[0]");
-        nl.add_gate("g0", "INV", GateKind::Comb, vec![a], vec![y]);
-        nl.mark_output(y);
-        let design = secflow_pnr::RoutedDesign {
-            placed: PlacedDesign {
-                name: "sp".into(),
-                width: 30,
-                height: 16,
-                row_height: 8,
-                pitch: GridPitch::Normal,
-                cells: vec![PlacedCell { x: 0, row: 0 }],
-                input_pads: vec![],
-                output_pads: vec![],
-            },
-            nets: vec![RoutedNet {
-                net: y,
-                segments: vec![Segment::new(
-                    Point::new(LAYER_H, 0, 4),
-                    Point::new(LAYER_H, 10, 4),
-                )],
-            }],
-        };
-        let par = extract(&design, &nl, &Technology::default());
-        let text = write_spice(&nl, &par, "test");
-        assert!(text.contains("X0_g0 a y_0_ INV"));
-        assert!(text.contains("R0 y_0__drv y_0_"));
-        assert!(text.contains("VSS"));
-        assert!(text.trim_end().ends_with(".END"));
-    }
-}

@@ -268,27 +268,6 @@ impl Netlist {
         (0..self.nets.len() as u32).map(NetId)
     }
 
-    /// Replaces every read of net `from` with a read of net `to`,
-    /// updating sink records on both nets. The driver of `from` is left
-    /// untouched. Used by inverter sweeping and buffer removal.
-    pub fn rewire_sinks(&mut self, from: NetId, to: NetId) {
-        if from == to {
-            return;
-        }
-        let moved = std::mem::take(&mut self.nets[from.index()].sinks);
-        for pin in &moved {
-            let g = &mut self.gates[pin.gate.index()];
-            g.inputs[pin.pin as usize] = to;
-        }
-        self.nets[to.index()].sinks.extend(moved);
-        // Primary outputs reading `from` move too.
-        for out in &mut self.outputs {
-            if *out == from {
-                *out = to;
-            }
-        }
-    }
-
     /// Removes gates for which `dead(gate)` returns true, compacting the
     /// gate arena and fixing up all pin references. Nets are preserved
     /// (their driver records are cleared when the driver dies).
@@ -381,18 +360,6 @@ mod tests {
         let n2 = nl.fresh_net("w");
         assert_ne!(n1, n2);
         assert_ne!(nl.net(n1).name, nl.net(n2).name);
-    }
-
-    #[test]
-    fn rewire_sinks_moves_loads() {
-        let mut nl = tiny();
-        let a = nl.net_by_name("a").unwrap();
-        let b = nl.net_by_name("b").unwrap();
-        nl.rewire_sinks(b, a);
-        assert_eq!(nl.net(a).sinks.len(), 2);
-        assert!(nl.net(b).sinks.is_empty());
-        let g = nl.gate(GateId(0));
-        assert_eq!(g.inputs, vec![a, a]);
     }
 
     #[test]

@@ -46,14 +46,16 @@ use secflow_netlist::{parse_verilog, Netlist};
 use secflow_obs as obs;
 use secflow_obs::json::{Arr, Obj};
 use secflow_pnr::RoutedDesign;
-use secflow_sim::{CycleDriver, SimConfig};
+use secflow_sim::{CycleDriver, SimBackend, SimConfig};
 use secflow_synth::map_design;
 
 use crate::cache::{ArtifactCache, CacheStats};
 use crate::key::{flow_options_bytes, sim_config_bytes, stage_key, CacheStage, Enc};
-use crate::proto::{
-    AttackKind, CampaignRequest, FlowRequest, Request, RequestError, CAMPAIGN_BACKEND,
-};
+use crate::proto::{AttackKind, CampaignRequest, FlowRequest, Request, RequestError};
+
+/// The lane width every campaign program is built for: 64 windows per
+/// batch, byte-identical to one window per run.
+pub const CAMPAIGN_BACKEND: SimBackend = SimBackend::Bitslice;
 
 /// A structured job failure: the `FlowError` taxonomy (stage name,
 /// variant kind, detail, stage exit code 10–19) plus the `request`

@@ -193,8 +193,7 @@ pub fn sim_config_bytes(cfg: &SimConfig) -> Vec<u8> {
         .u64("crosstalk_window_ps", cfg.crosstalk_window_ps)
         .f64("noise_sigma", cfg.noise_sigma)
         .u64("noise_seed", cfg.noise_seed)
-        .f64("precharge_fraction", cfg.precharge_fraction)
-        .bool("record_waveform", cfg.record_waveform);
+        .f64("precharge_fraction", cfg.precharge_fraction);
     e.build()
 }
 

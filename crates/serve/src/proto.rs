@@ -29,10 +29,8 @@
 //! clients' requests keep parsing; every campaign streams, so the
 //! field is validated and then ignored.
 //!
-//! Every campaign runs on the 64-lane kernel ([`CAMPAIGN_BACKEND`]),
-//! which records no waveform, so `sim.record_waveform` is refused here;
-//! a campaign payload carries no waveform either. Fields whose value
-//! sizes an allocation are bounded by documented constants
+//! Fields whose value sizes an allocation are bounded by documented
+//! constants
 //! ([`MAX_TRACES`], [`MAX_SAMPLES_PER_CYCLE`], [`MAX_PLACE_RESTARTS`]):
 //! a request above one is a bad request, not an allocation that could
 //! abort the daemon.
@@ -42,15 +40,11 @@ use std::io::{self, Read, Write};
 
 use secflow_core::{DecomposeStyle, FlowOptions};
 use secflow_obs::json::Value;
-use secflow_sim::{SimBackend, SimConfig};
+use secflow_sim::SimConfig;
 
 /// Upper bound on a frame body; a length above this is a protocol
 /// error, not an allocation request.
 pub const MAX_FRAME: usize = 64 << 20;
-
-/// The lane width every campaign program is built for: 64 windows per
-/// batch, byte-identical to one window per run.
-pub const CAMPAIGN_BACKEND: SimBackend = SimBackend::Bitslice;
 
 /// Most encryptions one campaign request may ask for (`n`): a campaign
 /// draws every plaintext up front, 2 bytes each.
@@ -324,7 +318,6 @@ fn parse_sim_config(obj: &Value) -> Result<SimConfig, RequestError> {
             "noise_sigma",
             "noise_seed",
             "precharge_fraction",
-            "record_waveform",
         ],
         "sim",
     )?;
@@ -355,9 +348,6 @@ fn parse_sim_config(obj: &Value) -> Result<SimConfig, RequestError> {
         }
         cfg.precharge_fraction = v;
     }
-    if let Some(v) = get_bool(o, "record_waveform")? {
-        cfg.record_waveform = v;
-    }
     Ok(cfg)
 }
 
@@ -372,12 +362,9 @@ fn parse_implementation(obj: &Value) -> Result<bool, RequestError> {
 }
 
 impl Request {
-    /// Parses and validates a request frame.
-    ///
-    /// The campaign configuration is validated here against
-    /// [`CAMPAIGN_BACKEND`] ([`SimConfig::validate_backend`]), so
-    /// `record_waveform` fails before the job is ever queued, as do
-    /// values above the allocation bounds of the module docs.
+    /// Parses and validates a request frame. Values above the
+    /// allocation bounds of the module docs fail here, before the job
+    /// is ever queued.
     ///
     /// # Errors
     ///
@@ -460,10 +447,6 @@ impl Request {
                 }
                 let opts = parse_flow_options(v)?;
                 let cfg = parse_sim_config(v)?;
-                // A configuration the campaign kernel cannot run dies
-                // here, not mid-campaign.
-                cfg.validate_backend(CAMPAIGN_BACKEND)
-                    .map_err(|e| bad(e.to_string()))?;
                 Ok(Request::Campaign(CampaignRequest {
                     secure: parse_implementation(v)?,
                     attack,
@@ -542,13 +525,15 @@ mod tests {
     }
 
     #[test]
-    fn waveform_on_bitslice_is_rejected_at_request_validation() {
-        // Every campaign runs on the 64-lane kernel, which records no
-        // waveform.
-        let e =
-            Request::parse(br#"{"job":"campaign","sim":{"record_waveform":true}}"#).unwrap_err();
-        assert!(e.0.contains("record_waveform"), "{e}");
-        assert!(Request::parse(br#"{"job":"campaign","sim":{"record_waveform":false}}"#).is_ok());
+    fn retired_sim_fields_are_unknown_fields() {
+        // Nothing records a waveform, whatever its value.
+        for req in [
+            br#"{"job":"campaign","sim":{"record_waveform":true}}"#.as_slice(),
+            br#"{"job":"campaign","sim":{"record_waveform":false}}"#,
+        ] {
+            let e = Request::parse(req).unwrap_err();
+            assert_eq!(e.0, "unknown sim field `record_waveform`");
+        }
         // The lane width is not a request option.
         let e =
             Request::parse(br#"{"job":"campaign","options":{"sim_backend":"event"}}"#).unwrap_err();

@@ -13,18 +13,16 @@
 //!
 //! Unlike [`crate::EngineScratch`], a [`BitScratch`] reports per-cycle
 //! rise counts for the measured cycles only and keeps one total for the
-//! rest ([`crate::LaneScratch::total_rises`]). It records no waveforms:
-//! [`BitSim::build`] refuses [`SimConfig::record_waveform`].
+//! rest ([`crate::LaneScratch::total_rises`]).
 
 #[cfg(doc)]
 use crate::compiled::CompiledSim;
 use crate::compiled::LaneSim;
-#[cfg(doc)]
-use crate::config::SimConfig;
 use crate::kernel::LaneScratch;
 
-/// Which lane width of the event kernel a campaign runs on. Both give
-/// byte-identical traces; campaigns choose one through
+/// Which lane width of the event kernel a campaign runs on, a speed
+/// choice only: both build from every `SimConfig` and give
+/// byte-identical traces. Campaigns choose one through
 /// `DesTarget::with_backend` (`secflow-dpa`), and the obs counters
 /// report each width under its own family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +46,6 @@ mod tests {
     use super::*;
     use crate::compiled::{CompiledSim, EngineScratch};
     use crate::config::SimConfig;
-    use crate::error::SimError;
     use crate::kernel::CycleDriver;
     use crate::load::LoadModel;
     use secflow_cells::Library;
@@ -169,14 +166,5 @@ mod tests {
             );
             assert!(bs.lane_trace(0).iter().sum::<f64>() > 0.0);
         }
-    }
-
-    #[test]
-    fn record_waveform_is_a_typed_unsupported_error() {
-        let (nl, lib, mut cfg) = fixture();
-        cfg.record_waveform = true;
-        let load = LoadModel::try_build(&nl, &lib, None).unwrap();
-        let err = BitSim::build(&nl, &lib, &load, &cfg).unwrap_err();
-        assert!(matches!(err, SimError::UnsupportedConfig { .. }), "{err:?}");
     }
 }

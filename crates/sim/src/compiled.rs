@@ -146,25 +146,22 @@ impl<W: LaneWord> LaneSim<W> {
     ///
     /// Each distinct cell name is resolved exactly once
     /// ([`Library::index_of`]); gates index the resolved table
-    /// thereafter. Every width accepts the same netlists and fails
-    /// with the same typed errors, so backend selection never changes
-    /// error behaviour.
+    /// thereafter. Every width accepts the same netlists and
+    /// configurations and fails with the same typed errors, so backend
+    /// selection never changes error behaviour.
     ///
     /// # Errors
     ///
-    /// [`SimError::UnsupportedConfig`] if `cfg` requests a feature the
-    /// width's backend lacks ([`SimConfig::validate_backend`]: per-lane
-    /// waveforms are not recorded); [`SimError::UnknownCell`] if a gate
-    /// references a cell missing from `lib`; [`SimError::PinCount`] if
-    /// a gate's pin count differs from its cell's;
-    /// [`SimError::CombinationalCycle`] if no evaluation order exists.
+    /// [`SimError::UnknownCell`] if a gate references a cell missing
+    /// from `lib`; [`SimError::PinCount`] if a gate's pin count differs
+    /// from its cell's; [`SimError::CombinationalCycle`] if no
+    /// evaluation order exists.
     pub fn build(
         nl: &Netlist,
         lib: &Library,
         load: &LoadModel,
         cfg: &SimConfig,
     ) -> Result<Self, SimError> {
-        cfg.validate_backend(W::BACKEND)?;
         let mut name_memo: HashMap<&str, usize> = HashMap::new();
         let mut cells = Vec::with_capacity(nl.gate_count());
         let mut in_offsets = Vec::with_capacity(nl.gate_count() + 1);
@@ -311,15 +308,10 @@ impl<W: LaneWord> LaneSim<W> {
         }
     }
 
-    /// The compiled configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// True if single-ended runs event-simulate only the measured
     /// cycles: every single-ended cycle provably settles before the
-    /// next clock edge (DESIGN.md §16) and no waveform is recorded.
-    /// Other cycles then report no rises and no kernel work.
+    /// next clock edge (DESIGN.md §16). Other cycles then report no
+    /// rises and no kernel work.
     pub fn settles_single_ended(&self) -> bool {
         self.settles_se
     }
@@ -358,7 +350,7 @@ impl<W: LaneWord> LaneSim<W> {
     /// so `clk2q_ps` must be positive.
     fn settles_after(&self, arrival: &[u64], launch: u64) -> bool {
         let cfg = &self.cfg;
-        if cfg.record_waveform || cfg.clk2q_ps == 0 {
+        if cfg.clk2q_ps == 0 {
             return false;
         }
         let period = cfg.period_ps;
@@ -457,7 +449,6 @@ impl EngineScratch {
             cycle_rises: std::mem::take(&mut self.cycle_rises),
             outputs_per_cycle,
             wddl_alarms: std::mem::take(&mut self.wddl_alarms),
-            waveform: std::mem::take(&mut self.waveform),
         }
     }
 }

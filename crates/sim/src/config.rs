@@ -1,8 +1,5 @@
 //! Simulation configuration.
 
-use crate::bitslice::SimBackend;
-use crate::error::SimError;
-
 /// Timing, sampling and electrical parameters of a power simulation.
 ///
 /// Defaults follow the paper's measurement setup: 125 MHz clock
@@ -34,8 +31,6 @@ pub struct SimConfig {
     /// (0.5 in normal operation; the DFA glitch experiment shrinks the
     /// evaluation phase by raising it).
     pub precharge_fraction: f64,
-    /// Record every net transition for waveform (VCD) export.
-    pub record_waveform: bool,
 }
 
 impl Default for SimConfig {
@@ -50,7 +45,6 @@ impl Default for SimConfig {
             noise_sigma: 0.0,
             noise_seed: 0,
             precharge_fraction: 0.5,
-            record_waveform: false,
         }
     }
 }
@@ -65,30 +59,6 @@ impl SimConfig {
     pub fn eval_start_ps(&self) -> u64 {
         (self.period_ps as f64 * self.precharge_fraction) as u64
     }
-
-    /// Checks that every feature this configuration requests is
-    /// supported by `backend` — the single validation point for
-    /// backend/config combinations, meant to run at *option-validation
-    /// time* (serve's request validation) so an unsupported
-    /// combination fails with a typed error before any flow stage or
-    /// campaign work is spent on it. The kernels call it again on
-    /// build as a backstop, so the error is identical wherever it
-    /// surfaces.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnsupportedConfig`] if `record_waveform` is
-    /// requested on the bit-sliced backend (per-lane waveforms are not
-    /// reconstructed — VCD dumps need the event kernel).
-    pub fn validate_backend(&self, backend: SimBackend) -> Result<(), SimError> {
-        if backend == SimBackend::Bitslice && self.record_waveform {
-            return Err(SimError::UnsupportedConfig {
-                backend: "bitslice".into(),
-                detail: "record_waveform requires the event backend".into(),
-            });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -102,21 +72,5 @@ mod tests {
         assert_eq!(c.samples_per_cycle, 800);
         assert!((c.sample_ps() - 10.0).abs() < 1e-9);
         assert_eq!(c.eval_start_ps(), 4000);
-    }
-
-    #[test]
-    fn waveform_on_bitslice_is_rejected_at_validation() {
-        let cfg = SimConfig {
-            record_waveform: true,
-            ..Default::default()
-        };
-        assert!(cfg.validate_backend(SimBackend::Event).is_ok());
-        let err = cfg.validate_backend(SimBackend::Bitslice).unwrap_err();
-        assert!(
-            matches!(err, SimError::UnsupportedConfig { ref backend, .. } if backend == "bitslice"),
-            "{err:?}"
-        );
-        let ok = SimConfig::default();
-        assert!(ok.validate_backend(SimBackend::Bitslice).is_ok());
     }
 }

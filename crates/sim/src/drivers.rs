@@ -9,7 +9,7 @@
 
 use secflow_cells::Library;
 use secflow_extract::Parasitics;
-use secflow_netlist::{NetId, Netlist};
+use secflow_netlist::Netlist;
 
 use crate::compiled::{CompiledSim, EngineScratch};
 use crate::config::SimConfig;
@@ -34,20 +34,9 @@ pub struct SimResult {
     /// pair was still `(0, 0)` at the capturing clock edge — the DFA
     /// alarm condition of §4.3.
     pub wddl_alarms: Vec<usize>,
-    /// Net transitions `(time_ps, net, new value)` when
-    /// [`SimConfig::record_waveform`] is enabled.
-    pub waveform: Vec<(u64, NetId, bool)>,
 }
 
 impl SimResult {
-    /// Mean energy per cycle in fJ.
-    pub fn mean_energy_fj(&self) -> f64 {
-        if self.cycle_energy_fj.is_empty() {
-            return 0.0;
-        }
-        self.cycle_energy_fj.iter().sum::<f64>() / self.cycle_energy_fj.len() as f64
-    }
-
     /// The samples of one cycle.
     pub fn cycle_trace(&self, cycle: usize, samples_per_cycle: usize) -> &[f64] {
         &self.trace[cycle * samples_per_cycle..(cycle + 1) * samples_per_cycle]
@@ -95,7 +84,7 @@ pub fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use secflow_netlist::GateKind;
+    use secflow_netlist::{GateKind, NetId};
 
     /// y = a AND b, q = DFF(y).
     fn se_netlist() -> Netlist {

@@ -31,14 +31,6 @@ pub enum SimError {
         /// Module name of the offending netlist.
         netlist: String,
     },
-    /// The requested configuration is not supported by the selected
-    /// simulation backend.
-    UnsupportedConfig {
-        /// The backend that rejected the configuration.
-        backend: String,
-        /// What is unsupported, and which backend to use instead.
-        detail: String,
-    },
     /// A campaign's simulated ciphertext disagrees with the reference
     /// model: under this configuration the implementation does not
     /// compute its function (e.g. the evaluation phase is too short
@@ -71,9 +63,6 @@ impl fmt::Display for SimError {
             ),
             SimError::CombinationalCycle { netlist } => {
                 write!(f, "netlist `{netlist}` has a combinational cycle")
-            }
-            SimError::UnsupportedConfig { backend, detail } => {
-                write!(f, "sim backend `{backend}` does not support this config: {detail}")
             }
             SimError::CiphertextMismatch {
                 encryption,

@@ -283,9 +283,6 @@ pub struct LaneScratch<W: LaneWord> {
     pub(crate) outputs: Vec<W>,
     /// `[cycle·LANES + lane]` WDDL DFA alarm counts (WDDL runs only).
     pub(crate) wddl_alarms: Vec<usize>,
-    /// Net transitions `(time, net, value)` of a one-lane run under
-    /// [`crate::SimConfig::record_waveform`].
-    pub(crate) waveform: Vec<(u64, NetId, bool)>,
     // --- cycle-driver state ---
     reg_state: Vec<W>,
     reg_t: Vec<W>,
@@ -371,7 +368,6 @@ impl<W: LaneWord> LaneScratch<W> {
         self.unmeasured_rises = 0;
         self.outputs.clear();
         self.wddl_alarms.clear();
-        self.waveform.clear();
         refill(&mut self.reg_state, sim.se_regs.len(), W::ZERO);
         // Logical 0 as a valid WDDL code word: (t, f) = (0, 1).
         refill(&mut self.reg_t, sim.wddl_regs.len(), W::ZERO);
@@ -678,10 +674,6 @@ impl<W: LaneWord> Engine<'_, W> {
             return;
         }
         self.s.vals[net] = (cur & !flip) | (ev.vals & flip);
-        // Wider builds reject `record_waveform` (SimConfig::validate_backend).
-        if W::LANES == 1 && self.sim.cfg.record_waveform {
-            self.s.waveform.push((t, NetId(ev.net), ev.vals.bit(0)));
-        }
         if !self.sim.exempt[net] {
             let rises = flip & ev.vals;
             if rises != W::ZERO {

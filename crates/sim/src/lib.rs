@@ -27,8 +27,9 @@
 //! The event simulator is one kernel ([`kernel`]), generic over a
 //! [`LaneWord`] and run one way, [`LaneSim::run`] with a
 //! [`CycleDriver`]: [`CompiledSim`]/[`EngineScratch`] run one window at
-//! a time (the scalar API, waveforms), [`BitSim`]/[`BitScratch`] 64
-//! windows per batch, byte-identical per lane. For trace campaigns
+//! a time (the scalar API), [`BitSim`]/[`BitScratch`] 64 windows per
+//! batch, byte-identical per lane, and both build from every
+//! [`SimConfig`]. For trace campaigns
 //! (thousands of short windows over one netlist), compile once and
 //! reuse a scratch per worker thread: the compiled kernel resolves
 //! cells, fanout adjacency, loads and the topological order up front
@@ -45,7 +46,6 @@ pub mod kernel;
 mod load;
 mod noise;
 pub mod sta;
-pub mod vcd;
 
 pub use bitslice::{BitScratch, BitSim, SimBackend};
 pub use compiled::{is_wddl_register, CompiledSim, EngineScratch, LaneSim};

@@ -21,15 +21,6 @@ pub struct TimingReport {
     pub arrivals_ps: Vec<f64>,
 }
 
-impl TimingReport {
-    /// True if the design closes timing at the given combinational
-    /// budget (for single-ended designs: period minus clk-to-q and
-    /// setup; for WDDL: the evaluation phase).
-    pub fn closes_at(&self, budget_ps: f64) -> bool {
-        self.critical_path_ps <= budget_ps
-    }
-}
-
 /// Computes worst-case arrival times for the combinational portion of
 /// `nl`. Sources (primary inputs, register and tie outputs) start at
 /// time 0; every gate adds its loaded delay.
@@ -119,8 +110,6 @@ mod tests {
         assert_eq!(r.critical_net, Some(y));
         // Two stages: strictly more than one stage's delay.
         assert!(r.arrivals_ps[y.index()] > r.arrivals_ps[w.index()]);
-        assert!(r.closes_at(10_000.0));
-        assert!(!r.closes_at(1.0));
     }
 
     #[test]

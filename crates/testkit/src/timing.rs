@@ -10,7 +10,7 @@ use std::time::Instant;
 /// One timed measurement.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    /// Benchmark name, e.g. `"cell_substitution/2000"`.
+    /// Benchmark name, e.g. `"serve_cache/warm_resubmission"`.
     pub name: String,
     /// All K run durations, in nanoseconds, in execution order.
     pub runs_ns: Vec<u128>,
@@ -65,14 +65,6 @@ pub fn time_median<F: FnMut()>(name: &str, k: usize, mut f: F) -> Measurement {
         min_ns,
         max_ns,
     }
-}
-
-/// Times `f` and prints the JSON line to stdout; returns the
-/// measurement for further use.
-pub fn bench<F: FnMut()>(name: &str, k: usize, f: F) -> Measurement {
-    let m = time_median(name, k, f);
-    println!("{}", m.json_line());
-    m
 }
 
 #[cfg(test)]

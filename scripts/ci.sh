@@ -61,6 +61,20 @@ cmp tests/golden/des_round.txt "$tmp/des_round.out"
 echo "== tier-1: glitch ablation smoke (150 traces, glitchy and glitch-free campaigns) =="
 cargo run --release --offline -p secflow-bench --bin exp_glitch_ablation -- 150 > /dev/null
 
+echo "== tier-1: experiment binaries refuse an unknown flag, a malformed number and an extra argument =="
+for args in "exp_cpa --sim-backend bitslice" "exp_cpa abc" "exp_ema_probe 5"; do
+    read -r -a argv <<< "$args"
+    rc=0
+    cargo run --release --offline -q -p secflow-bench --bin "${argv[0]}" -- "${argv[@]:1}" \
+        > "$tmp/usage.out" 2> "$tmp/usage.err" || rc=$?
+    lines=$(wc -l < "$tmp/usage.err")
+    if [ "$rc" -ne 2 ] || [ "$lines" -ne 1 ] || grep -q '^{"exp":' "$tmp/usage.err"; then
+        echo "$args: exit $rc, $lines stderr lines (want 2 and 1, no run-info line)"
+        cat "$tmp/usage.err"
+        exit 1
+    fi
+done
+
 echo "== tier-1: observability overhead smoke (noop bound < 1%) =="
 cargo bench --offline -p secflow-bench --bench flow_stages -- obs_overhead --smoke
 

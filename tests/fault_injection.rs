@@ -280,17 +280,6 @@ fn run_battery() {
         "{e:?}"
     );
     assert_flow_error(e, Stage::Sim);
-    // Waveform capture is an event-backend feature; the bitslice build
-    // refuses it with a typed error rather than silently ignoring it.
-    let nl = small_netlist();
-    let wave_cfg = SimConfig {
-        record_waveform: true,
-        ..cfg.clone()
-    };
-    let load = LoadModel::try_build(&nl, &lib, None).expect("valid load");
-    let e = BitSim::build(&nl, &lib, &load, &wave_cfg).expect_err("waveform must be refused");
-    assert!(matches!(e, SimError::UnsupportedConfig { .. }), "{e:?}");
-    assert_flow_error(e, Stage::Sim);
 }
 
 #[test]

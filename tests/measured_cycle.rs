@@ -33,7 +33,7 @@ use secflow::extract::Parasitics;
 use secflow::flow::{
     run_regular_flow, run_secure_flow, FlowOptions, RegularFlowResult, SecureFlowResult,
 };
-use secflow::netlist::{GateKind, NetId, Netlist};
+use secflow::netlist::{GateKind, Netlist};
 use secflow::rand::{RngExt, SeedableRng, StdRng};
 use secflow::sim::{
     BitScratch, BitSim, CompiledSim, CycleDriver, EngineScratch, LoadModel, SimConfig,
@@ -540,40 +540,6 @@ fn a_crosstalk_window_longer_than_the_quiet_gap_simulates_every_cycle() {
         "the rise of y must couple with cycle 0's rise of x"
     );
     assert_every_cycle_simulated(&nl, &lib, &load, &long, &win);
-}
-
-/// A waveform needs every transition, so a `record_waveform` run that
-/// measures one cycle still simulates and records all of them.
-#[test]
-fn record_waveform_records_every_cycle_of_a_measured_run() {
-    let (nl, lib, load) = slow_net_fixture();
-    let cfg = SimConfig {
-        samples_per_cycle: 40,
-        ..Default::default()
-    };
-    let comp = CompiledSim::build(&nl, &lib, &load, &cfg).unwrap();
-    assert!(comp.settles_single_ended());
-    let cfg = SimConfig {
-        record_waveform: true,
-        ..cfg
-    };
-    let comp = CompiledSim::build(&nl, &lib, &load, &cfg).unwrap();
-    assert!(!comp.settles_single_ended());
-
-    let win = vec![vec![true], vec![false], vec![true]];
-    let mut s = EngineScratch::new();
-    comp.run(&mut s, CycleDriver::SingleEnded, &win, true, ..);
-    let want = s.take_sim_result().waveform;
-    comp.run(&mut s, CycleDriver::SingleEnded, &win, true, 1..=1);
-    let got = s.take_sim_result().waveform;
-    assert_eq!(got, want);
-    for c in 0..win.len() as u64 {
-        let in_cycle = |&&(t, _, _): &&(u64, NetId, bool)| t / cfg.period_ps == c;
-        assert!(
-            want.iter().any(|e| in_cycle(&e)),
-            "no transition in cycle {c}"
-        );
-    }
 }
 
 /// Only the `clk2q_ps > 0` clause fails: a register output that rises

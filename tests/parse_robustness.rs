@@ -105,7 +105,7 @@ fn json_corpus() -> Vec<String> {
         r#"{"job":"campaign","options":{"decompose_style":"shielded",
             "fill_factor":0.7,"aspect_ratio":1.25,"place_restarts":2,"route_max_iterations":40,
             "bdd_gate_limit":1500},"sim":{"period_ps":8000,"noise_sigma":0.5e-1,"noise_seed":7,
-            "precharge_fraction":-0.0,"record_waveform":false}}"#,
+            "precharge_fraction":-0.0}}"#,
         r#"{"job":"flow","implementation":"regular","netlist":"module m (a, y);\n  input a;\n  output y;\n  INV g0 (.A(a), .Y(y));\nendmodule\n"}"#,
         r#"{"job":"flow","netlist":"q\"\\\/\b\f\n\r\t\u00e9\ud83d\ude00 é😀"}"#,
         r#"{"job":"stats"}"#,
